@@ -1,9 +1,12 @@
 """Sweep the sampling ratio and report distributional fidelity at each point.
 
-Generates a random labeled graph (or loads one from TAG-JSON), runs the
+Generates a seeded planted-label graph (or loads one from TAG-JSON), runs the
 stratified limiter across an alpha grid, and prints one row per alpha:
 sample size, degree-distribution KS against the original, label histogram
 drift, connectivity distortion before and after repair, and swap count.
+
+The generator is the benchmark's (perfbench/gen.py): 7 labels, 80% of edges
+within a label, average degree 5, built in O(n + m).
 
 Usage:
     python3 scripts/limiter_sweep.py [--graph PATH] [--nodes N] [--seed S]
@@ -13,39 +16,17 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-import numpy as np
-
+from gen import planted_graph
 from tagforge.analysis import ks_two_sample
 from tagforge.community import ModularityParams, detect_communities
-from tagforge.graph import NodeRecord, TextAttributedGraph, load_graph
+from tagforge.graph import graph_from_json_obj, histograms, load_graph
 from tagforge.limiter import LimiterParams, sample_limited_detailed
 
-
-def synthetic_graph(n: int, seed: int, class_count: int = 4) -> TextAttributedGraph:
-    rng = np.random.default_rng(seed)
-    ids = [str(i) for i in range(n)]
-    labels = {i: int(rng.integers(class_count)) for i in ids}
-    adj = {i: [] for i in ids}
-    target_degree = 6.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            same = labels[ids[a]] == labels[ids[b]]
-            p = target_degree / n * (1.6 if same else 0.6)
-            if rng.random() < p:
-                adj[ids[a]].append(ids[b])
-    recs = [NodeRecord(node_id=i, label=labels[i],
-                       text=f"Title: record {i}. Abstract: synthetic entry {i}.",
-                       neighbors=tuple(adj[i]), mask="Train") for i in ids]
-    return TextAttributedGraph.from_records(recs, class_count)
-
-
-def label_histogram(g: TextAttributedGraph) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for rec in g.nodes:
-        out[rec.label] = out.get(rec.label, 0) + 1
-    return out
+AVG_DEGREE = 5.0
 
 
 def main(argv=None) -> int:
@@ -60,7 +41,7 @@ def main(argv=None) -> int:
         g = load_graph(args.graph)
         print(f"loaded {args.graph}: {g.num_nodes} nodes, {g.num_edges} edges")
     else:
-        g = synthetic_graph(args.nodes, args.seed)
+        g = graph_from_json_obj(planted_graph(args.nodes, AVG_DEGREE, args.seed))
         print(f"synthetic graph: {g.num_nodes} nodes, {g.num_edges} edges, "
               f"{g.class_count} classes")
 
@@ -69,7 +50,7 @@ def main(argv=None) -> int:
     print()
 
     full_degrees = g.degrees().astype(float)
-    full_labels = label_histogram(g)
+    _, full_labels = histograms(g)
 
     header = (f"{'alpha':>6} {'|V_s|':>6} {'deg KS':>8} {'label drift':>12} "
               f"{'dist before':>12} {'dist after':>11} {'swaps':>6}")
@@ -79,7 +60,7 @@ def main(argv=None) -> int:
         result = sample_limited_detailed(g, partition, LimiterParams(alpha=alpha))
         sample = result.graph
         ks = ks_two_sample(full_degrees, sample.degrees().astype(float)).statistic
-        hist = label_histogram(sample)
+        _, hist = histograms(sample)
         drift = max(
             abs(hist.get(lbl, 0) / sample.num_nodes - cnt / g.num_nodes)
             for lbl, cnt in full_labels.items())

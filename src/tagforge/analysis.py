@@ -45,21 +45,18 @@ class KSResult:
 
 
 def ks_p_value(statistic: float, n: int, m: int) -> float:
-    """Asymptotic two-sided p-value via the alternating exponential series.
-
-    Terms are accumulated until they fall below 1e-12; the result is clamped
-    into [0, 1].
+    """Asymptotic two-sided p-value: the Kolmogorov distribution's survival
+    function at sqrt(n m / (n + m)) * statistic, clamped into [0, 1].
     """
+    # scipy.special.kolmogorov is the function behind scipy.stats.kstwobign.sf.
+    # Imported here because importing it (let alone scipy.stats) adds about
+    # 0.1 s to the start-up of every command, and only this function needs it.
+    from scipy.special import kolmogorov
+
     if statistic <= 0.0:
         return 1.0
     lam = statistic * math.sqrt(n * m / (n + m))
-    total = 0.0
-    for k in range(1, 100_001):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return min(1.0, max(0.0, total))
+    return min(1.0, max(0.0, float(kolmogorov(lam))))
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KSResult:
@@ -212,16 +209,14 @@ def principal_direction(
     vectors,
     tol_radians: float = 1e-8,
     max_outer: int = 100,
-    power_tol: float = 1e-10,
-    power_max: int = 5000,
 ) -> PrincipalDirection:
     """Direction minimizing the sum of squared angles to the given vectors.
 
     Iteratively reweighted scheme: each round weights every vector by
     arccos(|u.x|) / sqrt(1 - (u.x)^2) (limit 1 as the angle vanishes), builds
-    the weighted second-moment matrix, and power-iterates to its dominant
-    eigenvector. Starts from the normalized mean. The objective is monitored
-    and must never increase; a numerical increase beyond 1e-9 raises.
+    the weighted second-moment matrix, and takes its dominant eigenvector.
+    Starts from the normalized mean. The objective is monitored and must
+    never increase; a numerical increase beyond 1e-9 raises.
     """
     x = _unit_rows(vectors)
     n, dim = x.shape
@@ -244,22 +239,7 @@ def principal_direction(
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(near_aligned, 1.0, np.arccos(a) / np.sqrt(1.0 - a ** 2))
         m = x.T @ (x * w[:, None])
-        v = u.copy()
-        for _ in range(power_max):
-            nxt = m @ v
-            nxt_norm = float(np.linalg.norm(nxt))
-            if nxt_norm < 1e-300:
-                nxt = np.zeros(dim)
-                nxt[0] = 1.0
-                nxt_norm = 1.0
-            nxt = nxt / nxt_norm
-            if nxt @ v < 0:
-                nxt = -nxt
-            if float(np.abs(nxt - v).max()) < power_tol:
-                v = nxt
-                break
-            v = nxt
-        v = _canonical_sign(v)
+        v = _canonical_sign(np.linalg.eigh(m)[1][:, -1])
         f_new = grassmann_objective(v, x)
         # the reweighted eigen-step can overshoot on spread-out clouds;
         # halve the move back toward the previous direction until the

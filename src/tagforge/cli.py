@@ -40,13 +40,13 @@ from .graph import (
 )
 from .limiter import LimiterParams, property_tensor, sample_limited_detailed
 from .perception import (
-    EnhancementMode,
     build_report,
-    class_imbalance,
+    fallback_mode,
     personalized_pagerank,
     report_to_json,
     sample_knowledge,
     select_seed,
+    train_imbalance,
 )
 from .synthesis import SynthesisConfig, run_synthesis, summarize_report
 
@@ -124,17 +124,6 @@ def _make_provider(spec: str, provider_section: dict, seed: int, audit: AuditLog
     raise ValueError(f"--provider must be 'live' or 'mock:PATH', got {spec!r}")
 
 
-def _fallback_mode(g, config: SynthesisConfig) -> EnhancementMode:
-    counts: dict[int, int] = {}
-    for rec in g.nodes:
-        if rec.mask == "Train":
-            counts[rec.label] = counts.get(rec.label, 0) + 1
-    peak = max(class_imbalance(counts).values()) if counts else 1.0
-    if peak > config.imbalance_fallback_threshold:
-        return EnhancementMode.TOPOLOGICAL
-    return EnhancementMode.SEMANTIC
-
-
 # subcommand bodies ----------------------------------------------------------
 
 def cmd_stats(args) -> int:
@@ -155,7 +144,7 @@ def cmd_limit(args) -> int:
     g = load_graph(args.input)
     partition = detect_communities(
         g, None, ModularityParams(gamma=1.0), rng_seed=seed)
-    result = sample_limited_detailed(g, partition, params, rng_seed=seed)
+    result = sample_limited_detailed(g, partition, params)
     save_graph(result.graph, args.output)
 
     sidecar = {
@@ -191,7 +180,7 @@ def _dry_run(g, config: SynthesisConfig, seed: int) -> int:
         rng_seed=seed)
     report = build_report(g, partition, None)
     report_json = report_to_json(report)
-    mode = _fallback_mode(g, config)
+    mode, _ = fallback_mode(train_imbalance(g), config.imbalance_fallback_threshold)
     pparams = config.perception_params()
     seed_sel = select_seed(g, partition, None, mode, pparams)
     scores = personalized_pagerank(g, seed_sel.nodes, mode, pparams)

@@ -55,11 +55,18 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 class EmbeddingTable:
-    """Dense vectors keyed by node id, all of one dimension, none zero-norm."""
+    """Dense vectors keyed by node id, all of one dimension, none zero-norm.
+
+    Rows live in one raw matrix and one matrix of unit rows, found through an
+    id-to-row index. Both matrices grow by doubling, so a run of ``put``
+    calls copies O(n * dim) values in total.
+    """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        self._raw: dict[str, np.ndarray] = {}
-        self._unit: dict[str, np.ndarray] = {}
+        self._index: dict[str, int] = {}
+        self._raw = np.zeros((0, 0))
+        self._unit = np.zeros((0, 0))
+        self._reserve = len(vectors)
         self.dim = 0
         for node_id, vec in vectors.items():
             self.put(str(node_id), vec)
@@ -76,32 +83,50 @@ class EmbeddingTable:
         norm = float(np.linalg.norm(arr))
         if norm == 0.0 or not np.isfinite(norm):
             raise ValueError(f"embedding for {node_id!r} has zero or non-finite norm")
-        self._raw[node_id] = arr
-        self._unit[node_id] = arr / norm
+        row = self._index.get(node_id)
+        if row is None:
+            row = len(self._index)
+            if row == self._raw.shape[0]:
+                rows = max(2 * row, self._reserve, 16)
+                self._raw = self._grown(self._raw, rows)
+                self._unit = self._grown(self._unit, rows)
+            self._index[node_id] = row
+        self._raw[row] = arr
+        self._unit[row] = arr / norm
+
+    def _grown(self, mat: np.ndarray, rows: int) -> np.ndarray:
+        out = np.empty((rows, self.dim))
+        used = len(self._index)
+        if used:
+            out[:used] = mat[:used]
+        return out
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._raw
+        return node_id in self._index
 
     def __getitem__(self, node_id: str) -> np.ndarray:
-        return self._raw[node_id]
+        return self._raw[self._index[node_id]]
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return len(self._index)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._raw)
+        return tuple(self._index)
 
     def covers(self, ids: Iterable[str]) -> bool:
-        return all(i in self._raw for i in ids)
+        return all(i in self._index for i in ids)
 
     def unit(self, node_id: str) -> np.ndarray:
-        return self._unit[node_id]
+        return self._unit[self._index[node_id]]
 
     def unit_matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return np.stack([self._unit[i] for i in ids]) if ids else np.zeros((0, self.dim))
+        return self._unit[self._rows(ids)]
 
     def matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return np.stack([self._raw[i] for i in ids]) if ids else np.zeros((0, self.dim))
+        return self._raw[self._rows(ids)]
+
+    def _rows(self, ids: Sequence[str]) -> np.ndarray:
+        return np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
 
     @classmethod
     def from_json(cls, path: str) -> "EmbeddingTable":
@@ -112,7 +137,7 @@ class EmbeddingTable:
         return cls(obj)
 
     def to_json(self, path: str) -> None:
-        obj = {k: self._raw[k].tolist() for k in sorted(self._raw, key=node_sort_key)}
+        obj = {k: self[k].tolist() for k in sorted(self._index, key=node_sort_key)}
         atomic_write_text(path, json.dumps(obj) + "\n")
 
 

@@ -24,14 +24,13 @@ from .graph import atomic_write_text
 
 log = logging.getLogger("tagforge.gateway")
 
-ROLE_TAGS = ("Manager", "Perception", "Enhancement", "Evaluation", "Goal")
 ROLE_TEMPERATURE = {
     "Manager": 0.0,
-    "Perception": 0.0,
     "Enhancement": 0.7,
     "Evaluation": 0.0,
     "Goal": 0.0,
 }
+EMBED_BATCH = 64
 SCHEMA_IDS = ("generated-nodes", "quality-scores", "mode-decision", "goal-decision")
 
 
@@ -89,7 +88,6 @@ class ProviderConfig:
     timeout_s: float = 60.0
     max_retries: int = 3
     backoff_base_ms: float = 250.0
-    max_inflight: int = 4
 
 
 class AuditLog:
@@ -116,17 +114,15 @@ class AuditLog:
         atomic_write_text(path, self.to_jsonl())
 
 
-def prompt_key(req: ChatRequest) -> str:
-    digest = hashlib.sha256(
-        f"{req.role_tag}\x1f{req.system_prompt}\x1f{req.user_prompt}".encode("utf-8")
-    ).hexdigest()
-    return f"{req.role_tag}:{digest[:16]}"
-
-
-def _prompt_sha(req: ChatRequest) -> str:
+def _prompt_digest(req: ChatRequest) -> str:
+    """SHA-256 hex digest of a request's role tag and both prompts."""
     return hashlib.sha256(
         f"{req.role_tag}\x1f{req.system_prompt}\x1f{req.user_prompt}".encode("utf-8")
     ).hexdigest()
+
+
+def prompt_key(req: ChatRequest) -> str:
+    return f"{req.role_tag}:{_prompt_digest(req)[:16]}"
 
 
 class HttpProvider:
@@ -206,7 +202,7 @@ class HttpProvider:
         if self.audit is not None:
             self.audit.record(
                 "llm_call", provider="http", role=req.role_tag,
-                prompt_sha256=_prompt_sha(req), model=self.config.model,
+                prompt_sha256=_prompt_digest(req), model=self.config.model,
                 temperature=req.resolved_temperature(),
                 latency_ms=round(latency_ms, 3),
                 usage=reply.get("usage"))
@@ -302,7 +298,7 @@ class MockProvider:
         if self.audit is not None:
             self.audit.record(
                 "llm_call", provider="mock", role=req.role_tag,
-                prompt_sha256=_prompt_sha(req), model="mock",
+                prompt_sha256=_prompt_digest(req), model="mock",
                 temperature=req.resolved_temperature(),
                 latency_ms=0.0, usage=None)
         return reply
@@ -315,6 +311,37 @@ class MockProvider:
                 "embed_call", provider="mock", count=len(texts),
                 latency_ms=0.0, usage=None)
         return out
+
+
+def embed_texts(provider, texts: Sequence[str], dim: int | None = None) -> list[np.ndarray]:
+    """Embed texts in batches of EMBED_BATCH and check every reply.
+
+    Each reply must hold one row per text, and every row must be a vector
+    of one dimension (``dim`` when given, else that of the first row) whose
+    norm is finite and nonzero, the condition EmbeddingTable.put enforces.
+    Any other reply raises PermanentProviderError.
+    """
+    out: list[np.ndarray] = []
+    for start in range(0, len(texts), EMBED_BATCH):
+        chunk = texts[start:start + EMBED_BATCH]
+        rows = provider.embed(chunk)
+        if len(rows) != len(chunk):
+            raise PermanentProviderError(
+                f"embedding reply has {len(rows)} rows for {len(chunk)} texts")
+        for row in rows:
+            try:
+                vec = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise PermanentProviderError(f"embedding row is not numeric: {exc}") from exc
+            dim = dim or vec.size
+            if vec.ndim != 1 or vec.size != dim:
+                raise PermanentProviderError(
+                    f"embedding row has shape {vec.shape}, expected ({dim},)")
+            norm = float(np.linalg.norm(vec))
+            if norm == 0.0 or not np.isfinite(norm):
+                raise PermanentProviderError("embedding row has zero or non-finite norm")
+            out.append(vec)
+    return out
 
 
 # structured output ---------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -348,14 +349,29 @@ class GraphStats:
         }
 
 
-def component_labels(g: TextAttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Connected component label per node position, plus component sizes."""
-    n = g.num_nodes
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    count, labels = csgraph.connected_components(g.adjacency_csr(), directed=False)
-    sizes = np.bincount(labels, minlength=count)
-    return labels.astype(np.int64), sizes.astype(np.int64)
+def component_labels(
+        g: TextAttributedGraph, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Connected component label per node position, plus component sizes.
+
+    With a boolean ``keep`` mask over node positions, the components are
+    those of the subgraph induced by the kept nodes, and every dropped
+    position is labeled -1. Labels number components in order of their
+    first node position.
+    """
+    idx = np.arange(g.num_nodes) if keep is None else np.flatnonzero(keep)
+    labels = np.full(g.num_nodes, -1, dtype=np.int64)
+    if idx.size == 0:
+        return labels, np.zeros(0, dtype=np.int64)
+    count, sub_labels = csgraph.connected_components(
+        g.adjacency_csr()[idx][:, idx], directed=False)
+    labels[idx] = sub_labels
+    return labels, np.bincount(sub_labels, minlength=count).astype(np.int64)
+
+
+def histograms(g: TextAttributedGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Node count per degree and node count per label, keyed in node order."""
+    return (dict(Counter(len(rec.neighbors) for rec in g.nodes)),
+            dict(Counter(rec.label for rec in g.nodes)))
 
 
 def local_clustering(g: TextAttributedGraph) -> np.ndarray:
@@ -381,7 +397,6 @@ def graph_stats(g: TextAttributedGraph) -> GraphStats:
     n = g.num_nodes
     if n == 0:
         return GraphStats(0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, {}, {})
-    deg = g.degrees()
     m = g.num_edges
     labels, sizes = component_labels(g)
     largest = int(sizes.max())
@@ -392,12 +407,7 @@ def graph_stats(g: TextAttributedGraph) -> GraphStats:
         dist = csgraph.shortest_path(sub, method="D", unweighted=True)
         s = largest
         avg_path = float(dist.sum() / (s * (s - 1)))
-    hist: dict[int, int] = {}
-    for d in deg.tolist():
-        hist[d] = hist.get(d, 0) + 1
-    label_dist: dict[int, int] = {}
-    for rec in g.nodes:
-        label_dist[rec.label] = label_dist.get(rec.label, 0) + 1
+    hist, label_dist = histograms(g)
     return GraphStats(
         num_nodes=n,
         num_edges=m,

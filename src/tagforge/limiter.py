@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .community import Partition
-from .graph import TextAttributedGraph, node_sort_key
+from .graph import TextAttributedGraph, component_labels, histograms, node_sort_key
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -82,71 +83,40 @@ class LimitResult:
     repair: RepairReport
 
 
-def _induced_components(g: TextAttributedGraph, selected: set) -> tuple[dict, list[int]]:
-    """Component id per selected node and component sizes, by BFS."""
-    comp: dict[str, int] = {}
-    sizes: list[int] = []
-    for start in sorted(selected, key=node_sort_key):
-        if start in comp:
-            continue
-        cid = len(sizes)
-        stack = [start]
-        comp[start] = cid
-        count = 0
-        while stack:
-            u = stack.pop()
-            count += 1
-            for w in g.neighbors(u):
-                if w in selected and w not in comp:
-                    comp[w] = cid
-                    stack.append(w)
-        sizes.append(count)
-    return comp, sizes
-
-
-def _component_profile(g: TextAttributedGraph) -> tuple[float, float]:
-    n = g.num_nodes
-    if n == 0:
-        return (0.0, 0.0)
-    _, sizes = _induced_components(g, set(g.ids()))
-    return (len(sizes) / n, max(sizes) / n)
-
-
 def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
     """Degree and label histograms, leading normalized-Laplacian spectrum of
-    the largest component, and the component profile (count/n, largest/n)."""
+    the largest component, and the component profile (count/n, largest/n).
+
+    Among equally large largest components, the one holding the smallest
+    node id (by ``node_sort_key``) is the one whose spectrum is taken.
+    """
     n = g.num_nodes
-    hist: dict[int, int] = {}
-    labels: dict[int, int] = {}
-    for rec in g.nodes:
-        d = len(rec.neighbors)
-        hist[d] = hist.get(d, 0) + 1
-        labels[rec.label] = labels.get(rec.label, 0) + 1
+    hist, labels = histograms(g)
     spectral: tuple[float, ...] = ()
+    profile = (0.0, 0.0)
     if n > 0:
-        comp, sizes = _induced_components(g, set(g.ids()))
-        big = max(range(len(sizes)), key=lambda c: (sizes[c], -c))
-        members = sorted((v for v, c in comp.items() if c == big), key=node_sort_key)
-        s = len(members)
-        if s == 1:
+        comp_arr, size_arr = component_labels(g)
+        comp, sizes = comp_arr.tolist(), size_arr.tolist()
+        largest = max(sizes)
+        ids = g.ids()
+        order = sorted(range(n), key=lambda i: node_sort_key(ids[i]))
+        big = next(comp[i] for i in order if sizes[comp[i]] == largest)
+        members = [i for i in order if comp[i] == big]
+        if largest == 1:
             spectral = (0.0,)
         else:
-            pos = {v: i for i, v in enumerate(members)}
-            a = np.zeros((s, s))
-            for v in members:
-                for w in g.neighbors(v):
-                    if w in pos:
-                        a[pos[v], pos[w]] = 1.0
+            a = g.adjacency_csr()[members][:, members].toarray()
             deg = a.sum(axis=1)
             inv_sqrt = 1.0 / np.sqrt(deg)
-            lap = np.eye(s) - (a * inv_sqrt[None, :]) * inv_sqrt[:, None]
+            lap = np.eye(largest) - (a * inv_sqrt[None, :]) * inv_sqrt[:, None]
             vals = np.clip(np.linalg.eigvalsh(lap), 0.0, 2.0)
             spectral = tuple(float(x) for x in vals[:eigen_count])
+        profile = (len(sizes) / n, largest / n)
     return PropertyTensor(
         degree_histogram=hist,
         label_distribution=labels,
         top_spectral=spectral,
-        component_profile=_component_profile(g),
+        component_profile=profile,
     )
 
 
@@ -164,18 +134,18 @@ def node_weights(
     (zero for isolated nodes).
     """
     l1, l2, l3 = lambda_weights
-    selected_set = set(selected)
-    members = partition.members_by_community()
-    max_deg = max((len(rec.neighbors) for rec in g.nodes), default=0)
+    assign = partition.assignment
+    sizes = partition.community_sizes()
+    covered = Counter(assign[u] for u in set(selected))
+    # row lengths of the graph's cached adjacency: no pass over the records
+    max_deg = int(g.adjacency_csr().getnnz(axis=1).max(initial=0))
     out: dict[str, float] = {}
     for v in candidates:
         deg = g.degree(v)
-        c = partition.assignment[v]
-        community = members[c]
-        covered = sum(1 for u in community if u in selected_set)
-        coverage_gap = 1.0 - covered / len(community)
+        c = assign[v]
+        coverage_gap = 1.0 - covered[c] / sizes[c]
         if deg > 0:
-            outside = sum(1 for u in g.neighbors(v) if partition.assignment[u] != c)
+            outside = sum(1 for u in g.neighbors(v) if assign[u] != c)
             bridge = outside / deg
         else:
             bridge = 0.0
@@ -213,6 +183,16 @@ def _largest_remainder(
     return base
 
 
+def _components(g: TextAttributedGraph, selected: set) -> tuple[dict[str, int], list[int]]:
+    """Component id per node of the subgraph induced by ``selected`` (-1 for
+    every other node) and the component sizes, as plain Python containers
+    so the repair loop's many single lookups stay cheap."""
+    ids = g.ids()
+    keep = np.fromiter((v in selected for v in ids), dtype=bool, count=len(ids))
+    labels, sizes = component_labels(g, keep)
+    return dict(zip(ids, labels.tolist())), sizes.tolist()
+
+
 def _distortion(profile: tuple[float, float], ref: tuple[float, float]) -> float:
     return abs(profile[0] - ref[0]) + abs(profile[1] - ref[1])
 
@@ -231,7 +211,7 @@ def connectivity_repair(
     size) is exhausted. Cell counts are invariant by construction.
     """
     n_g = g.num_nodes
-    ref_comp, ref_sizes = _induced_components(g, set(g.ids()))
+    ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
 
     selected = set(sub.ids())
@@ -243,7 +223,7 @@ def connectivity_repair(
     cell_of = {
         rec.node_id: (rec.label, partition.assignment[rec.node_id]) for rec in g.nodes}
 
-    comp, sizes = _induced_components(g, selected)
+    comp, sizes = _components(g, selected)
     cur = _distortion((len(sizes) / n_s, max(sizes) / n_s), kappa_ref)
     trace = [cur]
     swaps = 0
@@ -346,7 +326,7 @@ def connectivity_repair(
         selected.discard(r)
         selected.add(b)
         swaps += 1
-        comp, sizes = _induced_components(g, selected)
+        comp, sizes = _components(g, selected)
         new_cur = _distortion((len(sizes) / n_s, max(sizes) / n_s), kappa_ref)
         if new_cur >= cur - _GAIN_EPS:
             raise RuntimeError("repair swap failed to decrease distortion")
@@ -367,14 +347,11 @@ def sample_limited_detailed(
     g: TextAttributedGraph,
     partition: Partition,
     params: LimiterParams = LimiterParams(),
-    rng_seed: int = 0,
 ) -> LimitResult:
     """Produce the alpha-fraction sample with repair, plus bookkeeping.
 
-    ``rng_seed`` is accepted for interface stability; selection itself is
-    deterministic (ranking ties break on node id).
+    Selection is deterministic: ranking ties break on node id.
     """
-    del rng_seed
     n = g.num_nodes
     partition.validate(g)
     total = int(math.floor(params.alpha * n))
@@ -383,11 +360,10 @@ def sample_limited_detailed(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
 
     cells: dict[tuple, list[str]] = {}
-    class_counts: dict[int, int] = {}
     for rec in g.nodes:
         key = (rec.label, partition.assignment[rec.node_id])
         cells.setdefault(key, []).append(rec.node_id)
-        class_counts[rec.label] = class_counts.get(rec.label, 0) + 1
+    _, class_counts = histograms(g)
 
     class_targets = _largest_remainder(
         [(lbl, params.alpha * count, count) for lbl, count in sorted(class_counts.items())],
@@ -423,6 +399,5 @@ def sample_limited(
     g: TextAttributedGraph,
     partition: Partition,
     params: LimiterParams = LimiterParams(),
-    rng_seed: int = 0,
 ) -> TextAttributedGraph:
-    return sample_limited_detailed(g, partition, params, rng_seed).graph
+    return sample_limited_detailed(g, partition, params).graph

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -74,6 +75,23 @@ def class_imbalance(label_counts: Mapping[int, int]) -> dict[int, float]:
     return {label: peak / count for label, count in label_counts.items()}
 
 
+def train_imbalance(g: TextAttributedGraph) -> dict[int, float] | None:
+    """Imbalance factor per training label; None when no node is in Train."""
+    counts = Counter(rec.label for rec in g.nodes if rec.mask == "Train")
+    return class_imbalance(counts) if counts else None
+
+
+def fallback_mode(
+    imbalance: Mapping[int, float] | None, threshold: float,
+) -> tuple[EnhancementMode, float]:
+    """The mode to run when no usable decision exists, plus the peak training
+    imbalance it was chosen from: topological once the peak exceeds
+    ``threshold``, semantic otherwise."""
+    peak = max(imbalance.values()) if imbalance else 1.0
+    mode = EnhancementMode.TOPOLOGICAL if peak > threshold else EnhancementMode.SEMANTIC
+    return mode, peak
+
+
 def select_seed(
     g: TextAttributedGraph,
     partition: Partition,
@@ -108,13 +126,9 @@ def select_seed(
                 best_idx, best_score = idx, score
         return SeedSelection(frozenset(members[best_idx]), f"community:{best_idx}")
 
-    train_counts: dict[int, int] = {}
-    for rec in g.nodes:
-        if rec.mask == "Train":
-            train_counts[rec.label] = train_counts.get(rec.label, 0) + 1
-    if not train_counts:
+    imbalance = train_imbalance(g)
+    if imbalance is None:
         raise ValueError("topological seed selection requires training nodes")
-    imbalance = class_imbalance(train_counts)
     target = min(sorted(imbalance), key=lambda lbl: (-imbalance[lbl], lbl))
     nodes = frozenset(
         rec.node_id for rec in g.nodes if rec.mask == "Train" and rec.label == target)
@@ -143,10 +157,9 @@ def personalized_pagerank(
 
     n = g.num_nodes
     ids = g.ids()
-    pos = {nid: i for i, nid in enumerate(ids)}
     v = np.zeros(n)
     for s in seeds:
-        v[pos[s]] = 1.0 / len(seeds)
+        v[g.index_of(s)] = 1.0 / len(seeds)
     deg = g.degrees().astype(np.float64)
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)

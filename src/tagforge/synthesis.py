@@ -26,6 +26,7 @@ from .gateway import (
     StructuredOutputError,
     TransportError,
     complete_structured,
+    embed_texts,
 )
 from .graph import NodeRecord, SynthesizedDelta, TextAttributedGraph, merge_synthesis
 from .perception import (
@@ -34,11 +35,12 @@ from .perception import (
     PerceptionParams,
     KnowledgeCapsule,
     build_report,
-    class_imbalance,
+    fallback_mode,
     personalized_pagerank,
     report_to_json,
     sample_knowledge,
     select_seed,
+    train_imbalance,
 )
 from . import prompts
 
@@ -303,7 +305,7 @@ def select_mode(
     provider,
     report_json: str,
     lambda_weights: Sequence[float],
-    train_imbalance: Mapping[int, float] | None,
+    imbalance: Mapping[int, float] | None,
     config: SynthesisConfig,
     audit: AuditLog | None = None,
 ) -> EnhancementMode:
@@ -314,10 +316,7 @@ def select_mode(
         decided = complete_structured(provider, req, "mode-decision")
         return EnhancementMode(decided)
     except StructuredOutputError:
-        peak = max(train_imbalance.values()) if train_imbalance else 1.0
-        mode = (EnhancementMode.TOPOLOGICAL
-                if peak > config.imbalance_fallback_threshold
-                else EnhancementMode.SEMANTIC)
+        mode, peak = fallback_mode(imbalance, config.imbalance_fallback_threshold)
         if audit is not None:
             audit.record("mode_fallback", peak_imbalance=peak, mode=mode.value)
         log.warning("mode decision unusable; falling back to %s", mode.value)
@@ -469,16 +468,6 @@ def evaluate_nodes(
 
 # progress tracking -----------------------------------------------------------
 
-def _train_imbalance(g: TextAttributedGraph) -> dict[int, float] | None:
-    counts: dict[int, int] = {}
-    for rec in g.nodes:
-        if rec.mask == "Train":
-            counts[rec.label] = counts.get(rec.label, 0) + 1
-    if not counts:
-        return None
-    return class_imbalance(counts)
-
-
 def _progress_vector(
     g_now: TextAttributedGraph,
     g_initial: TextAttributedGraph,
@@ -496,7 +485,7 @@ def _progress_vector(
         structure = 0.5 * (
             analysis.clustering_similarity(g_now, g_initial)
             + analysis.label_homogeneity_similarity(g_now, g_initial))
-    imbalance = _train_imbalance(g_now)
+    imbalance = train_imbalance(g_now)
     balance = -max(imbalance.values()) if imbalance else 0.0
     return np.array([quality, structure, balance], dtype=np.float64)
 
@@ -513,13 +502,6 @@ def summarize_report(report: EnvironmentReport) -> str:
 
 # the loop ---------------------------------------------------------------------
 
-def _embed_texts(provider, texts: Sequence[str], batch: int = 64) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for start in range(0, len(texts), batch):
-        out.extend(provider.embed(texts[start:start + batch]))
-    return out
-
-
 def run_synthesis(
     g: TextAttributedGraph,
     config: SynthesisConfig,
@@ -528,9 +510,10 @@ def run_synthesis(
 ) -> SynthesisResult:
     """Run the full loop and return the grown graph plus its audit trail.
 
-    Provider transport failures end the run gracefully: the graph grown so
-    far comes back along with a failure marker in the audit log. Structured
-    output failures abort only the current iteration.
+    Provider failures, including embedding replies that fail the gateway's
+    checks, end the run gracefully: the graph grown so far comes back along
+    with a failure marker in the audit log. Structured output failures abort
+    only the current iteration.
     """
     audit = provider.audit if getattr(provider, "audit", None) is not None else AuditLog()
     if getattr(provider, "audit", None) is None:
@@ -547,7 +530,7 @@ def run_synthesis(
 
     try:
         texts = [rec.text for rec in g.nodes]
-        vectors = _embed_texts(provider, texts)
+        vectors = embed_texts(provider, texts)
         emb = EmbeddingTable({rec.node_id: vec for rec, vec in zip(g.nodes, vectors)})
 
         partition0 = detect_communities(g, emb, mparams, rng_seed)
@@ -569,7 +552,7 @@ def run_synthesis(
                           build_report(g_current, partition, emb))
                 report_json = (report0_json if iteration == 1 else
                                report_to_json(report))
-                imbalance = _train_imbalance(g_current)
+                imbalance = train_imbalance(g_current)
 
                 mode = select_mode(provider, report_json, state.lambda_weights,
                                    imbalance, config, audit)
@@ -594,8 +577,8 @@ def run_synthesis(
                 capsule_ids = frozenset(capsule.node_ids)
                 wired: list[GeneratedNode] = []
                 if candidates:
-                    new_vectors = _embed_texts(
-                        provider, [gen.record.text for gen in candidates])
+                    new_vectors = embed_texts(
+                        provider, [gen.record.text for gen in candidates], emb.dim)
                     for gen, vec in zip(candidates, new_vectors):
                         kept = propose_edges(
                             g_current, gen, vec, emb, capsule_ids,

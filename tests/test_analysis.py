@@ -56,6 +56,22 @@ def test_ks_frozen_p_value():
     assert p == pytest.approx(2 * math.exp(-4) - 2 * math.exp(-16), abs=1e-9)
 
 
+def test_ks_p_value_matches_alternating_series():
+    def series(lam):
+        total = 0.0
+        for k in range(1, 100_001):
+            term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+            total += term
+            if abs(term) < 1e-12:
+                break
+        return min(1.0, max(0.0, total))
+
+    for d in (0.01, 0.05, 0.1, 0.2, 0.35, 0.6, 0.9, 1.0):
+        for n, m in ((10, 10), (25, 40), (100, 100), (500, 80)):
+            lam = d * math.sqrt(n * m / (n + m))
+            assert abs(ks_p_value(d, n, m) - series(lam)) <= 1e-12
+
+
 def test_ks_statistic_matches_naive_oracle():
     rng = np.random.default_rng(4)
     for _ in range(40):
@@ -190,6 +206,21 @@ def test_principal_direction_beats_random_probes():
         # no better than restarting from the found direction
         assert grassmann_objective(pd.direction, cloud) == pytest.approx(
             pd.objective, abs=1e-12)
+
+
+# objectives the reweighting reached with a 5000-step power iteration (step
+# tolerance 1e-10) as its inner eigensolver
+@pytest.mark.parametrize("dim, n, spread, objective", [
+    (3, 20, 0.3, 2.774263551504209),
+    (8, 60, 0.6, 58.03081489763591),
+    (16, 200, 1.0, 319.9554295790962),
+    (32, 500, 1.5, 960.9406054068113),
+])
+def test_principal_direction_matches_power_iteration_objective(dim, n, spread, objective):
+    rng = np.random.default_rng([31, dim])
+    base = rng.normal(size=dim)
+    cloud = base / np.linalg.norm(base) + rng.normal(0, spread, size=(n, dim))
+    assert principal_direction(cloud).objective == pytest.approx(objective, rel=1e-9)
 
 
 def test_principal_direction_deterministic_and_sign_fixed():

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_graph
 from tagforge.cli import main
+from tagforge.gateway import MockProvider
 from tagforge.graph import load_graph
 
 
@@ -280,6 +282,27 @@ def test_unknown_synthesis_config_key_exits_2(graph_file, tmp_path, capsys):
     assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
                  "--provider", "live", "--config", str(cfg)]) == 2
     assert "capsul_size" in capsys.readouterr().err
+
+
+def test_removed_provider_max_inflight_key_exits_2(graph_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"provider": {"max_inflight": 4}}), encoding="utf-8")
+    assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
+                 "--provider", "live", "--config", str(cfg)]) == 2
+    assert "max_inflight" in capsys.readouterr().err
+
+
+def test_synthesize_bad_embedding_reply_exits_3(graph_file, tmp_path, capsys,
+                                                monkeypatch):
+    script = _one_round_script(tmp_path)
+    monkeypatch.setattr(MockProvider, "embed",
+                        lambda self, texts: [np.full(4, np.nan) for _ in texts])
+    out = tmp_path / "o.json"
+    assert main(["synthesize", graph_file, str(out),
+                 "--provider", f"mock:{script}"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert load_graph(str(out)).num_nodes == 7
+    assert (tmp_path / "o.json.audit.jsonl").exists()
 
 
 # dry run -----------------------------------------------------------------------------

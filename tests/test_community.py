@@ -118,6 +118,24 @@ def test_embedding_table_rejects_zero_and_mismatched():
     assert not t.covers(["a", "missing"])
 
 
+def test_embedding_table_rows_bit_identical_after_puts():
+    rng = np.random.default_rng(5)
+    vecs = {str(i): rng.normal(size=7) for i in range(5)}
+    t = EmbeddingTable(vecs)
+    for i in range(5, 60):
+        vecs[str(i)] = rng.normal(size=7)
+        t.put(str(i), vecs[str(i)])
+    vecs["3"] = rng.normal(size=7)
+    t.put("3", vecs["3"])  # replacing a vector keeps its position
+    ids = list(vecs)
+    assert t.ids() == tuple(ids) and len(t) == 60
+    assert np.array_equal(t.unit_matrix(ids),
+                          np.stack([v / np.linalg.norm(v) for v in vecs.values()]))
+    assert np.array_equal(t.matrix(ids[::-1]), np.stack(list(vecs.values())[::-1]))
+    assert np.array_equal(t.unit("59"), vecs["59"] / np.linalg.norm(vecs["59"]))
+    assert t.unit_matrix([]).shape == (0, 7)
+
+
 # params and partition -------------------------------------------------------------
 
 def test_modularity_params_validation():

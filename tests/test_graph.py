@@ -12,6 +12,7 @@ from tagforge.graph import (
     NodeRecord,
     SynthesizedDelta,
     TextAttributedGraph,
+    component_labels,
     graph_stats,
     load_graph,
     merge_synthesis,
@@ -351,3 +352,44 @@ def test_subgraph_edges_are_induced(n, seed):
     for nid in sub.ids():
         assert sub.node(nid).text == g.node(nid).text
         assert sub.node(nid).label == g.node(nid).label
+
+
+def oracle_induced_components(g, kept):
+    """Components of the subgraph induced by ``kept``, by breadth-first search,
+    listed in order of their first node position."""
+    seen, comps = set(), []
+    for start in g.ids():
+        if start not in kept or start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        seen.add(start)
+        while frontier:
+            u = frontier.pop()
+            for w in g.neighbors(u):
+                if w in kept and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    frontier.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10_000))
+def test_component_labels_on_induced_subsets_match_bfs(n, seed):
+    g = random_graph(n, 0.12, seed)
+    keep = np.random.default_rng(seed + 2).random(n) < 0.6
+    ids = g.ids()
+    expected = oracle_induced_components(g, {ids[i] for i in np.flatnonzero(keep)})
+    labels, sizes = component_labels(g, keep)
+    got: dict[int, set] = {}
+    for i, lab in enumerate(labels.tolist()):
+        if keep[i]:
+            got.setdefault(lab, set()).add(ids[i])
+        else:
+            assert lab == -1
+    assert [frozenset(got[c]) for c in range(len(got))] == expected
+    assert sizes.tolist() == [len(c) for c in expected]
+    full, full_sizes = component_labels(g)
+    every, every_sizes = component_labels(g, np.ones(n, dtype=bool))
+    assert np.array_equal(full, every) and np.array_equal(full_sizes, every_sizes)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -75,6 +77,18 @@ def test_property_tensor_spectrum_oracle_on_path():
     g = make_graph({"0": ["1"], "1": ["2"], "2": []})
     pt = property_tensor(g)
     assert np.allclose(pt.top_spectral, [0.0, 1.0, 2.0], atol=1e-9)
+
+
+def test_property_tensor_tie_goes_to_component_with_smallest_sort_key():
+    # P3 on 10-11-12 comes first in node order (ids sort as strings) while the
+    # triangle on 2, 3, 4 holds the smallest id by node_sort_key
+    g = make_graph({"10": ["11"], "11": ["12"], "12": [],
+                    "2": ["3", "4"], "3": ["4"], "4": []})
+    assert g.ids()[0] == "10"
+    pt = property_tensor(g)
+    # normalized Laplacian of K3: 0, 3/2, 3/2 (P3 would give 0, 1, 2)
+    assert np.allclose(pt.top_spectral, [0.0, 1.5, 1.5], atol=1e-9)
+    assert pt.component_profile == (2 / 6, 3 / 6)
 
 
 # sampling ---------------------------------------------------------------------------
@@ -201,3 +215,20 @@ def test_property_sample_invariants(n, seed):
     kept = set(result.graph.ids())
     assert kept <= set(g.ids())
     assert result.graph.edge_set() <= g.edge_set()
+
+
+# Digests of the sample ids and the repair's distortion trace (as float.hex),
+# recorded with the earlier breadth-first component search.
+@pytest.mark.parametrize("seed, n, p, alpha, swaps, digest", [
+    (101, 120, 0.015, 0.4, 5, "f7ad63fb4bcdb417"),
+    (202, 150, 0.012, 0.3, 5, "a7a2d5b2619a1415"),
+    (404, 90, 0.02, 0.35, 4, "2cecf203073c6621"),
+])
+def test_sample_and_repair_trace_match_recorded_digests(seed, n, p, alpha, swaps, digest):
+    g = random_graph(n, p, seed)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
+    result = sample_limited_detailed(g, part, LimiterParams(alpha=alpha))
+    blob = json.dumps({"ids": list(result.graph.ids()),
+                       "trace": [x.hex() for x in result.repair.distortion_trace]})
+    assert result.repair.swaps == swaps
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest

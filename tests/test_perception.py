@@ -13,10 +13,12 @@ from tagforge.perception import (
     PprConvergenceError,
     build_report,
     class_imbalance,
+    fallback_mode,
     personalized_pagerank,
     report_to_json,
     sample_knowledge,
     select_seed,
+    train_imbalance,
 )
 
 # oracle -------------------------------------------------------------------------
@@ -57,6 +59,20 @@ def test_imbalance_errors():
         class_imbalance({})
     with pytest.raises(ValueError):
         class_imbalance({0: 0})
+
+
+def test_train_imbalance_counts_training_nodes_only():
+    g = make_graph({"a": [], "b": [], "c": [], "d": []},
+                   labels={"a": 0, "b": 0, "c": 1, "d": 1}, class_count=2,
+                   masks={"a": "Train", "b": "Train", "c": "Train", "d": "Test"})
+    assert train_imbalance(g) == {0: 1.0, 1: 2.0}
+    assert train_imbalance(make_graph({"a": []}, masks={"a": "Test"})) is None
+
+
+def test_fallback_mode_turns_topological_above_threshold():
+    assert fallback_mode(None, 3.0) == (EnhancementMode.SEMANTIC, 1.0)
+    assert fallback_mode({0: 1.0, 1: 3.0}, 3.0) == (EnhancementMode.SEMANTIC, 3.0)
+    assert fallback_mode({0: 1.0, 1: 3.5}, 3.0) == (EnhancementMode.TOPOLOGICAL, 3.5)
 
 
 # seed selection --------------------------------------------------------------------

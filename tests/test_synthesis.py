@@ -463,6 +463,42 @@ def test_run_synthesis_provider_failure_ends_gracefully():
     assert "provider_failure" in kinds and kinds[-1] == "run_end"
 
 
+class _BadEmbedder(MockProvider):
+    """Scripted chat; from embed call ``bad_call`` on, replies pass through
+    ``spoil``."""
+
+    def __init__(self, script, bad_call, spoil):
+        super().__init__(script, seed=3)
+        self.bad_call = bad_call
+        self.spoil = spoil
+
+    def embed(self, texts):
+        vecs = super().embed(texts)
+        return self.spoil(vecs) if self.embed_calls >= self.bad_call else vecs
+
+
+@pytest.mark.parametrize("bad_call, spoil", [
+    (2, lambda vecs: [v[:8] for v in vecs]),
+    (1, lambda vecs: [np.full_like(vecs[0], np.nan)] + vecs[1:]),
+    (1, lambda vecs: [np.zeros_like(vecs[0])] + vecs[1:]),
+    (1, lambda vecs: vecs[:-1]),
+], ids=["dimension-change", "nan-row", "zero-row", "missing-row"])
+def test_run_synthesis_bad_embedding_reply_is_provider_failure(bad_call, spoil):
+    g = _base_graph()
+    script = _script_one_round(
+        [{"node_id": "new_node 1", "label": 0,
+          "text": "a freshly synthesized document with plenty of text",
+          "neighbors": ["1", "2"]}],
+        [{"node_id": "new_node 1", "score": 9.0}])
+    provider = _BadEmbedder(script, bad_call, spoil)
+    result = run_synthesis(g, SynthesisConfig(max_iterations=2), provider)
+    assert result.failure is not None
+    assert result.failure.startswith("PermanentProviderError")
+    assert result.graph.num_nodes == g.num_nodes
+    kinds = [e["kind"] for e in result.audit.entries]
+    assert "provider_failure" in kinds and kinds[-1] == "run_end"
+
+
 def test_run_synthesis_unproductive_round_continues():
     g = _base_graph()
     script = {}
