@@ -233,7 +233,10 @@ def cmd_synthesize(args) -> int:
     result.audit.write(audit_path)
 
     if result.failure is not None:
-        print(f"provider failure after iteration {result.iterations}: "
+        # the failure entry (provider_failure or internal_failure) is the
+        # last one before run_end
+        kind = result.audit.entries[-2]["kind"].replace("_", " ")
+        print(f"{kind} after iteration {result.iterations}: "
               f"{result.failure}", file=sys.stderr)
         return 3
     if args.require_convergence and not result.converged:

@@ -11,6 +11,7 @@ the convention under which the two-triangle fixture scores exactly 0.5.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import (
+    _ROW_BLOCK,
     TextAttributedGraph,
     atomic_write_text,
     node_sort_key,
@@ -31,8 +34,10 @@ log = logging.getLogger("tagforge.community")
 # seeded uniform-pair estimate inside detection.
 EXACT_PAIR_LIMIT = 650
 PAIR_SAMPLE_SIZE = 200_000
-# Aggregation needs block sums of pairwise similarity; past this size we
-# stay at the local-moving level instead of materializing them.
+# Above this node count a semantic run stays at the local-moving level and
+# skips coarsening. The block sums are built one row block at a time and are
+# never materialized as n x n, so the limit no longer guards memory; it keeps
+# the partitions detection has always returned on graphs above 5000 nodes.
 AGGREGATE_SEMANTIC_LIMIT = 5000
 
 _GAIN_EPS = 1e-12
@@ -204,7 +209,7 @@ class Partition:
 
 def _pair_term(sim_block: np.ndarray, semantic_term: str) -> np.ndarray:
     if semantic_term == "similarity":
-        return np.clip(sim_block, 0.0, None)
+        return np.maximum(sim_block, 0.0)
     return 1.0 - sim_block
 
 
@@ -212,9 +217,8 @@ def _total_pair_sum(x_unit: np.ndarray, semantic_term: str) -> float:
     """Sum of the semantic pair term over all ordered pairs, diagonal included."""
     n = x_unit.shape[0]
     total = 0.0
-    step = 2048
-    for start in range(0, n, step):
-        block = _pair_term(x_unit[start:start + step] @ x_unit.T, semantic_term)
+    for start in range(0, n, _ROW_BLOCK):
+        block = _pair_term(x_unit[start:start + _ROW_BLOCK] @ x_unit.T, semantic_term)
         total += float(block.sum())
     return total
 
@@ -296,56 +300,58 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     Nodes are visited in index order; candidate communities are those holding
     a graph neighbor. Ties on gain go to the community whose smallest original
     member comes first, which makes the sweep order permutation invariant.
+    Each visit gathers the semantic pair terms between the node and the
+    members of its own and every candidate community in one vector operation
+    (from ``level.sem`` on coarse levels, from ``x_unit`` on the first) and
+    sums them per community, so its cost follows those communities' sizes.
     """
     n = len(level.adj)
-    comm = np.arange(n)
-    comm_strength = level.strength.copy()
+    comm = list(range(n))
+    node_strength = level.strength.tolist()
+    comm_strength = list(node_strength)
     members: list[set[int]] = [{i} for i in range(n)]
-    # smallest original member per community, for canonical tie-breaking
-    min_member = [min(level.members[i]) for i in range(n)]
-
-    def sem_sum(v: int, community: int, exclude_self: bool) -> float:
-        if sem_coeff == 0.0:
-            return 0.0
-        if level.sem is not None:
-            idxs = [u for u in members[community] if not (exclude_self and u == v)]
-            return float(level.sem[v, idxs].sum()) if idxs else 0.0
-        idxs = [u for u in members[community] if not (exclude_self and u == v)]
-        if not idxs:
-            return 0.0
-        sims = x_unit[idxs] @ x_unit[v]
-        if semantic_term == "similarity":
-            return float(np.clip(sims, 0.0, None).sum())
-        return float((1.0 - sims).sum())
+    # smallest original member per super-node and per community, for
+    # canonical tie-breaking
+    first = [ms[0] for ms in level.members]
+    min_member = list(first)
 
     improved_any = False
     while True:
         moved = False
         for v in range(n):
-            cur = int(comm[v])
+            cur = comm[v]
             links: dict[int, float] = {}
             for u, w in level.adj[v].items():
                 if u == v:
                     continue
-                c = int(comm[u])
+                c = comm[u]
                 links[c] = links.get(c, 0.0) + w
-            k_v = float(level.strength[v])
+            cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
+            if not cands:
+                continue
+            k_v = node_strength[v]
 
-            def gain_into(c: int) -> float:
-                l = links.get(c, 0.0)
-                k_c = float(comm_strength[c])
-                if c == cur:
-                    k_c -= k_v
-                return (l
-                        - gamma * k_v * k_c / two_m
-                        - sem_coeff * sem_sum(v, c, exclude_self=(c == cur)))
+            groups = [cur] + cands
+            if sem_coeff == 0.0:
+                sem = [0.0] * len(groups)
+            else:
+                sizes = [len(members[c]) for c in groups]
+                idx = np.fromiter(itertools.chain.from_iterable(members[c] for c in groups),
+                                  dtype=np.intp, count=sum(sizes))
+                if level.sem is not None:
+                    vals = level.sem[v, idx]
+                else:
+                    vals = _pair_term(x_unit[idx] @ x_unit[v], semantic_term)
+                vals[idx == v] = 0.0
+                starts = list(itertools.accumulate(sizes[:-1], initial=0))
+                sem = np.add.reduceat(vals, starts).tolist()
 
-            base = gain_into(cur)
+            k_c = comm_strength[cur] - k_v
+            base = links.get(cur, 0.0) - gamma * k_v * k_c / two_m - sem_coeff * sem[0]
             best_c, best_gain = cur, 0.0
-            for c in sorted(links, key=lambda cc: min_member[cc]):
-                if c == cur:
-                    continue
-                delta = gain_into(c) - base
+            for c, s in zip(cands, sem[1:]):
+                delta = (links[c] - gamma * k_v * comm_strength[c] / two_m
+                         - sem_coeff * s) - base
                 if delta > best_gain + _GAIN_EPS:
                     best_gain = delta
                     best_c = c
@@ -355,44 +361,59 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                 comm_strength[cur] -= k_v
                 comm_strength[best_c] += k_v
                 comm[v] = best_c
-                if min(level.members[v]) == min_member[cur]:
-                    min_member[cur] = min(
-                        (min(level.members[u]) for u in members[cur]), default=n + 1)
-                min_member[best_c] = min(min_member[best_c], min(level.members[v]))
+                if first[v] == min_member[cur]:
+                    min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
+                min_member[best_c] = min(min_member[best_c], first[v])
                 moved = True
                 improved_any = True
         if not moved:
             break
-    return comm, improved_any
+    return np.array(comm), improved_any
 
 
-def _aggregate(level: _Level, comm: np.ndarray) -> _Level:
-    labels = sorted(set(int(c) for c in comm), key=lambda c: min(
-        min(level.members[v]) for v in range(len(comm)) if comm[v] == c))
+def _aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
+               semantic_term: str) -> _Level:
+    """Collapse each community of ``comm`` into one super-node.
+
+    Super-nodes are ordered by their smallest original member. Semantic block
+    sums are carried when ``level.sem`` exists, or, on the first level, built
+    from ``x_unit`` when it is given.
+    """
+    n = len(comm)
+    comm = comm.tolist()
+    first: dict[int, int] = {}
+    for v in range(n):
+        c, m = comm[v], level.members[v][0]
+        if m < first.get(c, m + 1):
+            first[c] = m
+    labels = sorted(first, key=first.__getitem__)
     remap = {c: i for i, c in enumerate(labels)}
     k = len(labels)
+    caff = [remap[c] for c in comm]
     adj: list[dict[int, float]] = [{} for _ in range(k)]
     strength = np.zeros(k)
     members: list[list[int]] = [[] for _ in range(k)]
-    for v in range(len(comm)):
-        c = remap[int(comm[v])]
+    for v in range(n):
+        c = caff[v]
         strength[c] += level.strength[v]
         members[c].extend(level.members[v])
         for u, w in level.adj[v].items():
-            d = remap[int(comm[u])]
+            d = caff[u]
             adj[c][d] = adj[c].get(d, 0.0) + w
     for ms in members:
         ms.sort()
     sem = None
-    if level.sem is not None:
+    if level.sem is not None or x_unit is not None:
+        # P^T T P with P the n x k membership indicator, one row block of the
+        # pair-term matrix T at a time
+        ind = sp.csr_matrix((np.ones(n), (np.arange(n), caff)), shape=(n, k))
         sem = np.zeros((k, k))
-        caff = np.array([remap[int(c)] for c in comm])
-        for a in range(k):
-            sel_a = caff == a
-            for b in range(a, k):
-                block = level.sem[np.ix_(sel_a, caff == b)].sum()
-                sem[a, b] = block
-                sem[b, a] = block
+        for start in range(0, n, _ROW_BLOCK):
+            if level.sem is not None:
+                rows = level.sem[start:start + _ROW_BLOCK]
+            else:
+                rows = _pair_term(x_unit[start:start + _ROW_BLOCK] @ x_unit.T, semantic_term)
+            sem += ind[start:start + _ROW_BLOCK].T @ (rows @ ind)
     return _Level(adj, strength, sem, members)
 
 
@@ -448,15 +469,12 @@ def detect_communities(
 
     can_aggregate_sem = sem_coeff == 0.0 or n <= AGGREGATE_SEMANTIC_LIMIT
     if not can_aggregate_sem:
-        log.info("skipping coarsening passes: semantic block sums too large for n=%d", n)
+        log.info("skipping coarsening passes: n=%d is above AGGREGATE_SEMANTIC_LIMIT", n)
 
     node_comm = best
+    sem_source = x_unit if sem_coeff > 0.0 else None
     while improved and can_aggregate_sem:
-        if sem_coeff > 0.0 and level.sem is None:
-            sims = x_unit @ x_unit.T
-            level = _Level(level.adj, level.strength,
-                           _pair_term(sims, params.semantic_term), level.members)
-        coarse = _aggregate(level, node_comm)
+        coarse = _aggregate(level, node_comm, sem_source, params.semantic_term)
         if len(coarse.adj) == len(level.adj):
             break
         comm_c, improved = _local_moving(coarse, two_m, params.gamma, sem_coeff,

@@ -22,6 +22,10 @@ from scipy.sparse import csgraph
 log = logging.getLogger("tagforge.graph")
 
 MASKS = ("Train", "Validation", "Test")
+# Rows per block when a dense all-pairs quantity (path lengths here, semantic
+# pair terms in community detection) is reduced one block of sources at a
+# time, which bounds memory at _ROW_BLOCK * n floats.
+_ROW_BLOCK = 1024
 
 
 class GraphSchemaError(ValueError):
@@ -404,9 +408,13 @@ def graph_stats(g: TextAttributedGraph) -> GraphStats:
     if largest >= 2:
         comp_idx = np.flatnonzero(labels == int(sizes.argmax()))
         sub = g.adjacency_csr()[comp_idx][:, comp_idx]
-        dist = csgraph.shortest_path(sub, method="D", unweighted=True)
-        s = largest
-        avg_path = float(dist.sum() / (s * (s - 1)))
+        # hop counts are integers, so the float total is exact in any order
+        total = 0.0
+        for start in range(0, largest, _ROW_BLOCK):
+            sources = np.arange(start, min(start + _ROW_BLOCK, largest))
+            total += float(csgraph.shortest_path(
+                sub, method="D", unweighted=True, indices=sources).sum())
+        avg_path = total / (largest * (largest - 1))
     hist, label_dist = histograms(g)
     return GraphStats(
         num_nodes=n,

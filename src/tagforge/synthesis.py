@@ -512,8 +512,9 @@ def run_synthesis(
 
     Provider failures, including embedding replies that fail the gateway's
     checks, end the run gracefully: the graph grown so far comes back along
-    with a failure marker in the audit log. Structured output failures abort
-    only the current iteration.
+    with a ``provider_failure`` entry in the audit log. Any other exception
+    ends the run the same way with an ``internal_failure`` entry. Structured
+    output failures abort only the current iteration.
     """
     audit = provider.audit if getattr(provider, "audit", None) is not None else AuditLog()
     if getattr(provider, "audit", None) is None:
@@ -661,6 +662,12 @@ def run_synthesis(
         failure = f"{type(exc).__name__}: {exc}"
         audit.record("provider_failure", error=failure)
         log.error("synthesis stopped early: %s", failure)
+    except Exception as exc:
+        # any other fault still returns the graph grown so far with a closed
+        # audit, so the caller can write both
+        failure = f"{type(exc).__name__}: {exc}"
+        audit.record("internal_failure", iteration=state.iteration, error=failure)
+        log.exception("synthesis stopped by an internal error: %s", failure)
 
     audit.record(
         "run_end", iterations=state.iteration, converged=state.converged,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from tagforge import synthesis
 from tagforge.cli import main
 from tagforge.gateway import MockProvider
 from tagforge.graph import load_graph
@@ -303,6 +304,52 @@ def test_synthesize_bad_embedding_reply_exits_3(graph_file, tmp_path, capsys,
     assert "non-finite" in capsys.readouterr().err
     assert load_graph(str(out)).num_nodes == 7
     assert (tmp_path / "o.json.audit.jsonl").exists()
+
+
+def test_synthesize_internal_error_exits_3_with_outputs(graph_file, tmp_path, capsys,
+                                                        monkeypatch):
+    script = {}
+    for it in (1, 2):
+        base = 4 * (it - 1)
+        script[str(base)] = json.dumps({"mode": "semantic"})
+        script[str(base + 1)] = json.dumps([{
+            "node_id": f"new_node {it}", "label": 0,
+            "text": f"synthesized document body number {it} with plenty of characters",
+            "neighbors": ["1", "2"]}])
+        script[str(base + 2)] = json.dumps([{"node_id": f"new_node {it}", "score": 9.0}])
+        script[str(base + 3)] = json.dumps({"goal_reached": False, "justification": "x"})
+    script_path = tmp_path / "two_rounds.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    cfg = tmp_path / "two_iters.json"
+    cfg.write_text(json.dumps({"synthesis": {"max_iterations": 2}}), encoding="utf-8")
+
+    real = synthesis.propose_edges
+    calls = []
+
+    def fail_in_second_iteration(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("boom in iteration 2")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "propose_edges", fail_in_second_iteration)
+    out = tmp_path / "o.json"
+    audit_path = tmp_path / "o.audit.jsonl"
+    assert main(["synthesize", graph_file, str(out), "--provider", f"mock:{script_path}",
+                 "--config", str(cfg), "--audit", str(audit_path)]) == 3
+    assert ("internal failure after iteration 2: RuntimeError: boom in iteration 2"
+            in capsys.readouterr().err)
+    # the node accepted in iteration 1 survives in the partial graph
+    grown = load_graph(str(out))
+    assert grown.num_nodes == 8 and grown.has_node("new_node 1")
+    entries = [json.loads(line) for line in
+               audit_path.read_text(encoding="utf-8").splitlines()]
+    failure, end = entries[-2], entries[-1]
+    assert failure["kind"] == "internal_failure"
+    assert failure["iteration"] == 2
+    assert failure["error"] == "RuntimeError: boom in iteration 2"
+    assert end["kind"] == "run_end" and end["failure"] == failure["error"]
+    assert "provider_failure" not in [e["kind"] for e in entries]
 
 
 # dry run -----------------------------------------------------------------------------

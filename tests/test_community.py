@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,7 +15,9 @@ from conftest import (
     random_graph,
     two_k3,
 )
+from tagforge import community
 from tagforge.community import (
+    EXACT_PAIR_LIMIT,
     EmbeddingTable,
     ModularityParams,
     Partition,
@@ -21,6 +25,7 @@ from tagforge.community import (
     detect_communities,
     semantic_modularity,
 )
+from tagforge.graph import TextAttributedGraph
 
 # oracles ----------------------------------------------------------------------
 
@@ -326,3 +331,89 @@ def test_edgeless_graph_yields_singletons():
     g = make_graph({"a": [], "b": [], "c": []})
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     assert part.community_count == 3
+
+
+# differential and oracle checks on planted-label graphs ----------------------------
+
+def planted(n, seed, labels=6, avg_degree=4.0, dim=16):
+    """Planted-label graph (80% of edge ends inside the label) plus embeddings
+    drawn around one centroid per label."""
+    rng = np.random.default_rng(seed)
+    label = rng.integers(labels, size=n)
+    label[:labels] = np.arange(labels)
+    groups = [np.flatnonzero(label == c) for c in range(labels)]
+    edges = set()
+    while len(edges) < n * avg_degree / 2:
+        a = int(rng.integers(n))
+        lbl = label[a] if rng.random() < 0.8 else int(rng.integers(labels))
+        b = int(rng.choice(groups[lbl]))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    adj = {str(i): [] for i in range(n)}
+    for a, b in sorted(edges):
+        adj[str(a)].append(str(b))
+    g = make_graph(adj, labels={str(i): int(label[i]) for i in range(n)},
+                   class_count=labels)
+    vecs = rng.normal(size=(labels, dim))[label] + rng.normal(scale=0.8, size=(n, dim))
+    return g, EmbeddingTable({str(i): vecs[i] for i in range(n)})
+
+
+def partition_digest(part):
+    return hashlib.sha256(json.dumps(sorted(part.assignment.items())).encode()).hexdigest()
+
+
+# sha256 of the sorted assignment, recorded with the detection code that built
+# the semantic block sums from k^2 dense slices and summed each candidate
+# community in its own call
+RECORDED_PARTITIONS = {
+    (300, 1.0, "similarity"):
+        "dc45f193658e684d4dade0f7754af712d364c6a50b2dc2ac095d343d3382b24a",
+    (300, 1.0, "distance"):
+        "dc45f193658e684d4dade0f7754af712d364c6a50b2dc2ac095d343d3382b24a",
+    (300, 0.5, "similarity"):
+        "c7ff2e9061da674533862da22fd4707a55646fc801d750dbb1888bcd915be1e1",
+    (300, 0.5, "distance"):
+        "7fdd0d5c58a1f42177471206ef658e242552997674f2125da3e419147cf607a9",
+    (900, 1.0, "similarity"):
+        "6a6734f6904bea4a6096b266773550bcdd6ae18ca874862a5afa3289991b2774",
+    (900, 1.0, "distance"):
+        "6a6734f6904bea4a6096b266773550bcdd6ae18ca874862a5afa3289991b2774",
+    (900, 0.5, "similarity"):
+        "d6f0a4e0a72765e72c4877b322ab3e66f3ac31d4c0a7b7b644d27f6b2f036494",
+    (900, 0.5, "distance"):
+        "1a16627607fdc401531848ad06412ae1fc40d73cc586a9f33ac562ec70489388",
+}
+
+
+@pytest.mark.parametrize("n,gamma,term", sorted(RECORDED_PARTITIONS))
+def test_detection_matches_recorded_partitions(n, gamma, term, monkeypatch):
+    g, emb = planted(n, seed=n + 7)
+    levels = []
+    aggregate = community._aggregate
+    monkeypatch.setattr(community, "_aggregate",
+                        lambda *args: levels.append(1) or aggregate(*args))
+    params = ModularityParams(gamma=gamma, semantic_term=term)
+    part = detect_communities(g, emb, params, 11)
+    assert partition_digest(part) == RECORDED_PARTITIONS[(n, gamma, term)]
+    if n == 300:
+        assert len(levels) >= 2  # coarsened at least twice
+    else:
+        assert n > EXACT_PAIR_LIMIT  # the pair sum is sampled
+    if gamma < 1.0:
+        reversed_copy = TextAttributedGraph.from_records(
+            list(reversed(g.nodes)), g.class_count)
+        assert detect_communities(reversed_copy, emb, params, 11).assignment == part.assignment
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_detected_modularity_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    g, _ = planted(150, seed)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(g.ids())
+    graph.add_edges_from(g.edges())
+    expected = nx.community.modularity(
+        graph, [set(members) for members in part.members_by_community()])
+    assert part.community_count > 1
+    assert semantic_modularity(g, part) == pytest.approx(expected, rel=0, abs=1e-12)
