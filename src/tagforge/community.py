@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -200,11 +199,26 @@ class Partition:
             members.sort(key=node_sort_key)
         return out
 
-    def community_sizes(self) -> list[int]:
-        sizes = [0] * self.community_count
-        for c in self.assignment.values():
-            sizes[c] += 1
-        return sizes
+    def community_array(self, g: TextAttributedGraph) -> np.ndarray:
+        """Community index per node position of ``g``."""
+        return np.fromiter((self.assignment[v] for v in g.ids()), dtype=np.int64,
+                           count=g.num_nodes)
+
+
+def indicator(comm: np.ndarray, k: int) -> sp.csr_matrix:
+    """The n x k membership matrix P of a labelling: P[i, comm[i]] = 1."""
+    n = len(comm)
+    return sp.csr_matrix((np.ones(n), (np.arange(n), comm)), shape=(n, k))
+
+
+def block_totals(
+        g: TextAttributedGraph, comm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Internal edge count and degree sum of each block of a node-position
+    labelling with labels 0..k-1: diag(P^T A P) / 2 and P^T deg."""
+    p = indicator(comm, k)
+    a = g.adjacency_csr()
+    internal = (p.T @ a @ p).diagonal() // 2
+    return internal.astype(np.int64), (p.T @ a.getnnz(axis=1)).astype(np.int64)
 
 
 def _pair_term(sim_block: np.ndarray, semantic_term: str) -> np.ndarray:
@@ -228,8 +242,12 @@ def _sampled_pair_sum(x_unit: np.ndarray, semantic_term: str, rng_seed: int) -> 
     rng = np.random.default_rng(rng_seed)
     li = rng.integers(0, n, size=PAIR_SAMPLE_SIZE)
     mi = rng.integers(0, n, size=PAIR_SAMPLE_SIZE)
-    vals = _pair_term(np.einsum("ij,ij->i", x_unit[li], x_unit[mi]), semantic_term)
-    est = float(vals.mean()) * n * n
+    # gather the sampled rows one block at a time, not as two sample x d copies
+    dots = np.empty(PAIR_SAMPLE_SIZE)
+    for start in range(0, PAIR_SAMPLE_SIZE, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        dots[block] = np.einsum("ij,ij->i", x_unit[li[block]], x_unit[mi[block]])
+    est = float(_pair_term(dots, semantic_term).mean()) * n * n
     log.info(
         "semantic pair sum estimated from %d sampled pairs of %d^2 (seed %d)",
         PAIR_SAMPLE_SIZE, n, rng_seed)
@@ -252,16 +270,10 @@ def semantic_modularity(
     if m == 0:
         raise ValueError("modularity undefined for a graph with no edges")
     partition.validate(g)
-    assign = partition.assignment
-
-    internal = 0
-    for u, v in g.edges():
-        if assign[u] == assign[v]:
-            internal += 1
-    deg_by_comm = np.zeros(partition.community_count)
-    for rec in g.nodes:
-        deg_by_comm[assign[rec.node_id]] += len(rec.neighbors)
-    q = internal / m - params.gamma * float((deg_by_comm ** 2).sum()) / (4.0 * m * m)
+    internal, deg_sum = block_totals(
+        g, partition.community_array(g), partition.community_count)
+    deg_sum = deg_sum.astype(np.float64)
+    q = int(internal.sum()) / m - params.gamma * float((deg_sum ** 2).sum()) / (4.0 * m * m)
 
     if params.gamma < 1.0:
         if emb is None or not emb.covers(g.ids()):
@@ -283,9 +295,9 @@ def semantic_modularity(
 # detection ----------------------------------------------------------------
 
 class _Level:
-    """One coarsening level: weighted adjacency over super-nodes."""
+    """One coarsening level: weighted CSR adjacency over super-nodes."""
 
-    def __init__(self, adj: list[dict[int, float]], strength: np.ndarray,
+    def __init__(self, adj: sp.csr_matrix, strength: np.ndarray,
                  sem: np.ndarray | None, members: list[list[int]]):
         self.adj = adj
         self.strength = strength
@@ -305,7 +317,9 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     (from ``level.sem`` on coarse levels, from ``x_unit`` on the first) and
     sums them per community, so its cost follows those communities' sizes.
     """
-    n = len(level.adj)
+    n = len(level.members)
+    indptr, nbrs, weights = (arr.tolist() for arr in (
+        level.adj.indptr, level.adj.indices, level.adj.data))
     comm = list(range(n))
     node_strength = level.strength.tolist()
     comm_strength = list(node_strength)
@@ -321,11 +335,12 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
         for v in range(n):
             cur = comm[v]
             links: dict[int, float] = {}
-            for u, w in level.adj[v].items():
+            for j in range(indptr[v], indptr[v + 1]):
+                u = nbrs[j]
                 if u == v:
                     continue
                 c = comm[u]
-                links[c] = links.get(c, 0.0) + w
+                links[c] = links.get(c, 0.0) + weights[j]
             cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
             if not cands:
                 continue
@@ -390,23 +405,18 @@ def _aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
     remap = {c: i for i, c in enumerate(labels)}
     k = len(labels)
     caff = [remap[c] for c in comm]
-    adj: list[dict[int, float]] = [{} for _ in range(k)]
-    strength = np.zeros(k)
     members: list[list[int]] = [[] for _ in range(k)]
     for v in range(n):
-        c = caff[v]
-        strength[c] += level.strength[v]
-        members[c].extend(level.members[v])
-        for u, w in level.adj[v].items():
-            d = caff[u]
-            adj[c][d] = adj[c].get(d, 0.0) + w
+        members[caff[v]].extend(level.members[v])
     for ms in members:
         ms.sort()
+    # weights are integer counts, so P^T A P and P^T strength are exact
+    ind = indicator(caff, k)
+    adj = (ind.T @ level.adj @ ind).tocsr()
+    strength = ind.T @ level.strength
     sem = None
     if level.sem is not None or x_unit is not None:
-        # P^T T P with P the n x k membership indicator, one row block of the
-        # pair-term matrix T at a time
-        ind = sp.csr_matrix((np.ones(n), (np.arange(n), caff)), shape=(n, k))
+        # P^T T P, one row block of the pair-term matrix T at a time
         sem = np.zeros((k, k))
         for start in range(0, n, _ROW_BLOCK):
             if level.sem is not None:
@@ -433,17 +443,14 @@ def detect_communities(
     n = g.num_nodes
     if n == 0:
         raise ValueError("cannot detect communities of an empty graph")
-    order = sorted(g.ids(), key=node_sort_key)
+    ids = g.ids()
+    perm = sorted(range(n), key=lambda i: node_sort_key(ids[i]))
+    order = [ids[i] for i in perm]
     if g.num_edges == 0:
         return Partition.from_assignment({nid: i for i, nid in enumerate(order)})
 
-    pos = {nid: i for i, nid in enumerate(order)}
-    adj0: list[dict[int, float]] = [dict() for _ in range(n)]
-    for u, v in g.edges():
-        iu, iv = pos[u], pos[v]
-        adj0[iu][iv] = adj0[iu].get(iv, 0.0) + 1.0
-        adj0[iv][iu] = adj0[iv].get(iu, 0.0) + 1.0
-    strength = np.array([g.degree(nid) for nid in order], dtype=np.float64)
+    adj0 = g.adjacency_csr()[perm][:, perm]
+    strength = g.degrees()[perm].astype(np.float64)
     two_m = float(strength.sum())
 
     x_unit = None
@@ -475,13 +482,13 @@ def detect_communities(
     sem_source = x_unit if sem_coeff > 0.0 else None
     while improved and can_aggregate_sem:
         coarse = _aggregate(level, node_comm, sem_source, params.semantic_term)
-        if len(coarse.adj) == len(level.adj):
+        if len(coarse.members) == len(level.members):
             break
         comm_c, improved = _local_moving(coarse, two_m, params.gamma, sem_coeff,
                                          None, params.semantic_term)
         if not improved:
             level = coarse
-            node_comm = np.arange(len(coarse.adj))
+            node_comm = np.arange(len(coarse.members))
             break
         level = coarse
         node_comm = comm_c

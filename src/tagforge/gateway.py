@@ -71,7 +71,6 @@ class ChatRequest:
     user_prompt: str
     temperature: float | None = None
     max_tokens: int = 2048
-    response_contract: str = "free_text"
 
     def resolved_temperature(self) -> float:
         if self.temperature is not None:
@@ -510,7 +509,6 @@ def complete_structured(provider, req: ChatRequest, schema_id: str):
             "value, with no surrounding prose.\n\nPrevious reply:\n" + raw1),
         temperature=req.temperature,
         max_tokens=req.max_tokens,
-        response_contract="json",
     )
     raw2 = provider.complete(repair)
     value, found = extract_json(raw2)

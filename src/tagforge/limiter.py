@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .community import Partition
+from .community import Partition, indicator
 from .graph import TextAttributedGraph, component_labels, histograms, node_sort_key
 
 log = logging.getLogger("tagforge.limiter")
@@ -120,6 +119,29 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
     )
 
 
+def _utility(g: TextAttributedGraph, comm: np.ndarray, k: int,
+             lambda_weights: Sequence[float]):
+    """The formula of ``node_weights`` over node positions, as
+    ``score(rows, covered)`` with ``covered`` the selected node count per
+    community. Everything but coverage is computed here, once per sample.
+    """
+    l1, l2, l3 = lambda_weights
+    a = g.adjacency_csr()
+    p = indicator(comm, k)
+    sizes = np.bincount(comm, minlength=k)
+    deg = a.getnnz(axis=1)
+    max_deg = int(deg.max(initial=0))
+    degree_term = deg / max_deg if max_deg > 0 else np.zeros(len(deg))
+    outside = deg - np.asarray((a @ p).multiply(p).sum(axis=1)).ravel()
+    bridge = np.divide(outside, deg, out=np.zeros(len(deg)), where=deg > 0)
+
+    def score(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
+        c = comm[rows]
+        return (l1 * degree_term[rows] + l2 * (1.0 - covered[c] / sizes[c])
+                + l3 * bridge[rows])
+    return score
+
+
 def node_weights(
     g: TextAttributedGraph,
     candidates: Iterable[str],
@@ -133,25 +155,13 @@ def node_weights(
     community, and the fraction of its neighbors outside its own community
     (zero for isolated nodes).
     """
-    l1, l2, l3 = lambda_weights
-    assign = partition.assignment
-    sizes = partition.community_sizes()
-    covered = Counter(assign[u] for u in set(selected))
-    # row lengths of the graph's cached adjacency: no pass over the records
-    max_deg = int(g.adjacency_csr().getnnz(axis=1).max(initial=0))
-    out: dict[str, float] = {}
-    for v in candidates:
-        deg = g.degree(v)
-        c = assign[v]
-        coverage_gap = 1.0 - covered[c] / sizes[c]
-        if deg > 0:
-            outside = sum(1 for u in g.neighbors(v) if assign[u] != c)
-            bridge = outside / deg
-        else:
-            bridge = 0.0
-        degree_term = deg / max_deg if max_deg > 0 else 0.0
-        out[v] = l1 * degree_term + l2 * coverage_gap + l3 * bridge
-    return out
+    k = partition.community_count
+    comm = partition.community_array(g)
+    covered = np.bincount(comm[[g.index_of(u) for u in set(selected)]], minlength=k)
+    candidates = list(candidates)
+    rows = np.array([g.index_of(v) for v in candidates], dtype=np.intp)
+    weights = _utility(g, comm, k, lambda_weights)(rows, covered)
+    return dict(zip(candidates, weights.tolist()))
 
 
 def _largest_remainder(
@@ -183,18 +193,9 @@ def _largest_remainder(
     return base
 
 
-def _components(g: TextAttributedGraph, selected: set) -> tuple[dict[str, int], list[int]]:
-    """Component id per node of the subgraph induced by ``selected`` (-1 for
-    every other node) and the component sizes, as plain Python containers
-    so the repair loop's many single lookups stay cheap."""
-    ids = g.ids()
-    keep = np.fromiter((v in selected for v in ids), dtype=bool, count=len(ids))
-    labels, sizes = component_labels(g, keep)
-    return dict(zip(ids, labels.tolist())), sizes.tolist()
-
-
-def _distortion(profile: tuple[float, float], ref: tuple[float, float]) -> float:
-    return abs(profile[0] - ref[0]) + abs(profile[1] - ref[1])
+def _distortion(count: int, largest: int, n: int, ref: tuple[float, float]) -> float:
+    """L1 distance of the component profile (count / n, largest / n) to ``ref``."""
+    return abs(count / n - ref[0]) + abs(largest / n - ref[1])
 
 
 def connectivity_repair(
@@ -214,106 +215,84 @@ def connectivity_repair(
     ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
 
-    selected = set(sub.ids())
-    n_s = len(selected)
+    ids = g.ids()
+    keys = [node_sort_key(v) for v in ids]
+    a = g.adjacency_csr()
+    indptr, indices = a.indptr.tolist(), a.indices.tolist()
+    nbrs = [indices[indptr[i]:indptr[i + 1]] for i in range(n_g)]
+    cell_of = list(zip((rec.label for rec in g.nodes),
+                       partition.community_array(g).tolist()))
+
+    mask = np.zeros(n_g, dtype=bool)
+    mask[[g.index_of(v) for v in sub.ids()]] = True
+    n_s = int(mask.sum())
     if n_s == 0:
         raise ValueError("sample must be nonempty")
     max_swaps = params.max_repair_swaps if params.max_repair_swaps is not None else 2 * n_s
 
-    cell_of = {
-        rec.node_id: (rec.label, partition.assignment[rec.node_id]) for rec in g.nodes}
-
-    comp, sizes = _components(g, selected)
-    cur = _distortion((len(sizes) / n_s, max(sizes) / n_s), kappa_ref)
+    comp, sizes = component_labels(g, mask)
+    cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
     trace = [cur]
     swaps = 0
     warning: str | None = None
 
     while swaps < max_swaps and cur > params.repair_epsilon:
-        by_cell_out: dict[tuple, list[str]] = {}
-        for v in g.ids():
-            if v not in selected:
-                by_cell_out.setdefault(cell_of[v], []).append(v)
-        # replaceable nodes: induced degree at most 1, grouped by cell
-        by_cell_repl: dict[tuple, list[tuple[int, str]]] = {}
-        induced_deg: dict[str, int] = {}
-        for v in selected:
-            d = sum(1 for w in g.neighbors(v) if w in selected)
-            induced_deg[v] = d
-            if d <= 1:
-                by_cell_repl.setdefault(cell_of[v], []).append((d, v))
-
-        size_arr = list(sizes)
+        comp, size_arr = comp.tolist(), sizes.tolist()
+        by_cell_out: dict[tuple, list[int]] = {}
+        for v in np.flatnonzero(~mask).tolist():
+            by_cell_out.setdefault(cell_of[v], []).append(v)
+        # replaceable nodes: induced degree at most 1, grouped by cell and
+        # ordered by (induced degree, node id as a string)
+        induced = (a @ mask).astype(np.int64)
+        by_cell_repl: dict[tuple, list[tuple[int, str, int]]] = {}
+        for r in np.flatnonzero(mask & (induced <= 1)).tolist():
+            by_cell_repl.setdefault(cell_of[r], []).append((int(induced[r]), ids[r], r))
         # component sizes sorted descending for fast "largest untouched" scans
         size_order = sorted(range(len(size_arr)), key=lambda c: -size_arr[c])
 
-        best = None  # (gain, b_key, r_key, b, r)
+        best = None  # (gain, (b_key, r_key), b, r)
         any_pair = False
         for cell, outs in sorted(by_cell_out.items()):
             repls = sorted(by_cell_repl.get(cell, ()))[:_REPLACE_CAP]
             if not repls:
                 continue
+            any_pair = True
             scored_out = []
             for b in outs:
-                comps_b: dict[int, int] = {}
-                for w in g.neighbors(b):
-                    if w in selected:
+                # selected neighbors of b per component
+                comps_b = {}
+                for w in nbrs[b]:
+                    if comp[w] >= 0:
                         comps_b[comp[w]] = comps_b.get(comp[w], 0) + 1
                 scored_out.append((len(comps_b), b, comps_b))
-            scored_out.sort(key=lambda item: (-item[0], node_sort_key(item[1])))
+            scored_out.sort(key=lambda item: (-item[0], keys[item[1]]))
             pool = scored_out[:_BRIDGE_CAP] + sorted(
-                scored_out, key=lambda item: (item[0], node_sort_key(item[1])))[:_ISOLATE_CAP]
+                scored_out, key=lambda item: (item[0], keys[item[1]]))[:_ISOLATE_CAP]
             seen_b = set()
             for _, b, comps_b in pool:
                 if b in seen_b:
                     continue
                 seen_b.add(b)
-                for d_r, r in repls:
-                    any_pair = True
+                for d_r, _, r in repls:
+                    # removing r (induced degree 0 or 1) deletes its component
+                    # or shrinks it by one; adding b merges the components of
+                    # b's selected neighbors, less c_r if r was b's only link
                     c_r = comp[r]
-                    # stage 1: remove r (induced degree 0 or 1)
-                    removed_comp = None
-                    shrunk = {}
-                    if d_r == 0:
-                        removed_comp = c_r
-                        count_after = len(size_arr) - 1
-                    else:
-                        shrunk[c_r] = size_arr[c_r] - 1
-                        count_after = len(size_arr)
-                    # stage 2: add b, merging the components its remaining
-                    # selected neighbors belong to
                     merged = set(comps_b)
-                    if r in set(g.neighbors(b)):
-                        # b loses r as an attachment point
-                        cnt = comps_b.get(c_r, 0)
-                        if cnt == 1:
-                            merged.discard(c_r)
-                    if removed_comp is not None:
-                        merged.discard(removed_comp)
-                    merged_size = 1
-                    for c in merged:
-                        merged_size += shrunk.get(c, size_arr[c])
-                    new_count = count_after - len(merged) + 1
-                    # largest component: the merge result, the one possibly
-                    # shrunk component, or the biggest untouched component
-                    untouched_best = 0
-                    for c in size_order:
-                        if c in merged or c == removed_comp or c in shrunk:
-                            continue
-                        untouched_best = size_arr[c]
-                        break
-                    for c, s in shrunk.items():
-                        if c not in merged and s > untouched_best:
-                            untouched_best = s
-                    new_largest = max(merged_size, untouched_best)
-                    cand = _distortion((new_count / n_s, new_largest / n_s), kappa_ref)
-                    gain = cur - cand
-                    if gain > _GAIN_EPS:
-                        entry = (gain, node_sort_key(b), node_sort_key(r), b, r)
-                        if best is None or (entry[0] > best[0] + _GAIN_EPS) or (
-                                abs(entry[0] - best[0]) <= _GAIN_EPS
-                                and (entry[1], entry[2]) < (best[1], best[2])):
-                            best = entry
+                    if d_r == 0 or (r in nbrs[b] and comps_b[c_r] == 1):
+                        merged.discard(c_r)
+                    merged_size = 1 + sum(size_arr[c] for c in merged) - (c_r in merged)
+                    new_count = len(size_arr) - (d_r == 0) - len(merged) + 1
+                    # the largest component: the merge result, the shrunk c_r,
+                    # or the biggest untouched component
+                    rest = next((size_arr[c] for c in size_order
+                                 if c not in merged and c != c_r), 0)
+                    if d_r == 1 and c_r not in merged:
+                        rest = max(rest, size_arr[c_r] - 1)
+                    gain = cur - _distortion(new_count, max(merged_size, rest), n_s, kappa_ref)
+                    if gain > _GAIN_EPS and (best is None or gain > best[0] + _GAIN_EPS or (
+                            abs(gain - best[0]) <= _GAIN_EPS and (keys[b], keys[r]) < best[1])):
+                        best = (gain, (keys[b], keys[r]), b, r)
         if best is None:
             if cur > params.repair_epsilon:
                 warning = ("no same-cell swap could reduce component distortion; "
@@ -322,12 +301,12 @@ def connectivity_repair(
                            f"distortion stays at {cur:.4f}")
                 log.warning(warning)
             break
-        _, _, _, b, r = best
-        selected.discard(r)
-        selected.add(b)
+        _, _, b, r = best
+        mask[r] = False
+        mask[b] = True
         swaps += 1
-        comp, sizes = _components(g, selected)
-        new_cur = _distortion((len(sizes) / n_s, max(sizes) / n_s), kappa_ref)
+        comp, sizes = component_labels(g, mask)
+        new_cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
         if new_cur >= cur - _GAIN_EPS:
             raise RuntimeError("repair swap failed to decrease distortion")
         cur = new_cur
@@ -340,7 +319,7 @@ def connectivity_repair(
         distortion_trace=tuple(trace),
         warning=warning,
     )
-    return g.subgraph(selected), report
+    return g.subgraph(ids[i] for i in np.flatnonzero(mask)), report
 
 
 def sample_limited_detailed(
@@ -359,10 +338,13 @@ def sample_limited_detailed(
         raise ValueError(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
 
-    cells: dict[tuple, list[str]] = {}
-    for rec in g.nodes:
-        key = (rec.label, partition.assignment[rec.node_id])
-        cells.setdefault(key, []).append(rec.node_id)
+    ids = g.ids()
+    keys = [node_sort_key(v) for v in ids]
+    k = partition.community_count
+    comm = partition.community_array(g)
+    cells: dict[tuple, list[int]] = {}
+    for i, (rec, c) in enumerate(zip(g.nodes, comm.tolist())):
+        cells.setdefault((rec.label, c), []).append(i)
     _, class_counts = histograms(g)
 
     class_targets = _largest_remainder(
@@ -378,19 +360,21 @@ def sample_limited_detailed(
         )
         cell_targets.update(shares)
 
-    selected: list[str] = []
+    score = _utility(g, comm, k, params.lambda_weights)
+    covered = np.zeros(k, dtype=np.int64)
+    selected: list[int] = []
     for key in sorted(cell_targets):
         members = cells[key]
         want = cell_targets[key]
         if want >= len(members):
-            chosen = sorted(members, key=node_sort_key)
+            chosen = sorted(members, key=keys.__getitem__)
         else:
-            weights = node_weights(g, members, selected, partition, params.lambda_weights)
-            chosen = sorted(
-                members, key=lambda v: (-weights[v], node_sort_key(v)))[:want]
+            weights = dict(zip(members, score(np.array(members), covered).tolist()))
+            chosen = sorted(members, key=lambda i: (-weights[i], keys[i]))[:want]
+        covered[key[1]] += len(chosen)
         selected.extend(chosen)
 
-    sub = g.subgraph(selected)
+    sub = g.subgraph(ids[i] for i in selected)
     repaired, report = connectivity_repair(g, sub, partition, params)
     return LimitResult(graph=repaired, cell_targets=dict(cell_targets), repair=report)
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .community import EmbeddingTable, Partition
+from .community import EmbeddingTable, Partition, block_totals, indicator
 from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats, node_sort_key
 
 log = logging.getLogger("tagforge.perception")
@@ -390,45 +390,34 @@ def build_report(
     stats = graph_stats(g)
     n = g.num_nodes
     m = g.num_edges
-    assign = partition.assignment
+    k = partition.community_count
+    comm = partition.community_array(g)
+    label_of = np.array([rec.label for rec in g.nodes], dtype=np.int64)
 
-    class_internal: dict[int, int] = {}
-    comm_internal: dict[int, int] = {}
-    for u, v in g.edges():
-        lu, lv = g.node(u).label, g.node(v).label
-        if lu == lv:
-            class_internal[lu] = class_internal.get(lu, 0) + 1
-        if assign[u] == assign[v]:
-            comm_internal[assign[u]] = comm_internal.get(assign[u], 0) + 1
-
-    class_members: dict[int, list[str]] = {}
-    for rec in g.nodes:
-        class_members.setdefault(rec.label, []).append(rec.node_id)
+    class_internal = block_totals(g, label_of, g.class_count)[0].tolist()
+    # node count per (label, community)
+    spread = (indicator(label_of, g.class_count).T @ indicator(comm, k)).toarray()
     class_stats: dict[int, ClassStat] = {}
-    for lbl in sorted(class_members):
-        members = class_members[lbl]
-        count = len(members)
-        internal = class_internal.get(lbl, 0)
-        comm_dist: dict[str, int] = {}
-        for nid in members:
-            key = str(assign[nid])
-            comm_dist[key] = comm_dist.get(key, 0) + 1
+    for lbl, row in enumerate(spread.astype(np.int64).tolist()):
+        count = sum(row)
+        if count == 0:
+            continue
+        internal = class_internal[lbl]
+        comm_dist = {str(c): x for c, x in enumerate(row) if x}
         class_stats[lbl] = ClassStat(
             count=count,
             fraction=count / n,
             internal_edges=internal,
-            avg_degree=2.0 * internal / count if count else 0.0,
+            avg_degree=2.0 * internal / count,
             community_distribution=dict(sorted(
                 comm_dist.items(), key=lambda kv: (-kv[1], kv[0]))),
         )
 
     comm_stats: dict[int, CommunityStat] = {}
-    sizes = partition.community_sizes()
-    deg_sum = [0] * partition.community_count
-    for rec in g.nodes:
-        deg_sum[assign[rec.node_id]] += len(rec.neighbors)
-    for c in range(partition.community_count):
-        internal = comm_internal.get(c, 0)
+    comm_internal, deg_sum = (arr.tolist() for arr in block_totals(g, comm, k))
+    sizes = np.bincount(comm, minlength=k).tolist()
+    for c in range(k):
+        internal = comm_internal[c]
         if m > 0:
             contribution = internal / m - (deg_sum[c] / (2.0 * m)) ** 2
         else:
@@ -441,8 +430,10 @@ def build_report(
         )
 
     if emb is not None and emb.covers(g.ids()):
+        ids = g.ids()
         centroids: dict[int, np.ndarray] = {}
-        for lbl, members in class_members.items():
+        for lbl in class_stats:
+            members = [ids[i] for i in np.flatnonzero(label_of == lbl)]
             centroid = emb.unit_matrix(members).mean(axis=0)
             norm = float(np.linalg.norm(centroid))
             centroids[lbl] = centroid / norm if norm > 0 else centroid

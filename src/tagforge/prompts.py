@@ -47,7 +47,7 @@ def manager_prompt(report_json: str, lambda_weights: Sequence[float]) -> ChatReq
         "\n\nChoose the enhancement mode for the next round. "
         'Reply with JSON: {"mode": "semantic"} or {"mode": "topological"}.')
     return ChatRequest(role_tag="Manager", system_prompt=MANAGER_SYSTEM,
-                       user_prompt=user, response_contract="json")
+                       user_prompt=user)
 
 
 def enhancement_prompt(
@@ -72,7 +72,7 @@ def enhancement_prompt(
         "or elsewhere in the graph. Reply with a JSON array of objects, each "
         "with keys node_id, label, text, neighbors, mask.")
     return ChatRequest(role_tag="Enhancement", system_prompt=ENHANCEMENT_SYSTEM,
-                       user_prompt=user, response_contract="json")
+                       user_prompt=user)
 
 
 def evaluation_prompt(
@@ -84,7 +84,7 @@ def evaluation_prompt(
         "\n\nScore every candidate. Reply with a JSON array of objects, each "
         "with keys node_id, semantic_coherence (0-10), structural_integrity (0-10).")
     return ChatRequest(role_tag="Evaluation", system_prompt=EVALUATION_SYSTEM,
-                       user_prompt=user, response_contract="json")
+                       user_prompt=user)
 
 
 def goal_prompt(initial_report_json: str, current_report_json: str) -> ChatRequest:
@@ -94,4 +94,4 @@ def goal_prompt(initial_report_json: str, current_report_json: str) -> ChatReque
         '\n\nHas the synthesis goal been reached? Reply with JSON: '
         '{"goal_reached": true|false, "justification": "..."}.')
     return ChatRequest(role_tag="Goal", system_prompt=GOAL_SYSTEM,
-                       user_prompt=user, response_contract="json")
+                       user_prompt=user)

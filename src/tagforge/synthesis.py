@@ -337,9 +337,9 @@ def generate_nodes(
     """Request a candidate batch and keep only locally valid records.
 
     Drops, each with an audited reason: ids colliding with the graph or the
-    batch, labels outside the class range, neighbor proposals naming unknown
-    ids, and bad masks. Text length is screened later with the evaluation
-    pre-filters.
+    batch, empty texts (kept candidates are embedded next), labels outside
+    the class range, neighbor proposals naming unknown ids, and bad masks.
+    Text length is screened later with the evaluation pre-filters.
     """
     capsule_json = json.dumps(capsule.to_json_obj(), ensure_ascii=False, indent=1)
     req = prompts.enhancement_prompt(
@@ -353,6 +353,9 @@ def generate_nodes(
         nid = item["node_id"]
         if g.has_node(nid) or nid in seen:
             dropped[nid] = "duplicate id"
+            continue
+        if not item["text"]:
+            dropped[nid] = "empty text"
             continue
         if not (0 <= item["label"] < g.class_count):
             dropped[nid] = f"label {item['label']} outside class range"

@@ -307,16 +307,15 @@ def test_detection_beats_singleton_with_semantics():
 
 def test_detection_invariant_to_record_order():
     g = random_graph(16, 0.22, seed=77)
+    reordered = TextAttributedGraph.from_records(tuple(reversed(g.nodes)), g.class_count)
+    assert reordered.ids() == tuple(reversed(g.ids()))
     part1 = detect_communities(g, None, ModularityParams(gamma=1.0), 5)
-    reordered = make_graph(
-        {nid: list(g.neighbors(nid)) for nid in reversed(g.ids())},
-        labels={nid: g.node(nid).label for nid in g.ids()},
-        class_count=g.class_count,
-        masks={nid: g.node(nid).mask for nid in g.ids()},
-        texts={nid: g.node(nid).text for nid in g.ids()},
-    )
     part2 = detect_communities(reordered, None, ModularityParams(gamma=1.0), 5)
     assert part1.assignment == part2.assignment
+    emb = random_embeddings(g, dim=6, seed=77)
+    params = ModularityParams(gamma=0.5)
+    assert (detect_communities(g, emb, params, 5).assignment
+            == detect_communities(reordered, emb, params, 5).assignment)
 
 
 def test_detection_deterministic_for_fixed_seed():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, random_embeddings, random_graph
 from tagforge.community import EmbeddingTable, ModularityParams, Partition, detect_communities
+from tagforge.graph import TextAttributedGraph
 from tagforge.perception import (
     EnhancementMode,
     PerceptionParams,
@@ -363,3 +365,19 @@ def test_report_label_centroid_matrix_with_embeddings():
     sem = obj["SemanticDistribution"]["label_centroid_similarity"]
     assert sem["0"]["0"] == pytest.approx(1.0)
     assert sem["0"]["1"] == sem["1"]["0"]
+
+
+# sha256 of report_to_json, recorded with the report built from per-edge loops
+# over string ids; the last graph declares two classes no node carries
+@pytest.mark.parametrize("seed, n, p, gamma, empty_classes, digest", [
+    (11, 80, 0.05, 1.0, 0, "e44fc5e3bba5add7bd8ef0d2cc60b0872514c51ebc0cf1443cfbcda0e7b3cfd2"),
+    (12, 120, 0.03, 0.5, 0, "05291b18875f1ba38cc01081e351fc8581fd9dc054fde5695f32f533c5d35ff7"),
+    (13, 60, 0.06, 0.5, 2, "175e4c30f3b9c35a1d008fb72c3e3df441a99eec9aef4695ced4c097bf3d39a5"),
+])
+def test_report_json_matches_recorded_digest(seed, n, p, gamma, empty_classes, digest):
+    g = random_graph(n, p, seed)
+    g = TextAttributedGraph.from_records(g.nodes, g.class_count + empty_classes)
+    emb = random_embeddings(g, dim=8, seed=seed) if gamma < 1.0 else None
+    part = detect_communities(g, emb, ModularityParams(gamma=gamma), seed)
+    text = report_to_json(build_report(g, part, emb))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

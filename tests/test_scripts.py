@@ -1,0 +1,28 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_limiter_sweep_prints_one_row_per_alpha():
+    out = run_script("limiter_sweep.py", "--nodes", "200", "--alphas", "0.3,0.5")
+    rows = [line.split() for line in out.splitlines()
+            if line.split() and line.split()[0] in ("0.30", "0.50")]
+    assert [row[0] for row in rows] == ["0.30", "0.50"]
+    # alpha, sample size, KS, label drift, distortion before and after, swaps
+    assert all(len(row) == 7 for row in rows)
+    assert [int(row[1]) for row in rows] == [60, 100]
+
+
+def test_demo_synthesis_runs_to_the_end():
+    out = run_script("demo_synthesis.py")
+    assert "[run_start]" in out and "[run_end]" in out

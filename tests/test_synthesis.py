@@ -390,6 +390,23 @@ def test_run_synthesis_grows_graph_and_audits():
     assert g.num_nodes == 7
 
 
+def test_run_synthesis_drops_empty_text_candidate_and_keeps_the_rest():
+    g = _base_graph()
+    script = _script_one_round(
+        [{"node_id": "blank", "label": 0, "text": "", "neighbors": ["1"]},
+         {"node_id": "new_node 1", "label": 0,
+          "text": "a freshly synthesized document with plenty of text",
+          "neighbors": ["1", "2"]}],
+        [{"node_id": "new_node 1", "semantic_coherence": 9.0,
+          "structural_integrity": 8.0}])
+    provider = MockProvider(script, seed=3)
+    result = run_synthesis(g, SynthesisConfig(max_iterations=1), provider, rng_seed=7)
+    assert result.failure is None
+    assert result.graph.has_node("new_node 1") and not result.graph.has_node("blank")
+    generation = next(e for e in result.audit.entries if e["kind"] == "generation")
+    assert generation["dropped"] == {"blank": "empty text"}
+
+
 def test_run_synthesis_rejects_below_bar():
     g = _base_graph()
     script = _script_one_round(
