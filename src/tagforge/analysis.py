@@ -271,6 +271,8 @@ def principal_direction(
 def coherence_score(x, direction) -> float:
     """Closeness of one vector to the principal direction, in [0, 1]."""
     xv = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("cannot score a vector with non-finite entries")
     nx = float(np.linalg.norm(xv))
     if nx == 0.0:
         raise ValueError("cannot score a zero vector")

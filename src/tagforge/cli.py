@@ -34,6 +34,7 @@ from .graph import (
     GraphSchemaError,
     GraphValidationError,
     atomic_write_text,
+    graph_from_json_obj,
     graph_stats,
     load_graph,
     save_graph,
@@ -261,8 +262,7 @@ def _load_id_list(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "nodes" in obj:
-        g = load_graph(path)
-        return list(g.ids())
+        return list(graph_from_json_obj(obj).ids())
     if isinstance(obj, list):
         out = []
         for item in obj:

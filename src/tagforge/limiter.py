@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .community import Partition, indicator
 from .graph import TextAttributedGraph, component_labels, histograms, node_sort_key
@@ -82,6 +84,42 @@ class LimitResult:
     repair: RepairReport
 
 
+def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
+    """The ``count`` smallest eigenvalues of I - D^-1/2 A D^-1/2, ascending,
+    for a connected graph with at least two nodes.
+
+    They are 1 - mu for the largest eigenvalues mu of M = D^-1/2 A D^-1/2,
+    found by ARPACK's Lanczos iteration from a fixed start vector, so repeated
+    calls give the same bits. Lanczos can miss copies of a repeated
+    eigenvalue, so the found pairs are shifted below the spectrum and the
+    largest remaining eigenvalue is checked; one above the smallest found
+    takes its place until none is. Graphs too small for ARPACK to return
+    ``count`` pairs use the dense solver.
+    """
+    s = a.shape[0]
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    if s <= count + 1:
+        lap = np.eye(s) - (a.toarray() * inv_sqrt[None, :]) * inv_sqrt[:, None]
+        vals = np.linalg.eigvalsh(lap)[:count]
+    else:
+        m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
+        v0 = np.random.default_rng(0).standard_normal(s)
+        mu, vecs = eigsh(m, k=count, which="LA", v0=v0)
+        while True:
+            # found pairs move to -3, below the spectrum of M in [-1, 1]
+            shift = mu + 3.0
+            rest = LinearOperator(
+                (s, s), dtype=np.float64,
+                matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
+            top, w = eigsh(rest, k=1, which="LA", v0=v0)
+            low = int(np.argmin(mu))
+            if top[0] <= mu[low] + 1e-10:
+                break
+            mu[low], vecs[:, low] = top[0], w[:, 0]
+        vals = np.sort(1.0 - mu)
+    return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
+
+
 def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
     """Degree and label histograms, leading normalized-Laplacian spectrum of
     the largest component, and the component profile (count/n, largest/n).
@@ -104,12 +142,8 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
         if largest == 1:
             spectral = (0.0,)
         else:
-            a = g.adjacency_csr()[members][:, members].toarray()
-            deg = a.sum(axis=1)
-            inv_sqrt = 1.0 / np.sqrt(deg)
-            lap = np.eye(largest) - (a * inv_sqrt[None, :]) * inv_sqrt[:, None]
-            vals = np.clip(np.linalg.eigvalsh(lap), 0.0, 2.0)
-            spectral = tuple(float(x) for x in vals[:eigen_count])
+            spectral = _smallest_laplacian_eigenvalues(
+                g.adjacency_csr()[members][:, members], eigen_count)
         profile = (len(sizes) / n, largest / n)
     return PropertyTensor(
         degree_histogram=hist,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,20 @@ def _one_round_script(tmp_path, goal=False, score=9.0, name="script.json"):
     path = tmp_path / name
     path.write_text(json.dumps(script), encoding="utf-8")
     return str(path)
+
+
+def test_cli_import_loads_no_scipy_stats_special_or_networkx():
+    # every command pays for what importing the CLI loads; scipy.stats at
+    # module level once added about 1.1 s to each set-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, tagforge.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.special', 'networkx') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # exit codes and argument errors -----------------------------------------------------
@@ -414,3 +432,35 @@ def test_coherence_rejects_non_list_candidates(graph_file, tmp_path):
     cands.write_text(json.dumps({"ids": ["1"]}), encoding="utf-8")
     assert main(["coherence", "--background", graph_file,
                  "--candidates", str(cands), "--embeddings", emb]) == 2
+
+
+def test_coherence_non_finite_candidate_vector_exits_2(graph_file, tmp_path, capsys):
+    # json accepts NaN; a NaN score would reach the report as invalid JSON
+    emb = tmp_path / "emb.json"
+    _embeddings_file(tmp_path, [str(i) for i in range(1, 8)] + ["c2"])
+    table = json.loads(emb.read_text(encoding="utf-8"))
+    table["c1"] = [float("nan"), 1.0, 0.0]
+    emb.write_text(json.dumps(table), encoding="utf-8")
+    cands = tmp_path / "c.json"
+    cands.write_text(json.dumps(["c1", "c2"]), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["coherence", "--background", graph_file, "--candidates", str(cands),
+                 "--embeddings", str(emb), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == "" and not report.exists()
+
+
+def test_coherence_background_graph_with_dangling_neighbor_exits_2(tmp_path, capsys):
+    graph = {"class_count": 1, "nodes": [
+        {"node_id": "1", "label": 0, "text": "a", "neighbors": ["2"]},
+        {"node_id": "2", "label": 0, "text": "b", "neighbors": ["99"]},
+    ]}
+    background = tmp_path / "bg.json"
+    background.write_text(json.dumps(graph), encoding="utf-8")
+    emb = _embeddings_file(tmp_path, ["1", "2", "99"])
+    cands = tmp_path / "c.json"
+    cands.write_text(json.dumps(["1", "2"]), encoding="utf-8")
+    assert main(["coherence", "--background", str(background),
+                 "--candidates", str(cands), "--embeddings", emb]) == 2
+    assert "99" in capsys.readouterr().err

@@ -91,6 +91,93 @@ def test_property_tensor_tie_goes_to_component_with_smallest_sort_key():
     assert pt.component_profile == (2 / 6, 3 / 6)
 
 
+def _networkx_graph(name, size):
+    nx = pytest.importorskip("networkx")
+    build = {"path": nx.path_graph, "cycle": nx.cycle_graph,
+             "hypercube": nx.hypercube_graph}[name]
+    h = nx.convert_node_labels_to_integers(build(size), ordering="sorted")
+    return make_graph({str(u): [str(v) for v in h[u] if v > u] for u in h})
+
+
+def _analytic_spectrum(name, size):
+    """Normalized Laplacian eigenvalues of P_n, C_n and Q_d, ascending."""
+    if name == "path":
+        vals = [1.0 - math.cos(math.pi * j / (size - 1)) for j in range(size)]
+    elif name == "cycle":
+        vals = [1.0 - math.cos(2.0 * math.pi * j / size) for j in range(size)]
+    else:
+        vals = [2.0 * j / size for j in range(size + 1) for _ in range(math.comb(size, j))]
+    return sorted(vals)
+
+
+# (graph, size, eigen_count): sizes 11 and 12 put the component at
+# eigen_count + 1 (dense solver) and eigen_count + 2 (Lanczos). Q_d has the
+# eigenvalue 2/d with multiplicity d; without the check for missed pairs,
+# Lanczos returns it 6 times in Q7 at 5 eigenvalues and 8 times in Q9 at 10
+@pytest.mark.parametrize("name,size,count", [
+    ("path", 11, 10), ("path", 12, 10), ("path", 60, 10),
+    ("cycle", 11, 10), ("cycle", 12, 10), ("cycle", 41, 10), ("cycle", 40, 7),
+    ("hypercube", 7, 5), ("hypercube", 7, 10), ("hypercube", 7, 30), ("hypercube", 9, 10),
+])
+def test_property_tensor_spectrum_matches_analytic_oracles(name, size, count):
+    g = _networkx_graph(name, size)
+    pt = property_tensor(g, count)
+    expected = _analytic_spectrum(name, size)[:count]
+    assert len(pt.top_spectral) == count
+    assert np.allclose(pt.top_spectral, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("largest,lanczos", [(11, False), (12, True)])
+def test_property_tensor_uses_dense_solver_only_up_to_eigen_count_plus_one(
+        monkeypatch, largest, lanczos):
+    import tagforge.limiter as limiter
+    eigsh, calls = limiter.eigsh, []
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(limiter, "eigsh", counting_eigsh)
+    property_tensor(_networkx_graph("path", largest), 10)
+    assert bool(calls) == lanczos
+
+
+def _sparse_random_graph(tree=False):
+    nx = pytest.importorskip("networkx")
+    h = nx.balanced_tree(3, 5) if tree else nx.gnm_random_graph(700, 800, seed=5)
+    return h, make_graph({str(u): [str(v) for v in h[u] if v > u] for u in h})
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_property_tensor_spectrum_matches_dense_eigvalsh(tree):
+    nx = pytest.importorskip("networkx")
+    h, g = _sparse_random_graph(tree)
+    big = max(nx.connected_components(h), key=len)
+    assert len(big) > 300
+    lap = nx.normalized_laplacian_matrix(h.subgraph(big)).toarray()
+    expected = np.clip(np.linalg.eigvalsh(lap), 0.0, 2.0)[:10]
+    pt = property_tensor(g)
+    assert np.allclose(pt.top_spectral, expected, rtol=0.0, atol=1e-10)
+    assert pt.component_profile[1] == len(big) / g.num_nodes
+
+
+def test_property_tensor_lanczos_is_deterministic_and_allocates_no_dense_matrix():
+    import tracemalloc
+    _, g = _sparse_random_graph()
+    g.adjacency_csr()
+    first = property_tensor(g).top_spectral
+    tracemalloc.start()
+    try:
+        second = property_tensor(g).top_spectral
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == second
+    # less than one s x s float64 matrix of the largest component
+    s = round(property_tensor(g).component_profile[1] * g.num_nodes)
+    assert peak < s * s * 8
+
+
 # sampling ---------------------------------------------------------------------------
 
 def test_alpha_one_returns_everything():
