@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, random_graph
 from tagforge.community import ModularityParams, Partition, detect_communities
+from tagforge.graph import NodeRecord, TextAttributedGraph
 from tagforge.limiter import (
     LimiterParams,
     connectivity_repair,
@@ -319,3 +320,66 @@ def test_sample_and_repair_trace_match_recorded_digests(seed, n, p, alpha, swaps
                        "trace": [x.hex() for x in result.repair.distortion_trace]})
     assert result.repair.swaps == swaps
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+def _sparse_graph(n, avg_degree, seed, class_count=3, mixed_ids=False):
+    """Random sparse graph in O(n + m); edges join uniform endpoint pairs.
+
+    With ``mixed_ids`` every third node is named ``0<k>`` next to a node
+    named ``<k>`` (the two share a ``node_sort_key``), every fifth gets an
+    alphabetic id, and the records come in shuffled order.
+    """
+    rng = np.random.default_rng(seed)
+    names = [str(i) for i in range(n)]
+    if mixed_ids:
+        for i in range(n):
+            if i % 3 == 1:
+                names[i] = "0" + names[i - 1]
+            elif i % 5 == 0:
+                names[i] = "n" + "".join(rng.choice(list("abcdefgh"), size=4)) + str(i)
+    m = int(n * avg_degree / 2)
+    u, v = rng.integers(n, size=m), rng.integers(n, size=m)
+    nbrs = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbrs[a].append(names[b])
+    labels = rng.integers(class_count, size=n)
+    order = rng.permutation(n) if mixed_ids else range(n)
+    recs = [NodeRecord(names[i], int(labels[i]), f"document {i}", tuple(nbrs[i]))
+            for i in order]
+    return TextAttributedGraph.from_records(recs, class_count)
+
+
+def _repair_digest(result):
+    blob = json.dumps({"ids": list(result.graph.ids()),
+                       "trace": [x.hex() for x in result.repair.distortion_trace],
+                       "warning": result.repair.warning})
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# Digests of the sample ids, the repair trace (float.hex) and the warning,
+# recorded with the per-pair repair loop that scored one swap at a time.
+@pytest.mark.parametrize("n, degree, seed, partition, alpha, epsilon, swaps, digest", [
+    # long repairs on sparse graphs with detected communities
+    (1500, 1.5, 4, "detect", 0.3, 0.05, 65, "ee2e041af9bf776f"),
+    (2500, 1.6, 5, "detect", 0.3, 0.05, 60, "9db57becee104039"),
+    (2000, 1.4, 6, "detect", 0.3, 0.05, 53, "aa2f93d47297b58c"),
+    # ids 01 and 1 (same sort key), alphabetic ids, shuffled records and four
+    # large communities, so many pairs tie on gain
+    (1200, 1.5, 7, "coarse", 0.3, 0.0, 31, "fece97ad18a38085"),
+    # every node its own cell: no same-cell swap candidates exist
+    (600, 1.5, 8, "singleton", 0.3, 0.0, 0, "c0a5ccdee07494b3"),
+    # repair runs until no swap reduces the distortion
+    (800, 1.5, 9, "detect", 0.3, 0.0, 37, "51e77f3c925ecab4"),
+])
+def test_long_repairs_match_recorded_digests(
+        n, degree, seed, partition, alpha, epsilon, swaps, digest):
+    g = _sparse_graph(n, degree, seed, mixed_ids=partition == "coarse")
+    if partition == "detect":
+        part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
+    else:
+        groups = 4 if partition == "coarse" else n
+        part = Partition.from_assignment({v: i % groups for i, v in enumerate(g.ids())})
+    result = sample_limited_detailed(
+        g, part, LimiterParams(alpha=alpha, repair_epsilon=epsilon))
+    assert result.repair.swaps == swaps
+    assert _repair_digest(result) == digest
