@@ -12,7 +12,6 @@ the convention under which the two-triangle fixture scores exactly 0.5.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +22,6 @@ import scipy.sparse as sp
 from .graph import (
     _ROW_BLOCK,
     TextAttributedGraph,
-    atomic_write_text,
     node_sort_key,
 )
 
@@ -40,22 +38,6 @@ PAIR_SAMPLE_SIZE = 200_000
 AGGREGATE_SEMANTIC_LIMIT = 5000
 
 _GAIN_EPS = 1e-12
-
-
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors.
-
-    Raises ValueError on dimension mismatch or a zero-norm operand.
-    """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vectors")
-    return float(np.dot(x, y) / (nx * ny))
 
 
 class EmbeddingTable:
@@ -131,18 +113,6 @@ class EmbeddingTable:
 
     def _rows(self, ids: Sequence[str]) -> np.ndarray:
         return np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
-
-    @classmethod
-    def from_json(cls, path: str) -> "EmbeddingTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("embeddings file must be a JSON object keyed by node id")
-        return cls(obj)
-
-    def to_json(self, path: str) -> None:
-        obj = {k: self[k].tolist() for k in sorted(self._index, key=node_sort_key)}
-        atomic_write_text(path, json.dumps(obj) + "\n")
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,7 @@ def node_sort_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-def canonical_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if node_sort_key(u) <= node_sort_key(v) else (v, u)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """One node: identity, class label, text payload, neighbors, split mask."""
 
@@ -81,7 +77,7 @@ class TextAttributedGraph:
 
     __slots__ = (
         "nodes", "class_count", "normalization_fixes",
-        "_pos", "_adj", "_num_edges", "_csr",
+        "_pos", "_num_edges", "_csr",
     )
 
     def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
@@ -90,7 +86,6 @@ class TextAttributedGraph:
         self.class_count = class_count
         self.normalization_fixes = normalization_fixes
         self._pos = {rec.node_id: i for i, rec in enumerate(nodes)}
-        self._adj = {rec.node_id: rec.neighbors for rec in nodes}
         self._num_edges = sum(len(rec.neighbors) for rec in nodes) // 2
         self._csr = None
 
@@ -114,7 +109,8 @@ class TextAttributedGraph:
                     f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
 
         # Normalize adjacency: union-symmetrize, drop self-loops and repeats.
-        ids = set(seen)
+        # Neighbor lists hold the nodes' own id objects, one copy per id.
+        ids = {rec.node_id: rec.node_id for rec in records}
         mention: dict[str, set[str]] = {rec.node_id: set() for rec in records}
         fixes = 0
         dangling: list[tuple[str, str]] = []
@@ -123,6 +119,7 @@ class TextAttributedGraph:
                 if nb not in ids:
                     dangling.append((rec.node_id, nb))
                     continue
+                nb = ids[nb]
                 if nb == rec.node_id:
                     fixes += 1
                     continue
@@ -177,10 +174,10 @@ class TextAttributedGraph:
         return self._pos[node_id]
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self._adj[node_id]
+        return self.nodes[self._pos[node_id]].neighbors
 
     def degree(self, node_id: str) -> int:
-        return len(self._adj[node_id])
+        return len(self.nodes[self._pos[node_id]].neighbors)
 
     def degrees(self) -> np.ndarray:
         return np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)

@@ -227,9 +227,22 @@ def _largest_remainder(
     return base
 
 
-def _distortion(count: int, largest: int, n: int, ref: tuple[float, float]) -> float:
-    """L1 distance of the component profile (count / n, largest / n) to ``ref``."""
+def _distortion(count, largest, n: int, ref: tuple[float, float]):
+    """L1 distance of the profile (count / n, largest / n) to ``ref``, elementwise."""
     return abs(count / n - ref[0]) + abs(largest / n - ref[1])
+
+
+def _first_per_cell(items: np.ndarray, cells: np.ndarray, cap: int,
+                    *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``cap`` items of each cell by ``keys`` (most significant
+    first, ties in the given order), sorted by (cell, keys), and the rank of
+    each within its cell."""
+    order = np.lexsort(keys[::-1] + (cells,))
+    items, cells = items[order], cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    rank = np.arange(cells.size) - np.repeat(starts, np.diff(starts, append=cells.size))
+    keep = rank < cap
+    return items[keep], rank[keep]
 
 
 def connectivity_repair(
@@ -243,19 +256,29 @@ def connectivity_repair(
 
     Stops once distortion falls within ``repair_epsilon``, no improving
     same-cell swap remains, or the swap budget (default twice the sample
-    size) is exhausted. Cell counts are invariant by construction.
+    size) is exhausted. Cell counts are invariant by construction. Equal
+    gains go to the smallest (``node_sort_key(b)``, ``node_sort_key(r)``).
     """
+    foreign = [v for v in sub.ids() if not g.has_node(v)]
+    if foreign:
+        raise ValueError(f"sample holds ids not in the graph: {foreign[:10]}")
     n_g = g.num_nodes
     ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
 
     ids = g.ids()
     keys = [node_sort_key(v) for v in ids]
+    key_index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    key_rank = np.array([key_index[k] for k in keys], dtype=np.int64)
+    id_rank = np.empty(n_g, dtype=np.int64)
+    id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
+    labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
+    # cells numbered in (label, community) order
+    cell = np.unique(labels * partition.community_count + partition.community_array(g),
+                     return_inverse=True)[1].ravel()
+    n_cells = int(cell.max()) + 1
     a = g.adjacency_csr()
-    indptr, indices = a.indptr.tolist(), a.indices.tolist()
-    nbrs = [indices[indptr[i]:indptr[i + 1]] for i in range(n_g)]
-    cell_of = list(zip((rec.label for rec in g.nodes),
-                       partition.community_array(g).tolist()))
+    rows, cols = a.nonzero()
 
     mask = np.zeros(n_g, dtype=bool)
     mask[[g.index_of(v) for v in sub.ids()]] = True
@@ -271,73 +294,87 @@ def connectivity_repair(
     warning: str | None = None
 
     while swaps < max_swaps and cur > params.repair_epsilon:
-        comp, size_arr = comp.tolist(), sizes.tolist()
-        by_cell_out: dict[tuple, list[int]] = {}
-        for v in np.flatnonzero(~mask).tolist():
-            by_cell_out.setdefault(cell_of[v], []).append(v)
-        # replaceable nodes: induced degree at most 1, grouped by cell and
-        # ordered by (induced degree, node id as a string)
         induced = (a @ mask).astype(np.int64)
-        by_cell_repl: dict[tuple, list[tuple[int, str, int]]] = {}
-        for r in np.flatnonzero(mask & (induced <= 1)).tolist():
-            by_cell_repl.setdefault(cell_of[r], []).append((int(induced[r]), ids[r], r))
-        # component sizes sorted descending for fast "largest untouched" scans
-        size_order = sorted(range(len(size_arr)), key=lambda c: -size_arr[c])
+        repl = np.flatnonzero(mask & (induced <= 1))
+        repl, _ = _first_per_cell(repl, cell[repl], _REPLACE_CAP, induced[repl], id_rank[repl])
+        repl_count = np.bincount(cell[repl], minlength=n_cells)
+        outs = np.flatnonzero(~mask)
+        outs = outs[repl_count[cell[outs]] > 0]
 
-        best = None  # (gain, (b_key, r_key), b, r)
-        any_pair = False
-        for cell, outs in sorted(by_cell_out.items()):
-            repls = sorted(by_cell_repl.get(cell, ()))[:_REPLACE_CAP]
-            if not repls:
-                continue
-            any_pair = True
-            scored_out = []
-            for b in outs:
-                # selected neighbors of b per component
-                comps_b = {}
-                for w in nbrs[b]:
-                    if comp[w] >= 0:
-                        comps_b[comp[w]] = comps_b.get(comp[w], 0) + 1
-                scored_out.append((len(comps_b), b, comps_b))
-            scored_out.sort(key=lambda item: (-item[0], keys[item[1]]))
-            pool = scored_out[:_BRIDGE_CAP] + sorted(
-                scored_out, key=lambda item: (item[0], keys[item[1]]))[:_ISOLATE_CAP]
-            seen_b = set()
-            for _, b, comps_b in pool:
-                if b in seen_b:
-                    continue
-                seen_b.add(b)
-                for d_r, _, r in repls:
-                    # removing r (induced degree 0 or 1) deletes its component
-                    # or shrinks it by one; adding b merges the components of
-                    # b's selected neighbors, less c_r if r was b's only link
-                    c_r = comp[r]
-                    merged = set(comps_b)
-                    if d_r == 0 or (r in nbrs[b] and comps_b[c_r] == 1):
-                        merged.discard(c_r)
-                    merged_size = 1 + sum(size_arr[c] for c in merged) - (c_r in merged)
-                    new_count = len(size_arr) - (d_r == 0) - len(merged) + 1
-                    # the largest component: the merge result, the shrunk c_r,
-                    # or the biggest untouched component
-                    rest = next((size_arr[c] for c in size_order
-                                 if c not in merged and c != c_r), 0)
-                    if d_r == 1 and c_r not in merged:
-                        rest = max(rest, size_arr[c_r] - 1)
-                    gain = cur - _distortion(new_count, max(merged_size, rest), n_s, kappa_ref)
-                    if gain > _GAIN_EPS and (best is None or gain > best[0] + _GAIN_EPS or (
-                            abs(gain - best[0]) <= _GAIN_EPS and (keys[b], keys[r]) < best[1])):
-                        best = (gain, (keys[b], keys[r]), b, r)
-        if best is None:
-            if cur > params.repair_epsilon:
-                warning = ("no same-cell swap could reduce component distortion; "
-                           f"stopping at {cur:.4f}" if any_pair else
-                           "no same-cell swap candidates exist; "
-                           f"distortion stays at {cur:.4f}")
-                log.warning(warning)
+        # one row per (outside node, sampled component it touches): the
+        # number of edges into it and one sampled neighbor there, plus a
+        # sentinel row that keeps lookups past the last key in bounds
+        n_c = sizes.size
+        touch = ~mask[rows] & mask[cols]
+        bc, first, bc_edges = np.unique(rows[touch] * n_c + comp[cols[touch]],
+                                        return_index=True, return_counts=True)
+        comps_of = np.bincount(bc // n_c, minlength=n_g)
+        mass_of = np.bincount(bc // n_c, weights=sizes[bc % n_c], minlength=n_g).astype(np.int64)
+        bc, bc_edges = np.append(bc, np.iinfo(np.int64).max), np.append(bc_edges, 0)
+        bc_nbr = np.append(cols[touch][first], -1)
+
+        def edges_into(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Edges from each b into c, and a sampled neighbor there or -1."""
+            i = np.searchsorted(bc, b * n_c + c)
+            hit = bc[i] == b * n_c + c
+            return np.where(hit, bc_edges[i], 0), np.where(hit, bc_nbr[i], -1)
+
+        bridges, b_rank = _first_per_cell(
+            outs, cell[outs], _BRIDGE_CAP, -comps_of[outs], key_rank[outs])
+        isolates, i_rank = _first_per_cell(
+            outs, cell[outs], _ISOLATE_CAP, comps_of[outs], key_rank[outs])
+        fresh = ~np.isin(isolates, bridges)
+        pool = np.concatenate([bridges, isolates[fresh]])
+        pool = pool[np.lexsort((np.concatenate([b_rank, _BRIDGE_CAP + i_rank[fresh]]),
+                                cell[pool]))]
+
+        # every (pool node, replaceable node) pair of a cell, in (cell, pool,
+        # replaceable) order
+        per = repl_count[cell[pool]]
+        b = np.repeat(pool, per)
+        repl_start = np.cumsum(repl_count) - repl_count
+        r = repl[np.repeat(repl_start[cell[pool]] - (np.cumsum(per) - per), per)
+                 + np.arange(b.size)]
+
+        # removing r (induced degree 0 or 1) deletes its component or shrinks
+        # it by one; adding b merges the components of b's sampled neighbors,
+        # less c_r if r was b's only link into it
+        c_r, d_r = comp[r], induced[r]
+        into_cr, nbr_cr = edges_into(b, c_r)
+        leaves = (d_r == 0) | ((into_cr == 1) & (nbr_cr == r))
+        lost = (into_cr > 0) & leaves
+        kept = (into_cr > 0) & ~leaves
+        merged_size = 1 + mass_of[b] - sizes[c_r] * lost - kept
+        new_count = n_c - (d_r == 0) - (comps_of[b] - lost) + 1
+        # The new largest component: a merge that takes in the top component
+        # is at least as large as any other. Otherwise the merge competes
+        # with the top component or, when r leaves the top, with the shrunk
+        # top and the second (a merge that holds the second outgrows it).
+        top, top_size = int(np.argmax(sizes)), int(sizes.max())
+        second = int(np.partition(sizes, -2)[-2]) if n_c > 1 else 0
+        top_merged = np.where(c_r == top, kept, edges_into(b, np.full_like(b, top))[0] > 0)
+        beside = np.where(c_r == top, max(second, top_size - 1), top_size)
+        largest = np.maximum(merged_size, np.where(top_merged, 0, beside))
+        gain = cur - _distortion(new_count, largest, n_s, kappa_ref)
+
+        # Every distortion is an integer multiple of 1 / (n_s * n_g) up to a
+        # few ulps, so two different gains differ by at least that much (2e-7
+        # at 4k nodes), and while n_s * n_g stays below about 1e11, gains
+        # within _GAIN_EPS of each other are exactly equal. The best gain,
+        # then the smallest key pair, then the first pair in (cell, pool,
+        # replaceable) order is thus exact and independent of scan order.
+        better = gain > _GAIN_EPS
+        if not better.any():
+            warning = ("no same-cell swap could reduce component distortion; "
+                       f"stopping at {cur:.4f}" if outs.size else
+                       "no same-cell swap candidates exist; "
+                       f"distortion stays at {cur:.4f}")
+            log.warning(warning)
             break
-        _, _, b, r = best
-        mask[r] = False
-        mask[b] = True
+        tied = np.flatnonzero(better & (gain >= gain[better].max() - _GAIN_EPS))
+        pick = tied[np.lexsort((key_rank[r[tied]], key_rank[b[tied]]))[0]]
+        mask[r[pick]] = False
+        mask[b[pick]] = True
         swaps += 1
         comp, sizes = component_labels(g, mask)
         new_cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)

@@ -326,7 +326,6 @@ class EnvironmentReport:
     community_stats: dict
     structural_distribution: dict
     semantic_distribution: dict
-    narrative: str | None = None
 
     def to_json_obj(self) -> dict:
         comm_order = sorted(
@@ -348,7 +347,7 @@ class EnvironmentReport:
             }
             for c, cs in self.community_stats.items()
         }
-        obj = {
+        return {
             "Graph": graph_block,
             "StructuralDistribution": {
                 "degree_distribution": {
@@ -368,9 +367,6 @@ class EnvironmentReport:
                 for lbl, cs in self.class_stats.items()
             },
         }
-        if self.narrative is not None:
-            obj["Narrative"] = self.narrative
-        return obj
 
 
 def report_to_json(report: EnvironmentReport) -> str:
@@ -381,7 +377,6 @@ def build_report(
     g: TextAttributedGraph,
     partition: Partition,
     emb: EmbeddingTable | None = None,
-    narrative: str | None = None,
 ) -> EnvironmentReport:
     """Assemble the structured state summary consumed by the agent roles."""
     if g.num_nodes == 0:
@@ -451,5 +446,4 @@ def build_report(
         community_stats=comm_stats,
         structural_distribution=dict(stats.degree_histogram),
         semantic_distribution=sem_dist,
-        narrative=narrative,
     )

@@ -4,6 +4,22 @@ import pytest
 from tagforge.graph import NodeRecord, TextAttributedGraph
 
 
+def cosine_similarity(a, b):
+    """Cosine of the angle between two vectors.
+
+    Raises ValueError on dimension mismatch or a zero-norm operand.
+    """
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    nx = float(np.linalg.norm(x))
+    ny = float(np.linalg.norm(y))
+    if nx == 0.0 or ny == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vectors")
+    return float(np.dot(x, y) / (nx * ny))
+
+
 def make_graph(adjacency, labels=None, class_count=None, masks=None, texts=None):
     """Build a graph from an adjacency dict; neighbor lists may be one-sided."""
     ids = sorted(adjacency)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     complete_graph,
+    cosine_similarity,
     make_graph,
     path_graph,
     random_embeddings,
@@ -21,7 +22,6 @@ from tagforge.community import (
     EmbeddingTable,
     ModularityParams,
     Partition,
-    cosine_similarity,
     detect_communities,
     semantic_modularity,
 )

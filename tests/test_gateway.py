@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from tagforge.community import cosine_similarity
+from conftest import cosine_similarity
 from tagforge.gateway import (
     AuditLog,
     ChatRequest,

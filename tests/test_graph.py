@@ -13,6 +13,7 @@ from tagforge.graph import (
     SynthesizedDelta,
     TextAttributedGraph,
     component_labels,
+    graph_from_json_obj,
     graph_stats,
     load_graph,
     merge_synthesis,
@@ -103,6 +104,20 @@ def test_self_loops_and_duplicates_are_dropped_and_counted():
     assert g.num_edges == 1
     assert g.neighbors("x") == ("y",)
     assert g.normalization_fixes == 2
+
+
+def test_neighbor_lists_share_the_node_id_objects():
+    obj = json.loads(json.dumps({"class_count": 1, "nodes": [
+        {"node_id": "alpha", "label": 0, "text": "t", "neighbors": ["beta", 7]},
+        {"node_id": "beta", "label": 0, "text": "t", "neighbors": ["alpha"]},
+        {"node_id": 7, "label": 0, "text": "t", "neighbors": []},
+    ]}))
+    g = graph_from_json_obj(obj)
+    for h in (g, g.subgraph(["alpha", "7"])):
+        own = {rec.node_id: rec.node_id for rec in h.nodes}
+        assert all(nb is own[nb] for rec in h.nodes for nb in rec.neighbors)
+        assert sum(len(rec.neighbors) for rec in h.nodes) == 2 * h.num_edges > 0
+    assert not hasattr(g.nodes[0], "__dict__")
 
 
 def test_dangling_neighbor_rejected_with_offender_listed():

@@ -284,6 +284,14 @@ def test_repair_no_candidates_warns():
     assert report.warning is not None
 
 
+def test_repair_rejects_sample_ids_not_in_graph():
+    g = make_graph({"a": ["b"], "b": [], "c": []})
+    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    sub = make_graph({"a": [], "ghost": [], "zz": []})
+    with pytest.raises(ValueError, match=r"not in the graph: \['ghost', 'zz'\]"):
+        connectivity_repair(g, sub, part)
+
+
 def test_repair_preserves_node_count_and_cells():
     g = random_graph(50, 0.06, seed=91)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
@@ -366,6 +374,9 @@ def _repair_digest(result):
     # ids 01 and 1 (same sort key), alphabetic ids, shuffled records and four
     # large communities, so many pairs tie on gain
     (1200, 1.5, 7, "coarse", 0.3, 0.0, 31, "fece97ad18a38085"),
+    # the same kinds of ids in one community, where swaps that take a leaf
+    # off the largest component compete
+    (500, 1.8, 14, "one", 0.5, 0.0, 18, "d8d0ffc17adb34c2"),
     # every node its own cell: no same-cell swap candidates exist
     (600, 1.5, 8, "singleton", 0.3, 0.0, 0, "c0a5ccdee07494b3"),
     # repair runs until no swap reduces the distortion
@@ -373,11 +384,11 @@ def _repair_digest(result):
 ])
 def test_long_repairs_match_recorded_digests(
         n, degree, seed, partition, alpha, epsilon, swaps, digest):
-    g = _sparse_graph(n, degree, seed, mixed_ids=partition == "coarse")
+    g = _sparse_graph(n, degree, seed, mixed_ids=partition in ("coarse", "one"))
     if partition == "detect":
         part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     else:
-        groups = 4 if partition == "coarse" else n
+        groups = {"coarse": 4, "one": 1}.get(partition, n)
         part = Partition.from_assignment({v: i % groups for i, v in enumerate(g.ids())})
     result = sample_limited_detailed(
         g, part, LimiterParams(alpha=alpha, repair_epsilon=epsilon))
