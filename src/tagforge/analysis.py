@@ -99,20 +99,26 @@ def clustering_similarity(g1: TextAttributedGraph, g2: TextAttributedGraph) -> f
     """
     if g1.num_nodes == 0 or g2.num_nodes == 0:
         raise ValueError("both graphs must be nonempty")
-    stats: list[dict[int, tuple[int, float]]] = []
-    for g in (g1, g2):
-        local = local_clustering(g)
-        acc: dict[int, tuple[int, float]] = {}
-        for rec, c in zip(g.nodes, local):
-            b = _degree_bin(len(rec.neighbors))
-            count, tot = acc.get(b, (0, 0.0))
-            acc[b] = (count + 1, tot + float(c))
-        stats.append(acc)
-    pooled = g1.num_nodes + g2.num_nodes
+    return _profile_similarity(_clustering_profile(g1), _clustering_profile(g2))
+
+
+def _clustering_profile(g: TextAttributedGraph) -> dict[int, tuple[int, float]]:
+    """Node count and summed local clustering per degree bin."""
+    acc: dict[int, tuple[int, float]] = {}
+    for rec, c in zip(g.nodes, local_clustering(g)):
+        b = _degree_bin(len(rec.neighbors))
+        count, tot = acc.get(b, (0, 0.0))
+        acc[b] = (count + 1, tot + float(c))
+    return acc
+
+
+def _profile_similarity(p1: dict[int, tuple[int, float]],
+                        p2: dict[int, tuple[int, float]]) -> float:
+    pooled = sum(count for count, _ in p1.values()) + sum(count for count, _ in p2.values())
     gap = 0.0
-    for b in sorted(set(stats[0]) | set(stats[1])):
-        in1 = stats[0].get(b)
-        in2 = stats[1].get(b)
+    for b in sorted(set(p1) | set(p2)):
+        in1 = p1.get(b)
+        in2 = p2.get(b)
         weight = ((in1[0] if in1 else 0) + (in2[0] if in2 else 0)) / pooled
         if in1 and in2:
             gap += weight * abs(in1[1] / in1[0] - in2[1] / in2[0])
@@ -141,8 +147,10 @@ def label_homogeneity_similarity(g1: TextAttributedGraph, g2: TextAttributedGrap
     """Total-variation overlap between the two label-pair distributions."""
     if g1.class_count != g2.class_count:
         raise ValueError("graphs must share a class count")
-    h1 = label_homogeneity_matrix(g1)
-    h2 = label_homogeneity_matrix(g2)
+    return _homogeneity_overlap(label_homogeneity_matrix(g1), label_homogeneity_matrix(g2))
+
+
+def _homogeneity_overlap(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(1.0 - 0.5 * np.abs(h1 - h2).sum())
 
 

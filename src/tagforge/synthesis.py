@@ -473,21 +473,24 @@ def evaluate_nodes(
 
 def _progress_vector(
     g_now: TextAttributedGraph,
-    g_initial: TextAttributedGraph,
+    reference: tuple[dict, np.ndarray] | None,
     assessment: QualityAssessment | None,
     config: SynthesisConfig,
 ) -> np.ndarray:
     """Three normalized progress readings: round quality, structural fidelity
-    to the initial graph, and negated class imbalance."""
+    to the initial graph, and negated class imbalance. ``reference`` is the
+    initial graph's clustering profile and label-pair matrix, or None when it
+    has no edge."""
     if assessment is not None and assessment.mean_semantic is not None:
         quality = assessment.mean_semantic / config.score_max
     else:
         quality = 0.0
     structure = 0.0
-    if g_now.num_edges > 0 and g_initial.num_edges > 0:
+    if g_now.num_edges > 0 and reference is not None:
+        profile, pairs = reference
         structure = 0.5 * (
-            analysis.clustering_similarity(g_now, g_initial)
-            + analysis.label_homogeneity_similarity(g_now, g_initial))
+            analysis._profile_similarity(analysis._clustering_profile(g_now), profile)
+            + analysis._homogeneity_overlap(analysis.label_homogeneity_matrix(g_now), pairs))
     imbalance = train_imbalance(g_now)
     balance = -max(imbalance.values()) if imbalance else 0.0
     return np.array([quality, structure, balance], dtype=np.float64)
@@ -542,6 +545,8 @@ def run_synthesis(
         report0_json = report_to_json(report0)
         audit.record("initial_report", summary=summarize_report(report0))
 
+        reference = ((analysis._clustering_profile(g), analysis.label_homogeneity_matrix(g))
+                     if g.num_edges > 0 else None)
         prev_mean: float | None = None
         prev_progress: np.ndarray | None = None
         prior_rejections: list[str] = []
@@ -632,7 +637,7 @@ def run_synthesis(
                     state.quality_history.append(mean_now)
                     prev_mean = mean_now
 
-                progress = _progress_vector(g_current, g, assessment, config)
+                progress = _progress_vector(g_current, reference, assessment, config)
                 gradient = (progress - prev_progress
                             if prev_progress is not None else np.zeros(3))
                 state.lambda_weights = update_weights(

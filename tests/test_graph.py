@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, path_graph, random_graph, triangle, two_k3
 from tagforge.graph import (
+    _ROW_BLOCK,
     GraphSchemaError,
     GraphValidationError,
     NodeRecord,
@@ -283,6 +284,76 @@ def test_density_and_avg_degree_identities():
     n, m = g.num_nodes, g.num_edges
     assert abs(s.avg_degree - 2 * m / n) < 1e-12
     assert abs(s.density - 2 * m / (n * (n - 1))) < 1e-12
+
+
+def graph_from_edges(n, edges):
+    """Graph on ids "0".."n-1" in position order, from an edge list."""
+    adj = {i: [] for i in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return TextAttributedGraph.from_records(
+        [NodeRecord(str(i), 0, f"node {i}", tuple(str(j) for j in adj[i])) for i in range(n)], 1)
+
+
+def pair_mean(total, nodes):
+    return total / (nodes * (nodes - 1))
+
+
+@pytest.mark.parametrize("leaves", [62, 63, 64, 65, 1023, 1024, 1025])
+def test_star_path_length_is_exact_across_word_and_block_edges(leaves):
+    # 2L centre-leaf pairs at distance 1, L(L-1) ordered leaf pairs at distance 2
+    s = graph_stats(graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)]))
+    assert s.largest_component_size == leaves + 1
+    assert s.avg_path_length == pair_mean(2 * leaves + 2 * leaves * (leaves - 1), leaves + 1)
+
+
+def test_path_graph_path_length_is_exact():
+    n = 300
+    s = graph_stats(graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+    assert s.avg_path_length == pair_mean(n * (n * n - 1) // 3, n)
+
+
+@pytest.mark.parametrize("n", [129, 130])
+def test_cycle_path_length_is_exact(n):
+    # each node sees floor(n^2 / 4) as its distance total
+    s = graph_stats(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    assert s.avg_path_length == pair_mean(n * (n * n // 4), n)
+
+
+def test_path_length_of_largest_component_away_from_position_zero():
+    # a triangle at positions 0-2, then a 200-node path on the even positions
+    # 10..408 with an isolated node at every odd position between them
+    path = list(range(10, 410, 2))
+    g = graph_from_edges(410, [(0, 1), (1, 2), (0, 2)] + list(zip(path, path[1:])))
+    labels, sizes = component_labels(g)
+    assert labels[0] != int(sizes.argmax())
+    s = graph_stats(g)
+    assert s.largest_component_size == 200
+    assert s.connected_components == 1 + 1 + (410 - 3 - 200)
+    assert s.avg_path_length == pair_mean(200 * (200 * 200 - 1) // 3, 200)
+
+
+def test_path_length_matches_scipy_shortest_path_on_planted_graph():
+    from scipy.sparse import csgraph
+
+    rng = np.random.default_rng(11)
+    n, classes = 1500, 6
+    label = rng.integers(classes, size=n)
+    members = [np.flatnonzero(label == c) for c in range(classes)]
+    edges = set()
+    while len(edges) < 3000:
+        u = int(rng.integers(n))
+        v = int(rng.choice(members[label[u]]) if rng.random() < 0.8 else rng.integers(n))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = graph_from_edges(n, sorted(edges))
+    labels, sizes = component_labels(g)
+    comp = np.flatnonzero(labels == int(sizes.argmax()))
+    assert comp.size > _ROW_BLOCK
+    sub = g.adjacency_csr()[comp][:, comp]
+    total = float(csgraph.shortest_path(sub, method="D", unweighted=True).sum())
+    assert graph_stats(g).avg_path_length == pair_mean(total, comp.size)
 
 
 # merging ------------------------------------------------------------------------

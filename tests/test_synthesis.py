@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_graph
+from conftest import make_graph, random_graph
+from tagforge import analysis
 from tagforge.community import EmbeddingTable
 from tagforge.gateway import AuditLog, MockProvider
 from tagforge.perception import EnhancementMode, KnowledgeCapsule
@@ -13,6 +14,7 @@ from tagforge.synthesis import (
     GeneratedNode,
     QualityAssessment,
     SynthesisConfig,
+    _progress_vector,
     check_convergence,
     edge_probability,
     evaluate_nodes,
@@ -338,6 +340,18 @@ def test_quality_assessment_means():
     assert qa.mean_semantic == pytest.approx(7.0)
     empty = QualityAssessment({}, {}, {}, {}, False)
     assert empty.mean is None and empty.mean_semantic is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_progress_structure_reading_equals_public_similarities(seed):
+    initial = random_graph(40, 0.1, seed)
+    now = random_graph(46, 0.08, seed + 100)
+    reference = (analysis._clustering_profile(initial),
+                 analysis.label_homogeneity_matrix(initial))
+    expected = 0.5 * (analysis.clustering_similarity(now, initial)
+                      + analysis.label_homogeneity_similarity(now, initial))
+    assert _progress_vector(now, reference, None, SynthesisConfig())[1] == expected
+    assert _progress_vector(now, None, None, SynthesisConfig())[1] == 0.0
 
 
 # the loop --------------------------------------------------------------------------
