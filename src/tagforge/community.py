@@ -286,6 +286,17 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     members of its own and every candidate community in one vector operation
     (from ``level.sem`` on coarse levels, from ``x_unit`` on the first) and
     sums them per community, so its cost follows those communities' sizes.
+
+    A visit is skipped when nothing it reads has changed since the node was
+    last weighed and stayed put. ``changed_at[c]`` is the move number at which
+    community ``c`` last gained or lost a member (both ends of a move are
+    stamped) and ``stayed_at[v]`` the move count when ``v`` last stayed (-1
+    once it moves). The visit is skipped when ``v``'s own community and every
+    community in ``links`` are no newer than ``stayed_at[v]``. This is exact:
+    a neighbour that moved sits in a community stamped by its move, so no
+    neighbour moved and ``links`` is the same; community strengths, semantic
+    sums, ``min_member`` and member-set order change only with membership,
+    which stamps. The visit would compute the same floats and keep ``v``.
     """
     n = len(level.members)
     indptr, nbrs, weights = (arr.tolist() for arr in (
@@ -298,6 +309,9 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     # canonical tie-breaking
     first = [ms[0] for ms in level.members]
     min_member = list(first)
+    moves = 0
+    changed_at = [0] * n
+    stayed_at = [-1] * n
 
     improved_any = False
     while True:
@@ -311,6 +325,10 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                     continue
                 c = comm[u]
                 links[c] = links.get(c, 0.0) + weights[j]
+            last = stayed_at[v]
+            if (last >= 0 and changed_at[cur] <= last
+                    and all(changed_at[c] <= last for c in links)):
+                continue
             cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
             if not cands:
                 continue
@@ -349,8 +367,13 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                 if first[v] == min_member[cur]:
                     min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
                 min_member[best_c] = min(min_member[best_c], first[v])
+                moves += 1
+                changed_at[cur] = changed_at[best_c] = moves
+                stayed_at[v] = -1
                 moved = True
                 improved_any = True
+            else:
+                stayed_at[v] = moves
         if not moved:
             break
     return np.array(comm), improved_any

@@ -289,8 +289,11 @@ def sample_knowledge(
 
     member_set = set(chosen)
     records = tuple(g.node(nid) for nid in chosen)
+    # g.edges() order, restricted to the capsule: members by node position,
+    # neighbours in record order
     induced = tuple(
-        (u, v) for u, v in g.edges() if u in member_set and v in member_set)
+        (u, v) for u in sorted(chosen, key=g.index_of) for v in g.neighbors(u)
+        if v in member_set and node_sort_key(u) < node_sort_key(v))
     return KnowledgeCapsule(
         node_ids=tuple(chosen),
         records=records,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -18,10 +19,14 @@ from conftest import (
 )
 from tagforge import community
 from tagforge.community import (
+    _GAIN_EPS,
+    AGGREGATE_SEMANTIC_LIMIT,
     EXACT_PAIR_LIMIT,
     EmbeddingTable,
     ModularityParams,
     Partition,
+    _Level,
+    _pair_term,
     detect_communities,
     semantic_modularity,
 )
@@ -381,6 +386,16 @@ RECORDED_PARTITIONS = {
         "d6f0a4e0a72765e72c4877b322ab3e66f3ac31d4c0a7b7b644d27f6b2f036494",
     (900, 0.5, "distance"):
         "1a16627607fdc401531848ad06412ae1fc40d73cc586a9f33ac562ec70489388",
+    # bench scale, recorded with the local moving that re-evaluated every node
+    # on every sweep
+    (2000, 0.5, "similarity"):
+        "d9a8a96eafda71a6ef74c9e67f65e2956d237aac32332ccf7a5e9233e8f51154",
+    (2000, 0.5, "distance"):
+        "0752b8844485ef61beaa6b2ec4d9be0fda68a115b486ad40b6dc08dee61f9a11",
+    (2000, 1.0, "similarity"):
+        "428d845d0277ebf1631e319fa0a3cf0a59dbddfa0e1815090f35a856b82465a5",
+    (5100, 0.5, "similarity"):
+        "e89074c3bfb83bf0890ce7265411a42f2a135cc10982aad94c7f268b0deb178d",
 }
 
 
@@ -398,6 +413,8 @@ def test_detection_matches_recorded_partitions(n, gamma, term, monkeypatch):
         assert len(levels) >= 2  # coarsened at least twice
     else:
         assert n > EXACT_PAIR_LIMIT  # the pair sum is sampled
+    if gamma < 1.0 and n > AGGREGATE_SEMANTIC_LIMIT:
+        assert not levels  # the semantic run stays at the first level
     if gamma < 1.0:
         reversed_copy = TextAttributedGraph.from_records(
             list(reversed(g.nodes)), g.class_count)
@@ -416,3 +433,165 @@ def test_detected_modularity_matches_networkx(seed):
         graph, [set(members) for members in part.members_by_community()])
     assert part.community_count > 1
     assert semantic_modularity(g, part) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+# local moving against the full-sweep reference ------------------------------------
+
+# The local moving that re-evaluated every node on every sweep, kept word for
+# word as the reference for the version that skips visits whose result is
+# already known.
+def reference_local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
+                             x_unit: np.ndarray | None, semantic_term: str) -> tuple[np.ndarray, bool]:
+    """Greedy node moves until no single move improves the score.
+
+    Nodes are visited in index order; candidate communities are those holding
+    a graph neighbor. Ties on gain go to the community whose smallest original
+    member comes first, which makes the sweep order permutation invariant.
+    Each visit gathers the semantic pair terms between the node and the
+    members of its own and every candidate community in one vector operation
+    (from ``level.sem`` on coarse levels, from ``x_unit`` on the first) and
+    sums them per community, so its cost follows those communities' sizes.
+    """
+    n = len(level.members)
+    indptr, nbrs, weights = (arr.tolist() for arr in (
+        level.adj.indptr, level.adj.indices, level.adj.data))
+    comm = list(range(n))
+    node_strength = level.strength.tolist()
+    comm_strength = list(node_strength)
+    members: list[set[int]] = [{i} for i in range(n)]
+    # smallest original member per super-node and per community, for
+    # canonical tie-breaking
+    first = [ms[0] for ms in level.members]
+    min_member = list(first)
+
+    improved_any = False
+    while True:
+        moved = False
+        for v in range(n):
+            cur = comm[v]
+            links: dict[int, float] = {}
+            for j in range(indptr[v], indptr[v + 1]):
+                u = nbrs[j]
+                if u == v:
+                    continue
+                c = comm[u]
+                links[c] = links.get(c, 0.0) + weights[j]
+            cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
+            if not cands:
+                continue
+            k_v = node_strength[v]
+
+            groups = [cur] + cands
+            if sem_coeff == 0.0:
+                sem = [0.0] * len(groups)
+            else:
+                sizes = [len(members[c]) for c in groups]
+                idx = np.fromiter(itertools.chain.from_iterable(members[c] for c in groups),
+                                  dtype=np.intp, count=sum(sizes))
+                if level.sem is not None:
+                    vals = level.sem[v, idx]
+                else:
+                    vals = _pair_term(x_unit[idx] @ x_unit[v], semantic_term)
+                vals[idx == v] = 0.0
+                starts = list(itertools.accumulate(sizes[:-1], initial=0))
+                sem = np.add.reduceat(vals, starts).tolist()
+
+            k_c = comm_strength[cur] - k_v
+            base = links.get(cur, 0.0) - gamma * k_v * k_c / two_m - sem_coeff * sem[0]
+            best_c, best_gain = cur, 0.0
+            for c, s in zip(cands, sem[1:]):
+                delta = (links[c] - gamma * k_v * comm_strength[c] / two_m
+                         - sem_coeff * s) - base
+                if delta > best_gain + _GAIN_EPS:
+                    best_gain = delta
+                    best_c = c
+            if best_c != cur:
+                members[cur].discard(v)
+                members[best_c].add(v)
+                comm_strength[cur] -= k_v
+                comm_strength[best_c] += k_v
+                comm[v] = best_c
+                if first[v] == min_member[cur]:
+                    min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
+                min_member[best_c] = min(min_member[best_c], first[v])
+                moved = True
+                improved_any = True
+        if not moved:
+            break
+    return np.array(comm), improved_any
+
+
+def check_local_moving(monkeypatch):
+    """Run every ``_local_moving`` call of detection through the reference as
+    well, assert equal results, and return the levels seen."""
+    levels = []
+    fast = community._local_moving
+
+    def both(level, *args):
+        comm, improved = fast(level, *args)
+        ref_comm, ref_improved = reference_local_moving(level, *args)
+        assert np.array_equal(comm, ref_comm) and improved == ref_improved
+        levels.append(level)
+        return comm, improved
+
+    monkeypatch.setattr(community, "_local_moving", both)
+    return levels
+
+
+@pytest.mark.parametrize("gamma,term", [
+    (1.0, "similarity"), (0.5, "similarity"), (0.5, "distance")])
+def test_local_moving_matches_full_sweep_reference(gamma, term, monkeypatch):
+    levels = check_local_moving(monkeypatch)
+    params = ModularityParams(gamma=gamma, semantic_term=term)
+    for n, seed, avg_degree in [(60, 1, 3.0), (250, 2, 4.0), (400, 3, 1.6), (700, 4, 5.0)]:
+        g, emb = planted(n, seed, avg_degree=avg_degree)
+        detect_communities(g, emb, params, seed)
+    for seed in range(6):
+        g = random_graph(30, 0.12, seed=seed + 500)
+        if g.num_edges:
+            detect_communities(g, random_embeddings(g, dim=5, seed=seed), params, seed)
+    coarse = [lv for lv in levels if any(len(ms) > 1 for ms in lv.members)]
+    assert len(coarse) >= 8
+    if gamma < 1.0:
+        assert all(lv.sem is not None for lv in coarse)  # dense semantic blocks
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_local_moving_matches_reference_on_tied_cliques(gamma, monkeypatch):
+    """A ring of identical 5-cliques whose node j always carries vector j: every
+    clique looks the same, so gains tie and _GAIN_EPS and min_member decide."""
+    levels = check_local_moving(monkeypatch)
+    cliques, size = 12, 5
+    adj = {str(i): [] for i in range(cliques * size)}
+    for c in range(cliques):
+        base = c * size
+        for a, b in itertools.combinations(range(size), 2):
+            adj[str(base + a)].append(str(base + b))
+        adj[str(base + size - 1)].append(str((base + size) % (cliques * size)))
+    g = make_graph(adj)
+    vecs = np.eye(size) + 0.5
+    emb = EmbeddingTable({nid: vecs[int(nid) % size] for nid in g.ids()})
+    part = detect_communities(g, emb, ModularityParams(gamma=gamma), 0)
+    assert len(levels) >= 2 and part.community_count > 1
+
+
+def test_local_moving_revisits_node_when_only_its_own_community_changed():
+    """Node v ends up alone with non-neighbours, then a non-neighbour joins its
+    community and v leaves on the next sweep, although no community holding a
+    neighbour of v changed. With gamma = 0 a co-assigned pair counts its edge
+    weight minus its semantic value. Sweep 1: u joins x, v joins them, b joins
+    y. Sweep 2: u leaves for {b, y}, v stays, w joins {x, v}. Sweep 3: v
+    follows u."""
+    u, v, w, x, b, y = range(6)
+    adj, sem = np.zeros((6, 6)), np.zeros((6, 6))
+    for p, q, weight in [(u, x, 3.6), (u, v, 2), (u, b, 3), (u, y, 3), (w, x, 2.5), (b, y, 1)]:
+        adj[p, q] = adj[q, p] = weight
+    for p, q, value in [(v, x, 1), (v, w, 2), (v, b, 2), (v, y, 2), (w, u, 1),
+                        (x, b, 1.5), (x, y, 1.5), (w, b, 1), (w, y, 1)]:
+        sem[p, q] = sem[q, p] = value
+    level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), sem, [[i] for i in range(6)])
+    args = (level, float(adj.sum()), 0.0, 1.0, None, "similarity")
+    comm, improved = community._local_moving(*args)
+    assert comm.tolist() == [y, y, x, x, y, y] and improved
+    ref_comm, ref_improved = reference_local_moving(*args)
+    assert np.array_equal(comm, ref_comm) and improved == ref_improved
