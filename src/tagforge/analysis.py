@@ -133,13 +133,16 @@ def label_homogeneity_matrix(g: TextAttributedGraph) -> np.ndarray:
     c = g.class_count
     h = np.zeros((c, c))
     m = g.num_edges
-    for u, v in g.edges():
-        a, b = g.node(u).label, g.node(v).label
-        if a == b:
-            h[a, a] += 1.0 / m
-        else:
-            h[a, b] += 0.5 / m
-            h[b, a] += 0.5 / m
+    label = np.array([rec.label for rec in g.nodes], dtype=np.int64)
+    adj = g.adjacency_csr().tocoo()
+    upper = adj.row < adj.col
+    a, b = label[adj.row[upper]], label[adj.col[upper]]
+    # each cell only ever receives one constant, 1/m on the diagonal and 0.5/m
+    # off it, so the sums do not depend on the order of the increments
+    step = np.where(a == b, 1.0 / m, 0.5 / m)
+    np.add.at(h, (a, b), step)
+    off = a != b
+    np.add.at(h, (b[off], a[off]), step[off])
     return h
 
 

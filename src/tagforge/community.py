@@ -11,7 +11,6 @@ the convention under which the two-triangle fixture scores exactly 0.5.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -35,6 +34,8 @@ PAIR_SAMPLE_SIZE = 200_000
 # skips coarsening. The block sums are built one row block at a time and are
 # never materialized as n x n, so the limit no longer guards memory; it keeps
 # the partitions detection has always returned on graphs above 5000 nodes.
+# Each coarse level of k super-nodes holds 2 k^2 floats: its block sums
+# ``sem`` and the per-community sums ``csum`` local moving keeps over them.
 AGGREGATE_SEMANTIC_LIMIT = 5000
 
 _GAIN_EPS = 1e-12
@@ -282,21 +283,29 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     Nodes are visited in index order; candidate communities are those holding
     a graph neighbor. Ties on gain go to the community whose smallest original
     member comes first, which makes the sweep order permutation invariant.
-    Each visit gathers the semantic pair terms between the node and the
-    members of its own and every candidate community in one vector operation
-    (from ``level.sem`` on coarse levels, from ``x_unit`` on the first) and
-    sums them per community, so its cost follows those communities' sizes.
 
-    A visit is skipped when nothing it reads has changed since the node was
-    last weighed and stayed put. ``changed_at[c]`` is the move number at which
-    community ``c`` last gained or lost a member (both ends of a move are
-    stamped) and ``stayed_at[v]`` the move count when ``v`` last stayed (-1
-    once it moves). The visit is skipped when ``v``'s own community and every
-    community in ``links`` are no newer than ``stayed_at[v]``. This is exact:
-    a neighbour that moved sits in a community stamped by its move, so no
-    neighbour moved and ``links`` is the same; community strengths, semantic
-    sums, ``min_member`` and member-set order change only with membership,
-    which stamps. The visit would compute the same floats and keep ``v``.
+    On coarse levels the semantic sums come from ``csum``, a copy of
+    ``level.sem`` whose row ``c`` is kept equal to the sum of the ``sem`` rows
+    of community ``c``'s members: a move of ``v`` from ``a`` to ``b`` does
+    ``csum[a] -= sem[v]`` and ``csum[b] += sem[v]``. A visit reads
+    ``csum[groups, v]`` and takes ``sem[v, v]`` off its own community's entry,
+    so it costs O(candidates), not O(members). On the first level a visit
+    takes the pair terms between ``v`` and the members of its own and every
+    candidate community in one product, sums them per community, and takes
+    ``v``'s own term off.
+
+    A visit is skipped before its neighbour scan when nothing it reads has
+    changed since the node was last weighed and stayed put. ``changed_at[c]``
+    is the move number at which community ``c`` last gained or lost a member
+    (both ends of a move are stamped), ``stayed_at[v]`` the move count when
+    ``v`` last stayed (-1 once it moves) and ``stayed_keys[v]`` the
+    communities of its neighbours then. The visit is skipped when ``v``'s own
+    community and every stored key are no newer than ``stayed_at[v]``. This is
+    exact: a neighbour that moved left a community among the stored keys and
+    stamped it, so no neighbour moved and ``links`` is the same; community
+    strengths, semantic sums, ``min_member`` and member-set order change only
+    with membership, which stamps. The visit would compute the same floats and
+    keep ``v``.
     """
     n = len(level.members)
     indptr, nbrs, weights = (arr.tolist() for arr in (
@@ -312,12 +321,23 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     moves = 0
     changed_at = [0] * n
     stayed_at = [-1] * n
+    stayed_keys: list[tuple[int, ...]] = [()] * n
+    coarse_sem = level.sem is not None and sem_coeff != 0.0
+    if coarse_sem:
+        csum = level.sem.copy()
+        self_term = level.sem.diagonal().tolist()
+    elif sem_coeff != 0.0:
+        self_term = _pair_term(np.einsum("ij,ij->i", x_unit, x_unit), semantic_term).tolist()
 
     improved_any = False
     while True:
         moved = False
         for v in range(n):
             cur = comm[v]
+            last = stayed_at[v]
+            if (last >= 0 and changed_at[cur] <= last
+                    and all(changed_at[c] <= last for c in stayed_keys[v])):
+                continue
             links: dict[int, float] = {}
             for j in range(indptr[v], indptr[v + 1]):
                 u = nbrs[j]
@@ -325,10 +345,6 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                     continue
                 c = comm[u]
                 links[c] = links.get(c, 0.0) + weights[j]
-            last = stayed_at[v]
-            if (last >= 0 and changed_at[cur] <= last
-                    and all(changed_at[c] <= last for c in links)):
-                continue
             cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
             if not cands:
                 continue
@@ -338,16 +354,17 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
             if sem_coeff == 0.0:
                 sem = [0.0] * len(groups)
             else:
-                sizes = [len(members[c]) for c in groups]
-                idx = np.fromiter(itertools.chain.from_iterable(members[c] for c in groups),
-                                  dtype=np.intp, count=sum(sizes))
-                if level.sem is not None:
-                    vals = level.sem[v, idx]
+                if coarse_sem:
+                    sem = csum[groups, v].tolist()
                 else:
-                    vals = _pair_term(x_unit[idx] @ x_unit[v], semantic_term)
-                vals[idx == v] = 0.0
-                starts = list(itertools.accumulate(sizes[:-1], initial=0))
-                sem = np.add.reduceat(vals, starts).tolist()
+                    pos = [u for c in groups for u in members[c]]
+                    vals = _pair_term(x_unit[pos] @ x_unit[v], semantic_term).tolist()
+                    sem, start = [], 0
+                    for c in groups:
+                        end = start + len(members[c])
+                        sem.append(sum(vals[start:end]))
+                        start = end
+                sem[0] -= self_term[v]
 
             k_c = comm_strength[cur] - k_v
             base = links.get(cur, 0.0) - gamma * k_v * k_c / two_m - sem_coeff * sem[0]
@@ -363,6 +380,9 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                 members[best_c].add(v)
                 comm_strength[cur] -= k_v
                 comm_strength[best_c] += k_v
+                if coarse_sem:
+                    csum[cur] -= level.sem[v]
+                    csum[best_c] += level.sem[v]
                 comm[v] = best_c
                 if first[v] == min_member[cur]:
                     min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
@@ -374,6 +394,7 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                 improved_any = True
             else:
                 stayed_at[v] = moves
+                stayed_keys[v] = tuple(links)
         if not moved:
             break
     return np.array(comm), improved_any

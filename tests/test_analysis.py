@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from tagforge.analysis import (
     pearson_correlation,
     principal_direction,
 )
+from tagforge.graph import NodeRecord, TextAttributedGraph, node_sort_key
 
 
 def oracle_ks_statistic(a, b):
@@ -147,6 +149,55 @@ def test_homogeneity_matrix_hand_example():
     expect = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     assert np.allclose(h, expect, atol=1e-12)
     assert h.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_homogeneity_matrix(g):
+    """The edge-by-edge loop label_homogeneity_matrix replaced, kept as its oracle."""
+    c = g.class_count
+    h = np.zeros((c, c))
+    m = g.num_edges
+    for u, v in g.edges():
+        a, b = g.node(u).label, g.node(v).label
+        if a == b:
+            h[a, a] += 1.0 / m
+        else:
+            h[a, b] += 0.5 / m
+            h[b, a] += 0.5 / m
+    return h
+
+
+def shuffled_graph(ids, p, seed, class_count=5):
+    """Random graph over ``ids`` whose records come in a shuffled order. Ids
+    with the same numeric value, such as "1" and "01", are never joined:
+    ``g.edges()`` skips such an edge, so the loop above does not count it."""
+    rng = np.random.default_rng(seed)
+    adj = {i: [] for i in ids}
+    for x, y in itertools.combinations(ids, 2):
+        if rng.random() < p and node_sort_key(x) != node_sort_key(y):
+            adj[x].append(y)
+    records = [NodeRecord(node_id=i, label=int(rng.integers(class_count)),
+                          text=f"document text for node {i} with enough words",
+                          neighbors=tuple(adj[i]), mask="Train") for i in ids]
+    order = rng.permutation(len(records))
+    return TextAttributedGraph.from_records([records[k] for k in order], class_count)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ids", [
+    [str(i) for i in range(60)] + ["01", "007", "00"],
+    [a + b for a in "qwxyz" for b in "abcdefghijkl"],
+    [str(i) for i in range(700)],
+], ids=["mixed", "alpha", "numeric"])
+def test_homogeneity_matrix_bit_identical_to_edge_loop(ids, seed):
+    g = shuffled_graph(ids, 8.0 / len(ids), seed)
+    assert g.num_edges > 0
+    assert np.array_equal(label_homogeneity_matrix(g), loop_homogeneity_matrix(g))
+
+
+def test_homogeneity_matrix_counts_edge_between_equal_numeric_ids():
+    g = make_graph({"1": ["01", "2"], "01": [], "2": []},
+                   labels={"1": 0, "01": 1, "2": 1}, class_count=2)
+    assert np.array_equal(label_homogeneity_matrix(g), np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def test_homogeneity_similarity_identity_and_disjoint():

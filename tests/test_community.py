@@ -396,6 +396,10 @@ RECORDED_PARTITIONS = {
         "428d845d0277ebf1631e319fa0a3cf0a59dbddfa0e1815090f35a856b82465a5",
     (5100, 0.5, "similarity"):
         "e89074c3bfb83bf0890ce7265411a42f2a135cc10982aad94c7f268b0deb178d",
+    # Cora scale, recorded with the local moving that gathered every member of
+    # each candidate community on every visit
+    (2700, 0.5, "similarity"):
+        "77d5cee4b8b36f60b4c74b3bdd56a498a03a8d829738ad049003d50723066310",
 }
 
 
@@ -595,3 +599,17 @@ def test_local_moving_revisits_node_when_only_its_own_community_changed():
     assert comm.tolist() == [y, y, x, x, y, y] and improved
     ref_comm, ref_improved = reference_local_moving(*args)
     assert np.array_equal(comm, ref_comm) and improved == ref_improved
+
+
+@pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "first"])
+def test_local_moving_leaves_out_the_nodes_own_pair_term(coarse):
+    """Two nodes joined by an edge of weight 0.5 whose pair term is 0.8. With
+    gamma = 0 joining gains 0.5 - 0.8 < 0, so both stay alone. The node's own
+    term (5 on the coarse level's diagonal, 1 for a unit vector's similarity
+    with itself) must not count against staying put."""
+    adj = sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    sem = np.array([[5.0, 0.8], [0.8, 5.0]]) if coarse else None
+    x_unit = None if coarse else np.array([[1.0, 0.0], [0.8, 0.6]])
+    level = _Level(adj, np.array([0.5, 0.5]), sem, [[0], [1]])
+    comm, improved = community._local_moving(level, 1.0, 0.0, 1.0, x_unit, "similarity")
+    assert comm.tolist() == [0, 1] and not improved
