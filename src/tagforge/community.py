@@ -305,7 +305,8 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     stamped it, so no neighbour moved and ``links`` is the same; community
     strengths, semantic sums, ``min_member`` and member-set order change only
     with membership, which stamps. The visit would compute the same floats and
-    keep ``v``.
+    keep ``v``. A visit with no candidate community (every neighbour in
+    ``v``'s own) stays put too, and is recorded the same way.
     """
     n = len(level.members)
     indptr, nbrs, weights = (arr.tolist() for arr in (
@@ -347,6 +348,8 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                 links[c] = links.get(c, 0.0) + weights[j]
             cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
             if not cands:
+                stayed_at[v] = moves
+                stayed_keys[v] = tuple(links)
                 continue
             k_v = node_strength[v]
 

@@ -184,10 +184,13 @@ class TextAttributedGraph:
         return np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        """Each undirected edge exactly once, in canonical orientation."""
+        """Each undirected edge exactly once, oriented from the smaller
+        (``node_sort_key``, id) end, so ids with equal keys such as "1" and
+        "01" still give one orientation."""
         for rec in self.nodes:
+            u = (node_sort_key(rec.node_id), rec.node_id)
             for nb in rec.neighbors:
-                if node_sort_key(rec.node_id) < node_sort_key(nb):
+                if u < (node_sort_key(nb), nb):
                     yield (rec.node_id, nb)
 
     def edge_set(self) -> frozenset[tuple[str, str]]:

@@ -239,10 +239,202 @@ def _first_per_cell(items: np.ndarray, cells: np.ndarray, cap: int,
     each within its cell."""
     order = np.lexsort(keys[::-1] + (cells,))
     items, cells = items[order], cells[order]
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    rank = np.arange(cells.size) - np.repeat(starts, np.diff(starts, append=cells.size))
+    first = np.ones(cells.size, dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    rank = np.arange(cells.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
     keep = rank < cap
     return items[keep], rank[keep]
+
+
+def _gather(indptr: np.ndarray, indices: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries of ``rows`` in a CSR layout, row by row, and the
+    index into ``rows`` each one belongs to."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+    return np.repeat(np.arange(rows.size), counts), indices[at]
+
+
+def _splice(table: np.ndarray, cells: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``table`` with the columns of ``cells`` replaced by ``new``. Both
+    hold their columns in cell order, with the cell in the first row."""
+    if not table.shape[1]:
+        return new
+    old_at = np.searchsorted(table[0], np.stack([cells, cells + 1]))
+    new_at = np.searchsorted(new[0], np.stack([cells, cells + 1]))
+    pieces, done = [], 0
+    for start, end, new_start, new_end in zip(*old_at.tolist(), *new_at.tolist()):
+        pieces += [table[:, done:start], new[:, new_start:new_end]]
+        done = end
+    pieces.append(table[:, done:])
+    return np.concatenate(pieces, axis=1)
+
+
+class _RepairState:
+    """The sample and what a repair round reads from it, updated swap by swap.
+
+    ``comp`` labels the component of each sampled node (-1 outside),
+    ``sizes`` holds each label's size (0 for a free label), ``members`` each
+    label's nodes and ``count`` the number of components. ``induced`` counts
+    each node's sampled neighbours and ``comps_of`` each outside node's
+    distinct neighbouring components.
+
+    The columns of ``pairs`` are the candidate pairs of every cell, in (cell,
+    pool, replaceable) order, with the rows cell, b, r, kept, lost and delta:
+    what of a pair's score depends neither on component sizes nor on which
+    component is the largest. The columns of ``touch`` are the (cell, pool
+    node, sampled component it touches) triples, also in cell order.
+    """
+
+    def __init__(self, g: TextAttributedGraph, mask: np.ndarray, cell: np.ndarray,
+                 key_rank: np.ndarray, id_rank: np.ndarray):
+        n = mask.size
+        a = g.adjacency_csr()
+        self.indptr = a.indptr.astype(np.int64)
+        self.nbrs = a.indices.astype(np.int64)
+        self.cell, self.key_rank, self.id_rank = cell, key_rank, id_rank
+        self.n_cells = int(cell.max()) + 1
+        # the nodes of each cell in position order, as a CSR layout
+        self.cell_nodes = np.argsort(cell, kind="stable")
+        self.cell_ptr = np.append(0, np.cumsum(np.bincount(cell, minlength=self.n_cells)))
+        self.bridge = np.zeros(n, dtype=bool)
+
+        self.mask = mask
+        self.induced = (a @ mask).astype(np.int64)
+        self.comp, sizes = component_labels(g, mask)
+        # a sample never has more components than nodes
+        self.cap = max(int(mask.sum()), 2)
+        self.sizes = np.zeros(self.cap, dtype=np.int64)
+        self.sizes[:sizes.size] = sizes
+        self.count = int(sizes.size)
+        self.free = list(range(self.cap - 1, self.count - 1, -1))
+        self.members: list[set[int]] = [set() for _ in range(self.cap)]
+        for v, c in zip(np.flatnonzero(mask).tolist(), self.comp[mask].tolist()):
+            self.members[c].add(v)
+        self.comps_of = np.zeros(n, dtype=np.int64)
+        self.refresh(np.flatnonzero(~mask))
+        self.pairs = np.zeros((6, 0), dtype=np.int64)
+        self.touch = np.zeros((3, 0), dtype=np.int64)
+        self.rerank(np.arange(self.n_cells))
+
+    def sampled_neighbors(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every sampled neighbour of ``nodes``, node by node, and the index
+        into ``nodes`` it belongs to."""
+        own, nb = _gather(self.indptr, self.nbrs, nodes)
+        keep = self.mask[nb]
+        return own[keep], nb[keep]
+
+    def refresh(self, outside: np.ndarray) -> None:
+        """Recount ``comps_of`` for the given outside nodes."""
+        own, nb = self.sampled_neighbors(outside)
+        distinct = np.unique(own * self.cap + self.comp[nb]) // self.cap
+        self.comps_of[outside] = np.bincount(distinct, minlength=outside.size)
+
+    def rerank(self, cells: np.ndarray) -> None:
+        """Rebuild the replaceable lists, pools, pairs and touches of ``cells``."""
+        cell, mask, induced, comps_of, bridge = (
+            self.cell, self.mask, self.induced, self.comps_of, self.bridge)
+        nodes = _gather(self.cell_ptr, self.cell_nodes, cells)[1]
+        repl = nodes[mask[nodes] & (induced[nodes] <= 1)]
+        repl, _ = _first_per_cell(repl, cell[repl], _REPLACE_CAP,
+                                  induced[repl], self.id_rank[repl])
+        repl_count = np.bincount(cell[repl], minlength=self.n_cells)
+        outs = nodes[~mask[nodes]]
+        outs = outs[repl_count[cell[outs]] > 0]
+        bridges, b_rank = _first_per_cell(
+            outs, cell[outs], _BRIDGE_CAP, -comps_of[outs], self.key_rank[outs])
+        isolates, i_rank = _first_per_cell(
+            outs, cell[outs], _ISOLATE_CAP, comps_of[outs], self.key_rank[outs])
+        # np.isin costs more than the rest of a small re-rank together
+        bridge[bridges] = True
+        fresh = ~bridge[isolates]
+        bridge[bridges] = False
+        pool = np.concatenate([bridges, isolates[fresh]])
+        pool = pool[np.lexsort((np.concatenate([b_rank, _BRIDGE_CAP + i_rank[fresh]]),
+                                cell[pool]))]
+
+        # every (pool node, replaceable node) pair of a cell, in (cell, pool,
+        # replaceable) order
+        per = repl_count[cell[pool]]
+        b = np.repeat(pool, per)
+        repl_start = np.cumsum(repl_count) - repl_count
+        r = repl[np.repeat(repl_start[cell[pool]] - (np.cumsum(per) - per), per)
+                 + np.arange(b.size)]
+
+        # each pair against every sampled neighbour of its b: whether r is
+        # one of them, and whether b touches r's component through another
+        own, nb = self.sampled_neighbors(pool)
+        lab = self.comp[nb]
+        pair, entry = _gather(np.append(0, np.cumsum(np.bincount(own, minlength=pool.size))),
+                              np.arange(nb.size), np.repeat(np.arange(pool.size), per))
+        is_r = nb[entry] == r[pair]
+        adj = np.zeros(b.size, dtype=bool)
+        adj[pair[is_r]] = True
+        kept = np.zeros(b.size, dtype=bool)
+        kept[pair[(lab[entry] == self.comp[r][pair]) & ~is_r]] = True
+        # removing r (induced degree 0 or 1) deletes its component or shrinks
+        # it by one; adding b merges the components of b's sampled
+        # neighbours, less r's if r was b's only link into it
+        lost = adj & ~kept
+        delta = 1 - (induced[r] == 0) - (comps_of[b] - lost)
+        self.pairs = _splice(self.pairs, cells, np.stack([cell[b], b, r, kept, lost, delta]))
+        touch = np.unique(own * self.cap + lab)
+        owner = pool[touch // self.cap]
+        self.touch = _splice(self.touch, cells, np.stack([cell[owner], owner, touch % self.cap]))
+
+    def swap(self, r: int, b: int) -> None:
+        """Take ``r`` out of the sample and ``b`` in, and update the state.
+
+        ``r`` has at most one sampled neighbour, so its component loses one
+        node and stays connected, or disappears. The components ``b``
+        touches are relabelled into the largest of them. Only the cells of
+        r, b, their neighbours, the relabelled nodes and the outside nodes
+        next to those are re-ranked.
+        """
+        mask, comp, sizes, members = self.mask, self.comp, self.sizes, self.members
+        near_r = self.nbrs[self.indptr[r]:self.indptr[r + 1]]
+        near_b = self.nbrs[self.indptr[b]:self.indptr[b + 1]]
+
+        mask[r] = False
+        self.induced[near_r] -= 1
+        c = comp[r]
+        comp[r] = -1
+        sizes[c] -= 1
+        members[c].discard(r)
+        if sizes[c] == 0:
+            self.free.append(c)
+            self.count -= 1
+
+        mask[b] = True
+        self.induced[near_b] += 1
+        joined = np.unique(comp[near_b[mask[near_b]]])
+        if joined.size == 0:
+            top = self.free.pop()
+            self.count += 1
+            moved = np.zeros(0, dtype=np.int64)
+        else:
+            top = int(joined[np.argmax(sizes[joined])])
+            rest = [c for c in joined.tolist() if c != top]
+            moved = np.fromiter((v for c in rest for v in members[c]), dtype=np.int64)
+            comp[moved] = top
+            sizes[top] += sizes[rest].sum()
+            sizes[rest] = 0
+            for c in rest:
+                members[top] |= members[c]
+                members[c] = set()
+            self.free.extend(rest)
+            self.count -= len(rest)
+        comp[b] = top
+        sizes[top] += 1
+        members[top].add(b)
+
+        # comps_of changes only next to r, b and the relabelled nodes
+        near_moved = _gather(self.indptr, self.nbrs, moved)[1]
+        near = np.unique(np.concatenate([near_r, near_b, near_moved, [r]]))
+        self.refresh(near[~mask[near]])
+        self.rerank(np.unique(self.cell[np.concatenate([[b], near, moved])]))
 
 
 def connectivity_repair(
@@ -258,6 +450,20 @@ def connectivity_repair(
     same-cell swap remains, or the swap budget (default twice the sample
     size) is exhausted. Cell counts are invariant by construction. Equal
     gains go to the smallest (``node_sort_key(b)``, ``node_sort_key(r)``).
+
+    Only a sampled node with at most one sampled neighbour is replaceable,
+    so a swap's removal shrinks a component by one node or deletes an
+    isolated one, and never splits a component. The round state
+    (``_RepairState``) is therefore carried across swaps, not rebuilt:
+    component labels and sizes (the components the added node joins are
+    relabelled into the largest of them, smaller into larger), induced
+    degrees, each outside node's count of distinct neighbouring components
+    (recounted next to the two swapped and the relabelled nodes), and each
+    cell's replaceable list, bridge and isolate pool and candidate pairs
+    with their size-free terms (re-ranked only in cells holding one of
+    those nodes). A round scores the cached pairs with the component sizes
+    of the moment: its cost follows the number of pairs and what the swap
+    touched, plus one pass over a node-length buffer, not the edge count.
     """
     foreign = [v for v in sub.ids() if not g.has_node(v)]
     if foreign:
@@ -276,9 +482,6 @@ def connectivity_repair(
     # cells numbered in (label, community) order
     cell = np.unique(labels * partition.community_count + partition.community_array(g),
                      return_inverse=True)[1].ravel()
-    n_cells = int(cell.max()) + 1
-    a = g.adjacency_csr()
-    rows, cols = a.nonzero()
 
     mask = np.zeros(n_g, dtype=bool)
     mask[[g.index_of(v) for v in sub.ids()]] = True
@@ -287,72 +490,36 @@ def connectivity_repair(
         raise ValueError("sample must be nonempty")
     max_swaps = params.max_repair_swaps if params.max_repair_swaps is not None else 2 * n_s
 
-    comp, sizes = component_labels(g, mask)
-    cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
+    st = _RepairState(g, mask, cell, key_rank, id_rank)
+    comp, sizes = st.comp, st.sizes
+    cur = _distortion(st.count, int(sizes.max()), n_s, kappa_ref)
     trace = [cur]
     swaps = 0
     warning: str | None = None
 
     while swaps < max_swaps and cur > params.repair_epsilon:
-        induced = (a @ mask).astype(np.int64)
-        repl = np.flatnonzero(mask & (induced <= 1))
-        repl, _ = _first_per_cell(repl, cell[repl], _REPLACE_CAP, induced[repl], id_rank[repl])
-        repl_count = np.bincount(cell[repl], minlength=n_cells)
-        outs = np.flatnonzero(~mask)
-        outs = outs[repl_count[cell[outs]] > 0]
-
-        # one row per (outside node, sampled component it touches): the
-        # number of edges into it and one sampled neighbor there, plus a
-        # sentinel row that keeps lookups past the last key in bounds
-        n_c = sizes.size
-        touch = ~mask[rows] & mask[cols]
-        bc, first, bc_edges = np.unique(rows[touch] * n_c + comp[cols[touch]],
-                                        return_index=True, return_counts=True)
-        comps_of = np.bincount(bc // n_c, minlength=n_g)
-        mass_of = np.bincount(bc // n_c, weights=sizes[bc % n_c], minlength=n_g).astype(np.int64)
-        bc, bc_edges = np.append(bc, np.iinfo(np.int64).max), np.append(bc_edges, 0)
-        bc_nbr = np.append(cols[touch][first], -1)
-
-        def edges_into(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Edges from each b into c, and a sampled neighbor there or -1."""
-            i = np.searchsorted(bc, b * n_c + c)
-            hit = bc[i] == b * n_c + c
-            return np.where(hit, bc_edges[i], 0), np.where(hit, bc_nbr[i], -1)
-
-        bridges, b_rank = _first_per_cell(
-            outs, cell[outs], _BRIDGE_CAP, -comps_of[outs], key_rank[outs])
-        isolates, i_rank = _first_per_cell(
-            outs, cell[outs], _ISOLATE_CAP, comps_of[outs], key_rank[outs])
-        fresh = ~np.isin(isolates, bridges)
-        pool = np.concatenate([bridges, isolates[fresh]])
-        pool = pool[np.lexsort((np.concatenate([b_rank, _BRIDGE_CAP + i_rank[fresh]]),
-                                cell[pool]))]
-
-        # every (pool node, replaceable node) pair of a cell, in (cell, pool,
-        # replaceable) order
-        per = repl_count[cell[pool]]
-        b = np.repeat(pool, per)
-        repl_start = np.cumsum(repl_count) - repl_count
-        r = repl[np.repeat(repl_start[cell[pool]] - (np.cumsum(per) - per), per)
-                 + np.arange(b.size)]
-
-        # removing r (induced degree 0 or 1) deletes its component or shrinks
-        # it by one; adding b merges the components of b's sampled neighbors,
-        # less c_r if r was b's only link into it
-        c_r, d_r = comp[r], induced[r]
-        into_cr, nbr_cr = edges_into(b, c_r)
-        leaves = (d_r == 0) | ((into_cr == 1) & (nbr_cr == r))
-        lost = (into_cr > 0) & leaves
-        kept = (into_cr > 0) & ~leaves
+        _, b, r, kept, lost, delta = st.pairs
+        _, owner, label = st.touch
+        top, top_size = int(np.argmax(sizes)), int(sizes.max())
+        # per pool node, the summed size of the components it touches and
+        # whether the top one is among them
+        mass_of = np.bincount(owner, weights=sizes[label], minlength=n_g).astype(np.int64)
+        on_top = np.zeros(n_g, dtype=bool)
+        on_top[owner[label == top]] = True
+        # b's new component: b and every component it touches, less r's
+        # component if r was b's only link into it (lost), or less r alone
+        # if b reaches r's component through another node (kept)
+        c_r = comp[r]
         merged_size = 1 + mass_of[b] - sizes[c_r] * lost - kept
-        new_count = n_c - (d_r == 0) - (comps_of[b] - lost) + 1
+        new_count = st.count + delta
         # The new largest component: a merge that takes in the top component
         # is at least as large as any other. Otherwise the merge competes
         # with the top component or, when r leaves the top, with the shrunk
         # top and the second (a merge that holds the second outgrows it).
-        top, top_size = int(np.argmax(sizes)), int(sizes.max())
-        second = int(np.partition(sizes, -2)[-2]) if n_c > 1 else 0
-        top_merged = np.where(c_r == top, kept, edges_into(b, np.full_like(b, top))[0] > 0)
+        # Free labels have size 0, and among equal tops any one gives the
+        # same largest size.
+        second = int(np.partition(sizes, -2)[-2])
+        top_merged = np.where(c_r == top, kept, on_top[b])
         beside = np.where(c_r == top, max(second, top_size - 1), top_size)
         largest = np.maximum(merged_size, np.where(top_merged, 0, beside))
         gain = cur - _distortion(new_count, largest, n_s, kappa_ref)
@@ -366,18 +533,16 @@ def connectivity_repair(
         better = gain > _GAIN_EPS
         if not better.any():
             warning = ("no same-cell swap could reduce component distortion; "
-                       f"stopping at {cur:.4f}" if outs.size else
+                       f"stopping at {cur:.4f}" if b.size else
                        "no same-cell swap candidates exist; "
                        f"distortion stays at {cur:.4f}")
             log.warning(warning)
             break
         tied = np.flatnonzero(better & (gain >= gain[better].max() - _GAIN_EPS))
         pick = tied[np.lexsort((key_rank[r[tied]], key_rank[b[tied]]))[0]]
-        mask[r[pick]] = False
-        mask[b[pick]] = True
+        st.swap(int(r[pick]), int(b[pick]))
         swaps += 1
-        comp, sizes = component_labels(g, mask)
-        new_cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
+        new_cur = _distortion(st.count, int(sizes.max()), n_s, kappa_ref)
         if new_cur >= cur - _GAIN_EPS:
             raise RuntimeError("repair swap failed to decrease distortion")
         cur = new_cur

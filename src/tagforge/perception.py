@@ -289,11 +289,11 @@ def sample_knowledge(
 
     member_set = set(chosen)
     records = tuple(g.node(nid) for nid in chosen)
-    # g.edges() order, restricted to the capsule: members by node position,
-    # neighbours in record order
+    # g.edges() order and orientation, restricted to the capsule: members by
+    # node position, neighbours in record order
     induced = tuple(
         (u, v) for u in sorted(chosen, key=g.index_of) for v in g.neighbors(u)
-        if v in member_set and node_sort_key(u) < node_sort_key(v))
+        if v in member_set and (node_sort_key(u), u) < (node_sort_key(v), v))
     return KnowledgeCapsule(
         node_ids=tuple(chosen),
         records=records,

@@ -168,8 +168,8 @@ def loop_homogeneity_matrix(g):
 
 def shuffled_graph(ids, p, seed, class_count=5):
     """Random graph over ``ids`` whose records come in a shuffled order. Ids
-    with the same numeric value, such as "1" and "01", are never joined:
-    ``g.edges()`` skips such an edge, so the loop above does not count it."""
+    with the same numeric value, such as "1" and "01", are never joined; the
+    test below covers such an edge."""
     rng = np.random.default_rng(seed)
     adj = {i: [] for i in ids}
     for x, y in itertools.combinations(ids, 2):

@@ -159,6 +159,23 @@ def test_node_sort_key_orders_numerics_before_text():
     assert sorted(ids, key=node_sort_key) == ["1", "2", "10", "alpha", "new_node 1"]
 
 
+def test_edges_yield_every_edge_once_with_equal_sort_keys():
+    # "1", "01" and "001" share a node_sort_key
+    g = make_graph({"1": ["01", "001", "2"], "01": ["001"], "001": [], "2": ["b"], "b": []})
+    edges = list(g.edges())
+    assert len(edges) == g.num_edges == 5
+    assert {frozenset(e) for e in edges} == {
+        frozenset(p) for p in [("1", "01"), ("1", "001"), ("01", "001"), ("1", "2"), ("2", "b")]}
+    # where the keys differ, the smaller key comes first
+    assert ("1", "2") in edges and ("2", "b") in edges
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ids = [str(i) for i in range(40)] + ["0" + str(i) for i in range(0, 40, 3)] + ["x", "y"]
+        adj = {i: [j for j in ids if j != i and rng.random() < 0.1] for i in ids}
+        g = make_graph(adj)
+        assert len(list(g.edges())) == len(g.edge_set()) == g.num_edges
+
+
 # serialization ------------------------------------------------------------------
 
 def test_round_trip_preserves_everything(tmp_path):

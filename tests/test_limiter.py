@@ -8,10 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, random_graph
 from tagforge.community import ModularityParams, Partition, detect_communities
-from tagforge.graph import NodeRecord, TextAttributedGraph
+from tagforge.graph import (
+    NodeRecord,
+    TextAttributedGraph,
+    component_labels,
+    node_sort_key,
+)
 from tagforge.limiter import (
+    _BRIDGE_CAP,
+    _GAIN_EPS,
+    _ISOLATE_CAP,
+    _REPLACE_CAP,
     LimiterParams,
+    RepairReport,
+    _distortion,
+    _first_per_cell,
     connectivity_repair,
+    log,
     node_weights,
     property_tensor,
     sample_limited,
@@ -19,7 +32,7 @@ from tagforge.limiter import (
 )
 
 
-def _distortion(g_sub, g_full):
+def _profile_distortion(g_sub, g_full):
     def profile(g):
         from tagforge.graph import graph_stats
         s = graph_stats(g)
@@ -260,9 +273,9 @@ def test_repair_single_swap_fixture():
     part = Partition.from_assignment({nid: 0 for nid in adj})
     # sample: h, a, far (far isolated; swapping far for b merges it away)
     sub = g.subgraph(["h", "a", "far"])
-    before = _distortion(sub, g)
+    before = _profile_distortion(sub, g)
     repaired, report = connectivity_repair(g, sub, part, LimiterParams(repair_epsilon=0.01))
-    after = _distortion(repaired, g)
+    after = _profile_distortion(repaired, g)
     assert report.swaps >= 1
     assert after < before
     assert repaired.num_nodes == sub.num_nodes
@@ -394,3 +407,222 @@ def test_long_repairs_match_recorded_digests(
         g, part, LimiterParams(alpha=alpha, repair_epsilon=epsilon))
     assert result.repair.swaps == swaps
     assert _repair_digest(result) == digest
+
+
+# The repair that rebuilt its round state from the whole graph on every
+# swap, kept word for word as the oracle of the incremental one.
+def reference_connectivity_repair(
+    g: TextAttributedGraph,
+    sub: TextAttributedGraph,
+    partition: Partition,
+    params: LimiterParams = LimiterParams(),
+) -> tuple[TextAttributedGraph, RepairReport]:
+    """Swap sampled nodes for outside nodes of the same (label, community)
+    cell while the swap strictly reduces the component-profile distortion.
+
+    Stops once distortion falls within ``repair_epsilon``, no improving
+    same-cell swap remains, or the swap budget (default twice the sample
+    size) is exhausted. Cell counts are invariant by construction. Equal
+    gains go to the smallest (``node_sort_key(b)``, ``node_sort_key(r)``).
+    """
+    foreign = [v for v in sub.ids() if not g.has_node(v)]
+    if foreign:
+        raise ValueError(f"sample holds ids not in the graph: {foreign[:10]}")
+    n_g = g.num_nodes
+    ref_sizes = component_labels(g)[1].tolist()
+    kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
+
+    ids = g.ids()
+    keys = [node_sort_key(v) for v in ids]
+    key_index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    key_rank = np.array([key_index[k] for k in keys], dtype=np.int64)
+    id_rank = np.empty(n_g, dtype=np.int64)
+    id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
+    labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
+    # cells numbered in (label, community) order
+    cell = np.unique(labels * partition.community_count + partition.community_array(g),
+                     return_inverse=True)[1].ravel()
+    n_cells = int(cell.max()) + 1
+    a = g.adjacency_csr()
+    rows, cols = a.nonzero()
+
+    mask = np.zeros(n_g, dtype=bool)
+    mask[[g.index_of(v) for v in sub.ids()]] = True
+    n_s = int(mask.sum())
+    if n_s == 0:
+        raise ValueError("sample must be nonempty")
+    max_swaps = params.max_repair_swaps if params.max_repair_swaps is not None else 2 * n_s
+
+    comp, sizes = component_labels(g, mask)
+    cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
+    trace = [cur]
+    swaps = 0
+    warning: str | None = None
+
+    while swaps < max_swaps and cur > params.repair_epsilon:
+        induced = (a @ mask).astype(np.int64)
+        repl = np.flatnonzero(mask & (induced <= 1))
+        repl, _ = _first_per_cell(repl, cell[repl], _REPLACE_CAP, induced[repl], id_rank[repl])
+        repl_count = np.bincount(cell[repl], minlength=n_cells)
+        outs = np.flatnonzero(~mask)
+        outs = outs[repl_count[cell[outs]] > 0]
+
+        # one row per (outside node, sampled component it touches): the
+        # number of edges into it and one sampled neighbor there, plus a
+        # sentinel row that keeps lookups past the last key in bounds
+        n_c = sizes.size
+        touch = ~mask[rows] & mask[cols]
+        bc, first, bc_edges = np.unique(rows[touch] * n_c + comp[cols[touch]],
+                                        return_index=True, return_counts=True)
+        comps_of = np.bincount(bc // n_c, minlength=n_g)
+        mass_of = np.bincount(bc // n_c, weights=sizes[bc % n_c], minlength=n_g).astype(np.int64)
+        bc, bc_edges = np.append(bc, np.iinfo(np.int64).max), np.append(bc_edges, 0)
+        bc_nbr = np.append(cols[touch][first], -1)
+
+        def edges_into(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Edges from each b into c, and a sampled neighbor there or -1."""
+            i = np.searchsorted(bc, b * n_c + c)
+            hit = bc[i] == b * n_c + c
+            return np.where(hit, bc_edges[i], 0), np.where(hit, bc_nbr[i], -1)
+
+        bridges, b_rank = _first_per_cell(
+            outs, cell[outs], _BRIDGE_CAP, -comps_of[outs], key_rank[outs])
+        isolates, i_rank = _first_per_cell(
+            outs, cell[outs], _ISOLATE_CAP, comps_of[outs], key_rank[outs])
+        fresh = ~np.isin(isolates, bridges)
+        pool = np.concatenate([bridges, isolates[fresh]])
+        pool = pool[np.lexsort((np.concatenate([b_rank, _BRIDGE_CAP + i_rank[fresh]]),
+                                cell[pool]))]
+
+        # every (pool node, replaceable node) pair of a cell, in (cell, pool,
+        # replaceable) order
+        per = repl_count[cell[pool]]
+        b = np.repeat(pool, per)
+        repl_start = np.cumsum(repl_count) - repl_count
+        r = repl[np.repeat(repl_start[cell[pool]] - (np.cumsum(per) - per), per)
+                 + np.arange(b.size)]
+
+        # removing r (induced degree 0 or 1) deletes its component or shrinks
+        # it by one; adding b merges the components of b's sampled neighbors,
+        # less c_r if r was b's only link into it
+        c_r, d_r = comp[r], induced[r]
+        into_cr, nbr_cr = edges_into(b, c_r)
+        leaves = (d_r == 0) | ((into_cr == 1) & (nbr_cr == r))
+        lost = (into_cr > 0) & leaves
+        kept = (into_cr > 0) & ~leaves
+        merged_size = 1 + mass_of[b] - sizes[c_r] * lost - kept
+        new_count = n_c - (d_r == 0) - (comps_of[b] - lost) + 1
+        # The new largest component: a merge that takes in the top component
+        # is at least as large as any other. Otherwise the merge competes
+        # with the top component or, when r leaves the top, with the shrunk
+        # top and the second (a merge that holds the second outgrows it).
+        top, top_size = int(np.argmax(sizes)), int(sizes.max())
+        second = int(np.partition(sizes, -2)[-2]) if n_c > 1 else 0
+        top_merged = np.where(c_r == top, kept, edges_into(b, np.full_like(b, top))[0] > 0)
+        beside = np.where(c_r == top, max(second, top_size - 1), top_size)
+        largest = np.maximum(merged_size, np.where(top_merged, 0, beside))
+        gain = cur - _distortion(new_count, largest, n_s, kappa_ref)
+
+        # Every distortion is an integer multiple of 1 / (n_s * n_g) up to a
+        # few ulps, so two different gains differ by at least that much (2e-7
+        # at 4k nodes), and while n_s * n_g stays below about 1e11, gains
+        # within _GAIN_EPS of each other are exactly equal. The best gain,
+        # then the smallest key pair, then the first pair in (cell, pool,
+        # replaceable) order is thus exact and independent of scan order.
+        better = gain > _GAIN_EPS
+        if not better.any():
+            warning = ("no same-cell swap could reduce component distortion; "
+                       f"stopping at {cur:.4f}" if outs.size else
+                       "no same-cell swap candidates exist; "
+                       f"distortion stays at {cur:.4f}")
+            log.warning(warning)
+            break
+        tied = np.flatnonzero(better & (gain >= gain[better].max() - _GAIN_EPS))
+        pick = tied[np.lexsort((key_rank[r[tied]], key_rank[b[tied]]))[0]]
+        mask[r[pick]] = False
+        mask[b[pick]] = True
+        swaps += 1
+        comp, sizes = component_labels(g, mask)
+        new_cur = _distortion(len(sizes), int(sizes.max()), n_s, kappa_ref)
+        if new_cur >= cur - _GAIN_EPS:
+            raise RuntimeError("repair swap failed to decrease distortion")
+        cur = new_cur
+        trace.append(cur)
+
+    report = RepairReport(
+        swaps=swaps,
+        initial_distortion=trace[0],
+        final_distortion=cur,
+        distortion_trace=tuple(trace),
+        warning=warning,
+    )
+    return g.subgraph(ids[i] for i in np.flatnonzero(mask)), report
+
+
+def _repair_outcome(result):
+    sample, report = result
+    return (list(sample.ids()), [x.hex() for x in report.distortion_trace],
+            report.swaps, report.warning)
+
+
+def _assert_repairs_match(g, sub, part, params):
+    got = _repair_outcome(connectivity_repair(g, sub, part, params))
+    want = _repair_outcome(reference_connectivity_repair(g, sub, part, params))
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_repair_matches_reference_on_random_graphs(seed):
+    rng = np.random.default_rng([seed, 31])
+    n = int(rng.integers(30, 400))
+    mixed = seed % 2 == 1
+    g = _sparse_graph(n, float(rng.choice([1.2, 1.5, 2.0, 3.0])), seed + 1000,
+                      class_count=int(rng.integers(1, 5)), mixed_ids=mixed)
+    kind = seed % 4
+    if kind == 0:
+        part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+    else:
+        groups = (2, 3, 7)[kind - 1]
+        part = Partition.from_assignment(
+            {v: int(c) for v, c in zip(g.ids(), rng.integers(groups, size=n))})
+    alpha = float(rng.choice([0.2, 0.3, 0.5, 0.7]))
+    params = LimiterParams(
+        alpha=alpha, repair_epsilon=float(rng.choice([0.0, 0.01, 0.05])),
+        max_repair_swaps=int(rng.integers(1, 8)) if seed % 5 == 0 else None)
+    if seed % 3 == 0:
+        # a uniform random sample instead of the selection
+        ids = list(g.ids())
+        sub = g.subgraph(ids[i] for i in rng.permutation(n)[:max(1, int(alpha * n))])
+    else:
+        sub = sample_limited_detailed(
+            g, part, LimiterParams(alpha=alpha, max_repair_swaps=0)).graph
+    _assert_repairs_match(g, sub, part, params)
+
+
+def test_repair_matches_reference_when_largest_components_tie():
+    # two sampled paths of three nodes tie for largest; sampled isolates can
+    # be swapped for outside nodes that join either path or each other
+    adj = {"p1": ["p2"], "p2": ["p3"], "p3": ["o1"], "q1": ["q2"], "q2": ["q3"],
+           "q3": ["o2"], "o1": ["i1"], "o2": ["i2"], "o3": ["i3", "p1"],
+           "i1": [], "i2": [], "i3": [], "i4": [], "o4": ["q1", "i4"]}
+    g = make_graph(adj)
+    part = Partition.from_assignment({v: 0 for v in g.ids()})
+    sub = g.subgraph(["p1", "p2", "p3", "q1", "q2", "q3", "i1", "i2", "i3", "i4"])
+    sizes = component_labels(sub)[1]
+    assert sorted(sizes)[-2:] == [3, 3]
+    ids, trace, swaps, _ = _assert_repairs_match(
+        g, sub, part, LimiterParams(repair_epsilon=0.0))
+    assert swaps >= 2
+
+
+def test_repair_matches_reference_when_b_neighbours_r():
+    # path 9 - 5 - 1 - 0 with 1 outside: swapping 0 for 1 and swapping 9 for
+    # 1 both connect the sample, and the key tie-break takes 0, which is
+    # next to 1
+    g = make_graph({"9": ["5"], "5": ["1"], "1": ["0"], "0": []})
+    part = Partition.from_assignment({v: 0 for v in g.ids()})
+    sub = g.subgraph(["9", "5", "0"])
+    ids, trace, swaps, _ = _assert_repairs_match(
+        g, sub, part, LimiterParams(repair_epsilon=0.0))
+    assert swaps == 1 and sorted(ids) == ["1", "5", "9"]

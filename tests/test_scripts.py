@@ -38,3 +38,17 @@ def test_partition_digests_prints_one_deterministic_row_per_setting():
         [("0.5", "similarity"), ("0.5", "distance"), ("1.0", "similarity")]]
     assert all(len(row) == 8 and len(row[6]) == 64 and int(row[5]) > 0 for row in rows)
     assert [row[:7] for row in rows] == [line.split("\t")[:7] for line in second.splitlines()]
+
+
+def test_repair_digests_prints_one_deterministic_row_per_setting():
+    args = ("--sizes", "300", "--degrees", "1.6", "--seeds", "1",
+            "--alphas", "0.3,0.5", "--epsilons", "0,0.05")
+    first, second = (run_script("repair_digests.py", *args) for _ in range(2))
+    rows = [line.split("\t") for line in first.splitlines()]
+    # nodes, degree, seed, alpha, epsilon, swaps, digest, seconds
+    assert [row[:5] for row in rows] == [
+        ["300", "1.6", "1", alpha, epsilon]
+        for alpha in ("0.3", "0.5") for epsilon in ("0.0", "0.05")]
+    assert all(len(row) == 8 and len(row[6]) == 64 and int(row[5]) >= 0 for row in rows)
+    assert any(int(row[5]) > 0 for row in rows)
+    assert [row[:7] for row in rows] == [line.split("\t")[:7] for line in second.splitlines()]
