@@ -185,8 +185,7 @@ def _dry_run(g, config: SynthesisConfig, seed: int) -> int:
     pparams = config.perception_params()
     seed_sel = select_seed(g, partition, None, mode, pparams)
     scores = personalized_pagerank(g, seed_sel.nodes, mode, pparams)
-    capsule = sample_knowledge(g, scores, pparams, seed + 1, partition,
-                               seed_sel.descriptor)
+    capsule = sample_knowledge(g, scores, pparams, seed + 1, partition)
     budget = math.ceil(config.new_node_fraction * len(capsule))
 
     manager = prompts.manager_prompt(report_json, config.lambda_init)
@@ -224,8 +223,7 @@ def cmd_synthesize(args) -> int:
 
     audit = AuditLog()
     provider_kind = "live" if args.provider == "live" else "mock"
-    audit.record("effective_config", command="synthesize", seed=seed,
-                 provider=provider_kind, synthesis=asdict(config))
+    audit.record("effective_config", command="synthesize", provider=provider_kind)
     provider = _make_provider(args.provider, cfg.get("provider", {}), seed, audit)
 
     result = run_synthesis(g, config, provider, rng_seed=seed)

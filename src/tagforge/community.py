@@ -31,11 +31,10 @@ log = logging.getLogger("tagforge.community")
 EXACT_PAIR_LIMIT = 650
 PAIR_SAMPLE_SIZE = 200_000
 # Above this node count a semantic run stays at the local-moving level and
-# skips coarsening. The block sums are built one row block at a time and are
-# never materialized as n x n, so the limit no longer guards memory; it keeps
-# the partitions detection has always returned on graphs above 5000 nodes.
-# Each coarse level of k super-nodes holds 2 k^2 floats: its block sums
-# ``sem`` and the per-community sums ``csum`` local moving keeps over them.
+# skips coarsening, to bound memory. Each coarse level of k super-nodes holds
+# two dense k x k float arrays: its block sums ``sem`` and the per-community
+# sums ``csum`` local moving keeps over them. At 50k nodes the first coarse
+# level has k near 20k, about 3.3 GB per array.
 AGGREGATE_SEMANTIC_LIMIT = 5000
 
 _GAIN_EPS = 1e-12
@@ -487,32 +486,25 @@ def detect_communities(
             sem_coeff = (1.0 - params.gamma) / s_tot
 
     level = _Level(adj0, strength, None, [[i] for i in range(n)])
-    comm0, improved = _local_moving(level, two_m, params.gamma, sem_coeff,
-                                    x_unit, params.semantic_term)
-    best = comm0.copy()
+    node_comm, improved = _local_moving(level, two_m, params.gamma, sem_coeff,
+                                        x_unit, params.semantic_term)
 
     can_aggregate_sem = sem_coeff == 0.0 or n <= AGGREGATE_SEMANTIC_LIMIT
     if not can_aggregate_sem:
         log.info("skipping coarsening passes: n=%d is above AGGREGATE_SEMANTIC_LIMIT", n)
 
-    node_comm = best
+    # node_comm holds one community per super-node of level; a pass that
+    # makes no move returns the identity, so its level is kept as it is
     sem_source = x_unit if sem_coeff > 0.0 else None
     while improved and can_aggregate_sem:
         coarse = _aggregate(level, node_comm, sem_source, params.semantic_term)
         if len(coarse.members) == len(level.members):
             break
-        comm_c, improved = _local_moving(coarse, two_m, params.gamma, sem_coeff,
-                                         None, params.semantic_term)
-        if not improved:
-            level = coarse
-            node_comm = np.arange(len(coarse.members))
-            break
         level = coarse
-        node_comm = comm_c
+        node_comm, improved = _local_moving(level, two_m, params.gamma, sem_coeff,
+                                            None, params.semantic_term)
 
-    assignment: dict[str, int] = {}
-    for super_idx in range(len(level.members)):
-        c = int(node_comm[super_idx]) if len(node_comm) == len(level.members) else super_idx
-        for orig in level.members[super_idx]:
-            assignment[order[orig]] = c
+    assignment = {order[orig]: c
+                  for members, c in zip(level.members, node_comm.tolist())
+                  for orig in members}
     return Partition.from_assignment(assignment)

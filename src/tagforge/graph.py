@@ -59,14 +59,31 @@ class NodeRecord:
 class SynthesizedDelta:
     """A batch of accepted nodes plus the edges that attach them.
 
-    ``bridge_edges`` are (new_id, original_id) pairs; ``new_internal_edges``
-    connect two new nodes. Neighbor lists on the incoming records are ignored,
-    the merged adjacency is derived from the two edge sets alone.
+    ``bridge_edges`` are (new_id, original_id) pairs and the only edges a
+    merge adds. Neighbor lists on the incoming records are ignored.
     """
 
     new_nodes: tuple[NodeRecord, ...]
     bridge_edges: tuple[tuple[str, str], ...] = ()
-    new_internal_edges: tuple[tuple[str, str], ...] = ()
+
+
+def _neighbor_key(node_id: str) -> tuple[tuple[int, int, str], str]:
+    """Neighbor list order: ``node_sort_key``, then the id itself, so ids
+    with equal keys such as "1" and "01" keep one order in every process."""
+    return (node_sort_key(node_id), node_id)
+
+
+def _check_record(rec: NodeRecord, class_count: int) -> None:
+    """Raise unless the record's label is an int in [0, class_count) and its
+    mask is one of MASKS."""
+    if not isinstance(rec.label, int) or isinstance(rec.label, bool):
+        raise GraphValidationError(f"node {rec.node_id!r}: label must be an integer")
+    if not (0 <= rec.label < class_count):
+        raise GraphValidationError(
+            f"node {rec.node_id!r}: label {rec.label} outside [0, {class_count})")
+    if rec.mask not in MASKS:
+        raise GraphValidationError(
+            f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
 
 
 class TextAttributedGraph:
@@ -100,14 +117,7 @@ class TextAttributedGraph:
                 raise GraphValidationError(
                     f"duplicate node_id {rec.node_id!r} at positions {seen[rec.node_id]} and {i}")
             seen[rec.node_id] = i
-            if not isinstance(rec.label, int) or isinstance(rec.label, bool):
-                raise GraphValidationError(f"node {rec.node_id!r}: label must be an integer")
-            if not (0 <= rec.label < class_count):
-                raise GraphValidationError(
-                    f"node {rec.node_id!r}: label {rec.label} outside [0, {class_count})")
-            if rec.mask not in MASKS:
-                raise GraphValidationError(
-                    f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
+            _check_record(rec, class_count)
 
         # Normalize adjacency: union-symmetrize, drop self-loops and repeats.
         # Neighbor lists hold the nodes' own id objects, one copy per id.
@@ -143,7 +153,7 @@ class TextAttributedGraph:
                 node_id=rec.node_id,
                 label=rec.label,
                 text=rec.text,
-                neighbors=tuple(sorted(mention[rec.node_id], key=node_sort_key)),
+                neighbors=tuple(sorted(mention[rec.node_id], key=_neighbor_key)),
                 mask=rec.mask,
             )
             for rec in records
@@ -184,13 +194,13 @@ class TextAttributedGraph:
         return np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        """Each undirected edge exactly once, oriented from the smaller
-        (``node_sort_key``, id) end, so ids with equal keys such as "1" and
-        "01" still give one orientation."""
+        """Each undirected edge exactly once, oriented from the end with the
+        smaller ``_neighbor_key``, so ids with equal ``node_sort_key`` such as
+        "1" and "01" still give one orientation."""
         for rec in self.nodes:
-            u = (node_sort_key(rec.node_id), rec.node_id)
+            u = _neighbor_key(rec.node_id)
             for nb in rec.neighbors:
-                if u < (node_sort_key(nb), nb):
+                if u < _neighbor_key(nb):
                     yield (rec.node_id, nb)
 
     def edge_set(self) -> frozenset[tuple[str, str]]:
@@ -454,52 +464,41 @@ def graph_stats(g: TextAttributedGraph) -> GraphStats:
 def merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttributedGraph:
     """Graft accepted nodes onto a base graph without mutating it.
 
-    Original records survive byte for byte except for neighbor lists extended
-    by bridge edges. New node adjacency comes solely from the delta edge sets.
+    Only the delta is validated: new ids are unique and not in ``g``, each
+    new record passes the label and mask rule of ``from_records``, and each
+    bridge joins a new node to a base node. The new records are appended to
+    ``g``'s. Only the records of bridge targets are rebuilt; every other
+    record is shared with ``g``. Neighbor lists hold the graph's own id
+    objects, and a new node's neighbors are its bridge targets.
     """
-    new_ids = [rec.node_id for rec in delta.new_nodes]
+    new_ids = {rec.node_id: rec.node_id for rec in delta.new_nodes}
     dup = [nid for nid in new_ids if g.has_node(nid)]
     if dup:
         raise GraphValidationError(f"new node ids collide with base graph: {dup[:10]}")
-    if len(set(new_ids)) != len(new_ids):
+    if len(new_ids) != len(delta.new_nodes):
         raise GraphValidationError("duplicate ids among new nodes")
-    new_id_set = set(new_ids)
+    for rec in delta.new_nodes:
+        _check_record(rec, g.class_count)
 
-    extra: dict[str, set[str]] = {nid: set() for nid in new_ids}
-    base_extra: dict[str, set[str]] = {}
+    new_adj: dict[str, set[str]] = {nid: set() for nid in new_ids}
+    base_adj: dict[int, set[str]] = {}
     for new_id, orig_id in delta.bridge_edges:
-        if new_id not in new_id_set:
+        if new_id not in new_ids:
             raise GraphValidationError(f"bridge edge references unknown new node {new_id!r}")
         if not g.has_node(orig_id):
             raise GraphValidationError(f"bridge edge references unknown base node {orig_id!r}")
-        extra[new_id].add(orig_id)
-        base_extra.setdefault(orig_id, set()).add(new_id)
-    for a, b in delta.new_internal_edges:
-        if a not in new_id_set or b not in new_id_set:
-            raise GraphValidationError(f"internal edge ({a!r}, {b!r}) must join two new nodes")
-        if a == b:
-            raise GraphValidationError(f"internal self-loop on {a!r}")
-        extra[a].add(b)
-        extra[b].add(a)
+        pos = g.index_of(orig_id)
+        new_adj[new_id].add(g.nodes[pos].node_id)
+        base_adj.setdefault(pos, set()).add(new_ids[new_id])
 
-    records: list[NodeRecord] = []
-    for rec in g.nodes:
-        added = base_extra.get(rec.node_id)
-        if added:
-            merged = tuple(sorted(set(rec.neighbors) | added, key=node_sort_key))
-            records.append(NodeRecord(rec.node_id, rec.label, rec.text, merged, rec.mask))
-        else:
-            records.append(rec)
-    for rec in delta.new_nodes:
-        records.append(NodeRecord(
-            node_id=rec.node_id,
-            label=rec.label,
-            text=rec.text,
-            neighbors=tuple(sorted(extra[rec.node_id], key=node_sort_key)),
-            mask=rec.mask,
-        ))
-    merged = TextAttributedGraph.from_records(tuple(records), g.class_count)
-    if merged.normalization_fixes:
-        raise GraphValidationError(
-            f"merge produced {merged.normalization_fixes} unexpected adjacency fixes")
-    return merged
+    records = list(g.nodes)
+    for pos, added in base_adj.items():
+        rec = records[pos]
+        records[pos] = NodeRecord(
+            rec.node_id, rec.label, rec.text,
+            tuple(sorted(added.union(rec.neighbors), key=_neighbor_key)), rec.mask)
+    records.extend(
+        NodeRecord(rec.node_id, rec.label, rec.text,
+                   tuple(sorted(new_adj[rec.node_id], key=_neighbor_key)), rec.mask)
+        for rec in delta.new_nodes)
+    return TextAttributedGraph(tuple(records), g.class_count)

@@ -188,14 +188,12 @@ class KnowledgeCapsule:
     """The retrieved node set handed to the generation role.
 
     ``records`` keep full-graph neighbor lists so generated nodes can cite
-    real attachment points; ``induced_edges`` cover capsule-internal pairs.
+    real attachment points, and ``ppr_scores`` give each member's relevance.
     """
 
     node_ids: tuple[str, ...]
     records: tuple[NodeRecord, ...]
-    induced_edges: tuple[tuple[str, str], ...]
     ppr_scores: dict[str, float]
-    seed_descriptor: str
 
     def __len__(self) -> int:
         return len(self.node_ids)
@@ -220,7 +218,6 @@ def sample_knowledge(
     params: PerceptionParams = PerceptionParams(),
     rng_seed: int = 0,
     partition: Partition | None = None,
-    seed_descriptor: str = "",
 ) -> KnowledgeCapsule:
     """Draw the knowledge capsule from PageRank scores.
 
@@ -287,19 +284,10 @@ def sample_knowledge(
                     seen.add(nid)
             chosen.sort(key=lambda nid: (-ppr[nid], node_sort_key(nid)))
 
-    member_set = set(chosen)
-    records = tuple(g.node(nid) for nid in chosen)
-    # g.edges() order and orientation, restricted to the capsule: members by
-    # node position, neighbours in record order
-    induced = tuple(
-        (u, v) for u in sorted(chosen, key=g.index_of) for v in g.neighbors(u)
-        if v in member_set and (node_sort_key(u), u) < (node_sort_key(v), v))
     return KnowledgeCapsule(
         node_ids=tuple(chosen),
-        records=records,
-        induced_edges=induced,
+        records=tuple(g.node(nid) for nid in chosen),
         ppr_scores={nid: float(ppr[nid]) for nid in chosen},
-        seed_descriptor=seed_descriptor,
     )
 
 

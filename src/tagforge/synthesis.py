@@ -64,7 +64,6 @@ class SynthesisConfig:
     theta_semantic: tuple[float, float, float] = (0.6, 0.3, 0.1)
     theta_topological: tuple[float, float, float] = (0.2, 0.5, 0.3)
     edge_threshold: float = 0.5
-    allow_internal_edges: bool = False
     tau_initial: float = 7.0
     zeta: float = 0.1
     score_min: float = 0.0
@@ -569,8 +568,7 @@ def run_synthesis(
                 seed_sel = select_seed(g_current, partition, emb, mode, pparams)
                 scores = personalized_pagerank(g_current, seed_sel.nodes, mode, pparams)
                 capsule = sample_knowledge(
-                    g_current, scores, pparams, rng_seed + iteration,
-                    partition, seed_sel.descriptor)
+                    g_current, scores, pparams, rng_seed + iteration, partition)
                 budget = math.ceil(config.new_node_fraction * len(capsule))
                 audit.record(
                     "perception", iteration=iteration, mode=mode.value,

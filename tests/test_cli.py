@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -203,11 +204,26 @@ def test_synthesize_mock_run_grows_graph(graph_file, tmp_path):
     grown = load_graph(str(out))
     assert grown.num_nodes == 8
     assert grown.has_node("new_node 1")
-    audit_lines = (tmp_path / "grown.json.audit.jsonl").read_text(
-        encoding="utf-8").splitlines()
-    kinds = [json.loads(line)["kind"] for line in audit_lines]
+    entries = _audit_entries(tmp_path / "grown.json.audit.jsonl")
+    kinds = [e["kind"] for e in entries]
     assert kinds[0] == "effective_config"
     assert "run_start" in kinds and "run_end" in kinds
+    # the command and provider kind only; run_start carries seed and config
+    assert entries[0] == {"seq": 0, "kind": "effective_config",
+                          "command": "synthesize", "provider": "mock"}
+    run_start = entries[kinds.index("run_start")]
+    assert run_start["seed"] == 0
+    assert run_start["config"] == json.loads(json.dumps(
+        asdict(synthesis.SynthesisConfig(max_iterations=1))))
+
+
+def _audit_entries(path):
+    return [json.loads(line) for line in
+            Path(path).read_text(encoding="utf-8").splitlines()]
+
+
+def _run_start(path):
+    return next(e for e in _audit_entries(path) if e["kind"] == "run_start")
 
 
 def _max_iters_config(tmp_path, name="maxiter.json"):
@@ -268,16 +284,14 @@ def test_synthesize_seed_flag_beats_config_seed(graph_file, tmp_path):
     assert main(["synthesize", graph_file, str(out), "--provider",
                  f"mock:{script}", "--config", str(cfg), "--seed", "3",
                  "--audit", str(audit)]) == 0
-    first = json.loads(audit.read_text(encoding="utf-8").splitlines()[0])
-    assert first["seed"] == 3
+    assert _run_start(audit)["seed"] == 3
 
     out2 = tmp_path / "o2.json"
     audit2 = tmp_path / "a2.jsonl"
     assert main(["synthesize", graph_file, str(out2), "--provider",
                  f"mock:{script}", "--config", str(cfg),
                  "--audit", str(audit2)]) == 0
-    first2 = json.loads(audit2.read_text(encoding="utf-8").splitlines()[0])
-    assert first2["seed"] == 11
+    assert _run_start(audit2)["seed"] == 11
 
 
 def test_synthesize_config_overrides_land_in_audit(graph_file, tmp_path):
@@ -290,9 +304,9 @@ def test_synthesize_config_overrides_land_in_audit(graph_file, tmp_path):
     assert main(["synthesize", graph_file, str(out), "--provider",
                  f"mock:{script}", "--config", str(cfg),
                  "--audit", str(audit)]) == 0
-    first = json.loads(audit.read_text(encoding="utf-8").splitlines()[0])
-    assert first["synthesis"]["capsule_size"] == 4
-    assert first["synthesis"]["max_iterations"] == 1
+    config = _run_start(audit)["config"]
+    assert config["capsule_size"] == 4
+    assert config["max_iterations"] == 1
 
 
 def test_unknown_synthesis_config_key_exits_2(graph_file, tmp_path, capsys):
@@ -309,6 +323,15 @@ def test_removed_provider_max_inflight_key_exits_2(graph_file, tmp_path, capsys)
     assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
                  "--provider", "live", "--config", str(cfg)]) == 2
     assert "max_inflight" in capsys.readouterr().err
+
+
+def test_removed_synthesis_allow_internal_edges_key_exits_2(graph_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthesis": {"allow_internal_edges": False}}),
+                   encoding="utf-8")
+    assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
+                 "--provider", "live", "--config", str(cfg)]) == 2
+    assert "allow_internal_edges" in capsys.readouterr().err
 
 
 def test_synthesize_bad_embedding_reply_exits_3(graph_file, tmp_path, capsys,

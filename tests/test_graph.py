@@ -9,6 +9,7 @@ from conftest import make_graph, path_graph, random_graph, triangle, two_k3
 from tagforge.graph import (
     _ROW_BLOCK,
     GraphSchemaError,
+    MASKS,
     GraphValidationError,
     NodeRecord,
     SynthesizedDelta,
@@ -416,19 +417,135 @@ def test_merge_rejects_dangling_bridge():
         merge_synthesis(g, delta)
 
 
-def test_merge_supports_new_internal_edges():
-    g = make_graph({"A": []})
-    delta = SynthesizedDelta(
-        new_nodes=(
-            NodeRecord("S1", 0, "first synthesized node text", ()),
-            NodeRecord("S2", 0, "second synthesized node text", ()),
-        ),
-        bridge_edges=(("S1", "A"),),
-        new_internal_edges=(("S1", "S2"),),
-    )
+# The merge that sent every record back through from_records, kept word for
+# word, apart from its loop over internal edges, as the oracle of the append
+# merge.
+def reference_merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttributedGraph:
+    """Graft accepted nodes onto a base graph without mutating it.
+
+    Original records survive byte for byte except for neighbor lists extended
+    by bridge edges. New node adjacency comes solely from the delta edge sets.
+    """
+    new_ids = [rec.node_id for rec in delta.new_nodes]
+    dup = [nid for nid in new_ids if g.has_node(nid)]
+    if dup:
+        raise GraphValidationError(f"new node ids collide with base graph: {dup[:10]}")
+    if len(set(new_ids)) != len(new_ids):
+        raise GraphValidationError("duplicate ids among new nodes")
+    new_id_set = set(new_ids)
+
+    extra: dict[str, set[str]] = {nid: set() for nid in new_ids}
+    base_extra: dict[str, set[str]] = {}
+    for new_id, orig_id in delta.bridge_edges:
+        if new_id not in new_id_set:
+            raise GraphValidationError(f"bridge edge references unknown new node {new_id!r}")
+        if not g.has_node(orig_id):
+            raise GraphValidationError(f"bridge edge references unknown base node {orig_id!r}")
+        extra[new_id].add(orig_id)
+        base_extra.setdefault(orig_id, set()).add(new_id)
+
+    records: list[NodeRecord] = []
+    for rec in g.nodes:
+        added = base_extra.get(rec.node_id)
+        if added:
+            merged = tuple(sorted(set(rec.neighbors) | added, key=node_sort_key))
+            records.append(NodeRecord(rec.node_id, rec.label, rec.text, merged, rec.mask))
+        else:
+            records.append(rec)
+    for rec in delta.new_nodes:
+        records.append(NodeRecord(
+            node_id=rec.node_id,
+            label=rec.label,
+            text=rec.text,
+            neighbors=tuple(sorted(extra[rec.node_id], key=node_sort_key)),
+            mask=rec.mask,
+        ))
+    merged = TextAttributedGraph.from_records(tuple(records), g.class_count)
+    if merged.normalization_fixes:
+        raise GraphValidationError(
+            f"merge produced {merged.normalization_fixes} unexpected adjacency fixes")
+    return merged
+
+
+def _copy_id(node_id):
+    """An equal id that is (beyond one character) a different str object."""
+    return (node_id + ".")[:-1]
+
+
+def _mixed_id_graph(rng, n, class_count=3):
+    """Ids ``<k>`` next to ``0<k>`` (equal ``node_sort_key``) and alphabetic
+    ids, with one-sided neighbor mentions and shuffled records."""
+    names = []
+    for i in range(n):
+        r = rng.random()
+        names.append(f"0{i // 2}" if r < 0.3 else str(i // 2) if r < 0.7 else f"a{i}")
+    names = list(dict.fromkeys(names))
+    nbrs = {v: [] for v in names}
+    for a, b in rng.integers(len(names), size=(2 * len(names), 2)).tolist():
+        if a != b:
+            nbrs[names[a]].append(names[b])
+    recs = [NodeRecord(names[i], int(rng.integers(class_count)), f"document {i}",
+                       tuple(nbrs[names[i]]), MASKS[int(rng.integers(3))])
+            for i in rng.permutation(len(names)).tolist()]
+    return TextAttributedGraph.from_records(recs, class_count)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_merge_matches_reference_on_mixed_ids(seed):
+    rng = np.random.default_rng([seed, 17])
+    g = _mixed_id_graph(rng, int(rng.integers(4, 60)))
+    new = {}
+    for k in rng.integers(1000, 1010, size=int(rng.integers(1, 6))).tolist():
+        nid = str(rng.choice([str(k), f"0{k}", f"new {k}"]))
+        new[nid] = NodeRecord(nid, int(rng.integers(3)), f"synthesized {k}",
+                              ("ignored",), MASKS[int(rng.integers(3))])
+    ids, new_ids = g.ids(), list(new)
+    # a few targets, so bridges repeat and several new nodes share a target
+    targets = [ids[i] for i in rng.integers(len(ids), size=3).tolist()]
+    bridges = tuple(
+        (_copy_id(new_ids[int(rng.integers(len(new_ids)))]),
+         _copy_id(targets[int(rng.integers(3))]))
+        for _ in range(int(rng.integers(0, 12))))
+    delta = SynthesizedDelta(tuple(new.values()), bridges)
+
     merged = merge_synthesis(g, delta)
-    assert merged.num_edges == 2
-    assert "S2" in merged.neighbors("S1")
+    assert merged.to_json_obj() == reference_merge_synthesis(g, delta).to_json_obj()
+    assert merged.num_edges == g.num_edges + len(set(bridges))
+    assert TextAttributedGraph.from_records(merged.nodes, 3).normalization_fixes == 0
+    own = {rec.node_id: rec.node_id for rec in merged.nodes}
+    for rec in merged.nodes:
+        assert all(nb is own[nb] for nb in rec.neighbors)
+        assert list(rec.neighbors) == sorted(
+            rec.neighbors, key=lambda v: (node_sort_key(v), v))
+    hit = {t for _, t in bridges}
+    for old, rec in zip(g.nodes, merged.nodes):
+        assert (rec is old) == (old.node_id not in hit)
+
+
+_TEXT = "synthesized node text body"
+
+
+@pytest.mark.parametrize("delta", [
+    pytest.param(SynthesizedDelta((NodeRecord("S", 2, _TEXT, ()),)), id="label-too-big"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", -1, _TEXT, ()),)), id="label-negative"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", True, _TEXT, ()),)), id="label-bool"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 1.0, _TEXT, ()),)), id="label-float"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", "1", _TEXT, ()),)), id="label-str"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 0, _TEXT, (), "Dev"),)), id="mask"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 0, _TEXT, ()),
+                                   NodeRecord("S", 1, _TEXT, ()))), id="duplicate-new"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 0, _TEXT, ()),), (("T", "A"),)),
+                 id="bridge-unknown-new"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 0, _TEXT, ()),), (("A", "S"),)),
+                 id="bridge-reversed"),
+    pytest.param(SynthesizedDelta((NodeRecord("S", 0, _TEXT, ()),), (("S", "S"),)),
+                 id="bridge-new-to-new"),
+])
+def test_merge_rejects_invalid_delta(delta):
+    g = make_graph({"A": ["B"], "B": []}, labels={"A": 0, "B": 1}, class_count=2)
+    for merge in (merge_synthesis, reference_merge_synthesis):
+        with pytest.raises(GraphValidationError):
+            merge(g, delta)
 
 
 def test_merge_monotone_in_nodes_and_edges():

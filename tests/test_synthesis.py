@@ -218,9 +218,7 @@ def _capsule(g):
     return KnowledgeCapsule(
         node_ids=tuple(g.ids()),
         records=g.nodes,
-        induced_edges=tuple(g.edges()),
-        ppr_scores={nid: 1.0 / g.num_nodes for nid in g.ids()},
-        seed_descriptor="test capsule")
+        ppr_scores={nid: 1.0 / g.num_nodes for nid in g.ids()})
 
 
 def test_select_mode_parses_decision():
