@@ -88,11 +88,6 @@ def degree_sequence(g: TextAttributedGraph) -> np.ndarray:
     return g.degrees().astype(np.float64)
 
 
-def _degree_bin(d: int) -> int:
-    # log-spaced bins shared across graphs; isolated nodes get their own bin
-    return -1 if d == 0 else int(math.floor(math.log2(d)))
-
-
 def clustering_similarity(g1: TextAttributedGraph, g2: TextAttributedGraph) -> float:
     """One minus the pooled-weight L1 gap between degree-binned mean local
     clustering curves. Bins observed in only one graph contribute no gap.
@@ -103,13 +98,13 @@ def clustering_similarity(g1: TextAttributedGraph, g2: TextAttributedGraph) -> f
 
 
 def _clustering_profile(g: TextAttributedGraph) -> dict[int, tuple[int, float]]:
-    """Node count and summed local clustering per degree bin."""
-    acc: dict[int, tuple[int, float]] = {}
-    for rec, c in zip(g.nodes, local_clustering(g)):
-        b = _degree_bin(len(rec.neighbors))
-        count, tot = acc.get(b, (0, 0.0))
-        acc[b] = (count + 1, tot + float(c))
-    return acc
+    """Node count and summed local clustering per log-spaced degree bin,
+    floor(log2 d), shared across graphs; isolated nodes get bin -1."""
+    # frexp's exponent is floor(log2 d) + 1 exactly, and 0 for d = 0
+    shifted = np.frexp(g.degrees())[1]
+    count = np.bincount(shifted)
+    total = np.bincount(shifted, weights=local_clustering(g))
+    return {b - 1: (int(count[b]), float(total[b])) for b in np.flatnonzero(count).tolist()}
 
 
 def _profile_similarity(p1: dict[int, tuple[int, float]],

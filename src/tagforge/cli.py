@@ -184,7 +184,7 @@ def _dry_run(g, config: SynthesisConfig, seed: int) -> int:
     mode, _ = fallback_mode(train_imbalance(g), config.imbalance_fallback_threshold)
     pparams = config.perception_params()
     seed_sel = select_seed(g, partition, None, mode, pparams)
-    scores = personalized_pagerank(g, seed_sel.nodes, mode, pparams)
+    scores = personalized_pagerank(g, seed_sel.nodes, pparams)
     capsule = sample_knowledge(g, scores, pparams, seed + 1, partition)
     budget = math.ceil(config.new_node_fraction * len(capsule))
 

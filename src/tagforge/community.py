@@ -460,8 +460,8 @@ def detect_communities(
     if n == 0:
         raise ValueError("cannot detect communities of an empty graph")
     ids = g.ids()
-    perm = sorted(range(n), key=lambda i: node_sort_key(ids[i]))
-    order = [ids[i] for i in perm]
+    perm = np.argsort(g.key_rank(), kind="stable")
+    order = [ids[i] for i in perm.tolist()]
     if g.num_edges == 0:
         return Partition.from_assignment({nid: i for i, nid in enumerate(order)})
 

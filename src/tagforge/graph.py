@@ -95,7 +95,7 @@ class TextAttributedGraph:
 
     __slots__ = (
         "nodes", "class_count", "normalization_fixes",
-        "_pos", "_num_edges", "_csr",
+        "_pos", "_num_edges", "_csr", "_key_rank",
     )
 
     def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
@@ -106,6 +106,7 @@ class TextAttributedGraph:
         self._pos = {rec.node_id: i for i, rec in enumerate(nodes)}
         self._num_edges = sum(len(rec.neighbors) for rec in nodes) // 2
         self._csr = None
+        self._key_rank = None
 
     @classmethod
     def from_records(cls, records: Sequence[NodeRecord], class_count: int) -> "TextAttributedGraph":
@@ -209,14 +210,25 @@ class TextAttributedGraph:
     def adjacency_csr(self) -> sp.csr_matrix:
         if self._csr is None:
             n = self.num_nodes
-            rows, cols = [], []
-            for i, rec in enumerate(self.nodes):
-                for nb in rec.neighbors:
-                    rows.append(i)
-                    cols.append(self._pos[nb])
-            data = np.ones(len(rows), dtype=np.float64)
-            self._csr = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.degrees(), out=indptr[1:])
+            indices = np.fromiter((self._pos[nb] for rec in self.nodes for nb in rec.neighbors),
+                                  dtype=np.int64, count=int(indptr[-1]))
+            self._csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+            self._csr.sort_indices()
         return self._csr
+
+    def key_rank(self) -> np.ndarray:
+        """Read-only rank of each position's ``node_sort_key`` among the
+        graph's distinct keys. The canonical node order is by this rank, then
+        by position: ids with equal keys, such as "1" and "01", share a rank
+        and tie by position."""
+        if self._key_rank is None:
+            keys = [node_sort_key(rec.node_id) for rec in self.nodes]
+            rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+            self._key_rank = np.array([rank_of[k] for k in keys], dtype=np.int64)
+            self._key_rank.flags.writeable = False
+        return self._key_rank
 
     def subgraph(self, keep_ids: Iterable[str]) -> "TextAttributedGraph":
         """Induced subgraph, preserving node order and all attributes."""

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .community import Partition, indicator
-from .graph import TextAttributedGraph, component_labels, histograms, node_sort_key
+from .graph import TextAttributedGraph, component_labels, histograms
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -124,27 +124,27 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
     """Degree and label histograms, leading normalized-Laplacian spectrum of
     the largest component, and the component profile (count/n, largest/n).
 
-    Among equally large largest components, the one holding the smallest
-    node id (by ``node_sort_key``) is the one whose spectrum is taken.
+    Among equally large largest components, the one holding the first node
+    in the graph's canonical order (``key_rank``) is the one whose spectrum
+    is taken.
     """
     n = g.num_nodes
     hist, labels = histograms(g)
     spectral: tuple[float, ...] = ()
     profile = (0.0, 0.0)
     if n > 0:
-        comp_arr, size_arr = component_labels(g)
-        comp, sizes = comp_arr.tolist(), size_arr.tolist()
-        largest = max(sizes)
-        ids = g.ids()
-        order = sorted(range(n), key=lambda i: node_sort_key(ids[i]))
-        big = next(comp[i] for i in order if sizes[comp[i]] == largest)
-        members = [i for i in order if comp[i] == big]
+        comp, sizes = component_labels(g)
+        largest = int(sizes.max())
+        order = np.argsort(g.key_rank(), kind="stable")
+        in_order = comp[order]
+        big = in_order[np.argmax(sizes[in_order] == largest)]
         if largest == 1:
             spectral = (0.0,)
         else:
+            members = order[in_order == big]
             spectral = _smallest_laplacian_eigenvalues(
                 g.adjacency_csr()[members][:, members], eigen_count)
-        profile = (len(sizes) / n, largest / n)
+        profile = (sizes.size / n, largest / n)
     return PropertyTensor(
         degree_histogram=hist,
         label_distribution=labels,
@@ -449,7 +449,7 @@ def connectivity_repair(
     Stops once distortion falls within ``repair_epsilon``, no improving
     same-cell swap remains, or the swap budget (default twice the sample
     size) is exhausted. Cell counts are invariant by construction. Equal
-    gains go to the smallest (``node_sort_key(b)``, ``node_sort_key(r)``).
+    gains go to the smallest (``key_rank`` of b, ``key_rank`` of r).
 
     Only a sampled node with at most one sampled neighbour is replaceable,
     so a swap's removal shrinks a component by one node or deletes an
@@ -473,9 +473,7 @@ def connectivity_repair(
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
 
     ids = g.ids()
-    keys = [node_sort_key(v) for v in ids]
-    key_index = {k: i for i, k in enumerate(sorted(set(keys)))}
-    key_rank = np.array([key_index[k] for k in keys], dtype=np.int64)
+    key_rank = g.key_rank()
     id_rank = np.empty(n_g, dtype=np.int64)
     id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
     labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
@@ -575,7 +573,7 @@ def sample_limited_detailed(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
 
     ids = g.ids()
-    keys = [node_sort_key(v) for v in ids]
+    keys = g.key_rank().tolist()
     k = partition.community_count
     comm = partition.community_array(g)
     cells: dict[tuple, list[int]] = {}

@@ -10,14 +10,14 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .community import EmbeddingTable, Partition, block_totals, indicator
-from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats, node_sort_key
+from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats
 
 log = logging.getLogger("tagforge.perception")
 
@@ -108,37 +108,40 @@ def select_seed(
     training label.
     """
     mode = EnhancementMode(mode)
+    ids = g.ids()
     if mode is EnhancementMode.SEMANTIC:
         partition.validate(g)
-        members = partition.members_by_community()
-        best_idx, best_score = None, None
-        for idx, group in enumerate(members):
-            if emb is not None and emb.covers(group) and len(group) > 0:
-                x = emb.matrix(group)
-                var = float(x.var(axis=0).mean()) if len(group) > 1 else 0.0
-            else:
-                if emb is not None:
+        comm = partition.community_array(g)
+        # each community's members in the graph's canonical order
+        order = [ids[i] for i in np.lexsort((g.key_rank(), comm)).tolist()]
+        ends = np.cumsum(np.bincount(comm, minlength=partition.community_count)).tolist()
+        best, best_score = None, None
+        for idx, (start, end) in enumerate(zip([0] + ends, ends)):
+            members, var = order[start:end], 0.0
+            if emb is not None:
+                if not emb.covers(members):
                     raise ValueError(
                         f"semantic seed selection needs embeddings for community {idx}")
-                var = 0.0
-            score = len(group) * (1.0 + params.seed_variance_mu * var)
+                if len(members) > 1:
+                    var = float(emb.matrix(members).var(axis=0).mean())
+            score = len(members) * (1.0 + params.seed_variance_mu * var)
             if best_score is None or score < best_score - 1e-15:
-                best_idx, best_score = idx, score
-        return SeedSelection(frozenset(members[best_idx]), f"community:{best_idx}")
+                best, best_score = (idx, members), score
+        idx, members = best
+        return SeedSelection(frozenset(members), f"community:{idx}")
 
     imbalance = train_imbalance(g)
     if imbalance is None:
         raise ValueError("topological seed selection requires training nodes")
     target = min(sorted(imbalance), key=lambda lbl: (-imbalance[lbl], lbl))
-    nodes = frozenset(
-        rec.node_id for rec in g.nodes if rec.mask == "Train" and rec.label == target)
+    train_label = np.array([rec.label if rec.mask == "Train" else -1 for rec in g.nodes])
+    nodes = frozenset(ids[i] for i in np.flatnonzero(train_label == target))
     return SeedSelection(nodes, f"label:{target}")
 
 
 def personalized_pagerank(
     g: TextAttributedGraph,
     seed_nodes: Iterable[str],
-    mode: EnhancementMode = EnhancementMode.SEMANTIC,
     params: PerceptionParams = PerceptionParams(),
 ) -> dict[str, float]:
     """Random-walk-with-restart scores restarting uniformly over the seeds.
@@ -147,19 +150,15 @@ def personalized_pagerank(
     Iterates until the L1 change drops below tolerance, else raises
     PprConvergenceError carrying the final residual.
     """
-    EnhancementMode(mode)
-    seeds = sorted(set(seed_nodes), key=node_sort_key)
+    seeds = set(seed_nodes)
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    unknown = [s for s in seeds if not g.has_node(s)]
+    unknown = sorted(s for s in seeds if not g.has_node(s))
     if unknown:
         raise ValueError(f"seed nodes not in graph: {unknown[:10]}")
 
-    n = g.num_nodes
-    ids = g.ids()
-    v = np.zeros(n)
-    for s in seeds:
-        v[g.index_of(s)] = 1.0 / len(seeds)
+    v = np.zeros(g.num_nodes)
+    v[[g.index_of(s) for s in seeds]] = 1.0 / len(seeds)
     deg = g.degrees().astype(np.float64)
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)
@@ -177,7 +176,7 @@ def personalized_pagerank(
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
         if residual < params.ppr_tolerance:
-            return {ids[i]: float(pi[i]) for i in range(n)}
+            return dict(zip(g.ids(), pi.tolist()))
     raise PprConvergenceError(
         f"personalized pagerank did not converge within {params.ppr_max_iters} "
         f"iterations (residual {residual:.3e})", residual)
@@ -221,13 +220,15 @@ def sample_knowledge(
 ) -> KnowledgeCapsule:
     """Draw the knowledge capsule from PageRank scores.
 
-    The top ``top_k_percent`` of nodes by score pass a stochastic retention
-    filter (node i survives when r_i < min(1, beta * pi_i / max pi)); the
-    survivors are unioned with one top-score delegate from each of the largest
-    communities, then cut back or padded by descending score to
-    min(capsule_size, candidate pool). The pad pool is the top slice itself,
-    so capsule membership always stays inside top-slice plus delegates. If
-    every retention draw fails, the deterministic top slice is used outright.
+    Nodes rank by descending score, then in the graph's canonical order, so
+    ids with equal keys such as "1" and "01" tie by graph position. The top
+    ``top_k_percent`` pass a stochastic retention filter (node i survives when
+    r_i < min(1, beta * pi_i / max pi)); the survivors are unioned with the
+    first-ranked node of each of the largest communities, then cut back or
+    padded in rank order to min(capsule_size, candidate pool). The pad pool
+    is the top slice itself, so capsule membership always stays inside
+    top-slice plus delegates. If every retention draw fails, the top slice is
+    used outright.
     """
     if not ppr:
         raise ValueError("ppr scores must be nonempty")
@@ -235,59 +236,46 @@ def sample_knowledge(
     if missing:
         raise ValueError(f"ppr scores reference unknown nodes: {missing[:10]}")
 
-    ranked = sorted(ppr, key=lambda nid: (-ppr[nid], node_sort_key(nid)))
-    n = len(ranked)
+    n = len(ppr)
+    pos = np.fromiter(map(g.index_of, ppr), dtype=np.int64, count=n)
+    score = np.fromiter(ppr.values(), dtype=np.float64, count=n)
+    # place j holds the j-th scored node in rank order
+    ranked = np.lexsort((pos, g.key_rank()[pos], -score))
+    pos, score = pos[ranked], score[ranked]
     k_count = max(1, math.ceil(n * params.top_k_percent / 100.0))
-    top_slice = ranked[:k_count]
-    peak = ppr[ranked[0]]
-    if peak <= 0.0:
+    if score[0] <= 0.0:
         raise ValueError("ppr scores must contain a positive maximum")
 
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.random(len(top_slice))
-    retained = [
-        nid for nid, r in zip(top_slice, draws)
-        if r < min(1.0, params.retention_beta * ppr[nid] / peak)
-    ]
+    draws = np.random.default_rng(rng_seed).random(k_count)
+    pool = np.zeros(n, dtype=bool)
+    pool[:k_count] = draws < np.minimum(1.0, params.retention_beta * score[:k_count] / score[0])
+    retained = pool.any()
 
-    delegates: list[str] = []
     if partition is not None:
         partition.validate(g)
-        members = partition.members_by_community()
-        quota = min(len(members), math.ceil(params.capsule_size / 5))
-        ordered = sorted(
-            range(len(members)),
-            key=lambda c: (-len(members[c]), min(node_sort_key(v) for v in members[c])))
-        for c in ordered[:quota]:
-            scored = [v for v in members[c] if v in ppr]
-            if scored:
-                delegates.append(
-                    min(scored, key=lambda nid: (-ppr[nid], node_sort_key(nid))))
+        k = partition.community_count
+        comm = partition.community_array(g)
+        first_key = np.full(k, g.num_nodes, dtype=np.int64)
+        np.minimum.at(first_key, comm, g.key_rank())
+        first_place = np.full(k, n, dtype=np.int64)
+        np.minimum.at(first_place, comm[pos], np.arange(n))
+        quota = min(k, math.ceil(params.capsule_size / 5))
+        largest = np.lexsort((first_key, -np.bincount(comm, minlength=k)))[:quota]
+        delegates = first_place[largest]
+        pool[delegates[delegates < n]] = True
 
     target = min(params.capsule_size, n)
     if not retained:
         log.info("capsule retention emptied the pool; falling back to top slice")
-        chosen = top_slice[:target]
-    else:
-        pool = dict.fromkeys(retained)
-        for d in delegates:
-            pool.setdefault(d)
-        ordered_pool = sorted(pool, key=lambda nid: (-ppr[nid], node_sort_key(nid)))
-        chosen = ordered_pool[:target]
-        if len(chosen) < target:
-            seen = set(chosen)
-            for nid in top_slice:
-                if len(chosen) >= target:
-                    break
-                if nid not in seen:
-                    chosen.append(nid)
-                    seen.add(nid)
-            chosen.sort(key=lambda nid: (-ppr[nid], node_sort_key(nid)))
-
+        pool = np.arange(n) < k_count
+    short = target - int(pool.sum())
+    if short > 0:
+        pool[np.flatnonzero(~pool[:k_count])[:short]] = True
+    records = tuple(g.nodes[i] for i in pos[np.flatnonzero(pool)[:target]].tolist())
     return KnowledgeCapsule(
-        node_ids=tuple(chosen),
-        records=tuple(g.node(nid) for nid in chosen),
-        ppr_scores={nid: float(ppr[nid]) for nid in chosen},
+        node_ids=tuple(rec.node_id for rec in records),
+        records=records,
+        ppr_scores={rec.node_id: float(ppr[rec.node_id]) for rec in records},
     )
 
 

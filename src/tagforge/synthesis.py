@@ -28,7 +28,7 @@ from .gateway import (
     complete_structured,
     embed_texts,
 )
-from .graph import NodeRecord, SynthesizedDelta, TextAttributedGraph, merge_synthesis
+from .graph import MASKS, NodeRecord, SynthesizedDelta, TextAttributedGraph, merge_synthesis
 from .perception import (
     EnhancementMode,
     EnvironmentReport,
@@ -264,18 +264,19 @@ def propose_edges(
     capsule_ids: frozenset,
     theta: Sequence[float],
     threshold: float,
+    max_deg: int,
 ) -> list[tuple[str, float]]:
     """Score every proposed attachment point and apply the edge filter.
 
     The overlap feature compares a target's neighborhood against the proposed
-    neighbors that fall inside the capsule; it is zero when none do.
+    neighbors that fall inside the capsule; it is zero when none do. The
+    degree feature divides by ``max_deg``, the largest degree in ``g``.
     """
     targets = [t for t in gen.proposed if g.has_node(t)]
     if not targets:
         return []
     in_capsule = [t for t in targets if t in capsule_ids]
     capsule_set = set(in_capsule)
-    max_deg = max((len(rec.neighbors) for rec in g.nodes), default=0)
     x = np.asarray(new_embedding, dtype=np.float64)
     xn = float(np.linalg.norm(x))
     if xn == 0.0:
@@ -359,7 +360,7 @@ def generate_nodes(
         if not (0 <= item["label"] < g.class_count):
             dropped[nid] = f"label {item['label']} outside class range"
             continue
-        if item["mask"] not in ("Train", "Validation", "Test"):
+        if item["mask"] not in MASKS:
             dropped[nid] = f"unknown mask {item['mask']!r}"
             continue
         unknown = [t for t in item["neighbors"] if not g.has_node(t)]
@@ -566,7 +567,7 @@ def run_synthesis(
                                    imbalance, config, audit)
                 state.mode = mode.value
                 seed_sel = select_seed(g_current, partition, emb, mode, pparams)
-                scores = personalized_pagerank(g_current, seed_sel.nodes, mode, pparams)
+                scores = personalized_pagerank(g_current, seed_sel.nodes, pparams)
                 capsule = sample_knowledge(
                     g_current, scores, pparams, rng_seed + iteration, partition)
                 budget = math.ceil(config.new_node_fraction * len(capsule))
@@ -586,10 +587,11 @@ def run_synthesis(
                 if candidates:
                     new_vectors = embed_texts(
                         provider, [gen.record.text for gen in candidates], emb.dim)
+                    max_deg = int(np.diff(g_current.adjacency_csr().indptr).max(initial=0))
                     for gen, vec in zip(candidates, new_vectors):
                         kept = propose_edges(
                             g_current, gen, vec, emb, capsule_ids,
-                            theta, config.edge_threshold)
+                            theta, config.edge_threshold, max_deg)
                         if not kept:
                             audit.record("edge_drop", node_id=gen.record.node_id,
                                          iteration=iteration)

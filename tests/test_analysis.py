@@ -8,6 +8,7 @@ import scipy.stats
 
 from conftest import make_graph, random_graph
 from tagforge.analysis import (
+    _clustering_profile,
     CoherenceReport,
     coherence_score,
     coherence_statistics,
@@ -23,7 +24,7 @@ from tagforge.analysis import (
     pearson_correlation,
     principal_direction,
 )
-from tagforge.graph import NodeRecord, TextAttributedGraph, node_sort_key
+from tagforge.graph import NodeRecord, TextAttributedGraph, local_clustering, node_sort_key
 
 
 def oracle_ks_statistic(a, b):
@@ -138,6 +139,29 @@ def test_clustering_similarity_symmetric_and_bounded():
         s12 = clustering_similarity(g1, g2)
         assert s12 == pytest.approx(clustering_similarity(g2, g1), abs=1e-12)
         assert 0.0 <= s12 <= 1.0
+
+
+def loop_clustering_profile(g):
+    """The node-by-node loop _clustering_profile replaced, kept as its oracle."""
+    acc = {}
+    for rec, c in zip(g.nodes, local_clustering(g)):
+        d = len(rec.neighbors)
+        b = -1 if d == 0 else int(math.floor(math.log2(d)))
+        count, tot = acc.get(b, (0, 0.0))
+        acc[b] = (count + 1, tot + float(c))
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5])
+def test_clustering_profile_bit_identical_to_node_loop(p, seed):
+    # a star of degree 63, 64 or 65 sits on either side of a bin edge
+    leaves = 63 + seed % 3
+    star = make_graph({"c": [str(i) for i in range(leaves)], **{str(i): [] for i in range(leaves)}})
+    for g in (shuffled_graph([str(i) for i in range(120)], p, seed), star):
+        got = _clustering_profile(g)
+        assert got == loop_clustering_profile(g)
+        assert all(type(c) is int and type(t) is float for c, t in got.values())
 
 
 # label homogeneity -------------------------------------------------------------------

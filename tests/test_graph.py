@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, path_graph, random_graph, triangle, two_k3
@@ -520,6 +521,41 @@ def test_merge_matches_reference_on_mixed_ids(seed):
     hit = {t for _, t in bridges}
     for old, rec in zip(g.nodes, merged.nodes):
         assert (rec is old) == (old.node_id not in hit)
+
+
+def coo_adjacency(g):
+    """The CSR built from one (row, column) pair per neighbour mention."""
+    rows = [i for i, rec in enumerate(g.nodes) for _ in rec.neighbors]
+    cols = [g.index_of(nb) for rec in g.nodes for nb in rec.neighbors]
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.num_nodes, g.num_nodes))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_adjacency_csr_equals_coo_build_on_mixed_ids(seed):
+    rng = np.random.default_rng([seed, 23])
+    g = _mixed_id_graph(rng, int(rng.integers(1, 80)))
+    new = NodeRecord("new 1", 0, _TEXT, ())
+    merged = merge_synthesis(g, SynthesizedDelta((new,), (("new 1", g.ids()[0]),)))
+    for graph in (g, merged, TextAttributedGraph.from_records([], 1)):
+        got, want = graph.adjacency_csr(), coo_adjacency(graph)
+        assert got.shape == want.shape and got.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_key_rank_shares_ranks_between_equal_keys():
+    ids = ["b", "01", "10", "1", "2", "a"]
+    g = TextAttributedGraph.from_records([NodeRecord(v, 0, _TEXT, ()) for v in ids], 1)
+    assert g.key_rank().tolist() == [4, 0, 2, 0, 1, 3]
+    order = np.argsort(g.key_rank(), kind="stable")
+    assert [ids[i] for i in order] == ["01", "1", "2", "10", "a", "b"]
+    assert g.key_rank() is g.key_rank() and not g.key_rank().flags.writeable
+    for seed in range(10):
+        g = _mixed_id_graph(np.random.default_rng([seed, 29]), 50)
+        ids = g.ids()
+        assert np.argsort(g.key_rank(), kind="stable").tolist() == sorted(
+            range(len(ids)), key=lambda i: node_sort_key(ids[i]))
 
 
 _TEXT = "synthesized node text body"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, random_embeddings, random_graph
 from tagforge.community import EmbeddingTable, ModularityParams, Partition, detect_communities
-from tagforge.graph import TextAttributedGraph
+from tagforge.graph import MASKS, NodeRecord, TextAttributedGraph, node_sort_key
 from tagforge.perception import (
     EnhancementMode,
+    KnowledgeCapsule,
     PerceptionParams,
     PprConvergenceError,
+    SeedSelection,
     build_report,
     class_imbalance,
     fallback_mode,
@@ -148,13 +151,13 @@ def test_topological_seed_without_train_nodes_is_error():
 
 def test_single_node_ppr():
     g = make_graph({"only": []})
-    pi = personalized_pagerank(g, ["only"], EnhancementMode.SEMANTIC, PerceptionParams())
+    pi = personalized_pagerank(g, ["only"], PerceptionParams())
     assert pi == {"only": pytest.approx(1.0)}
 
 
 def test_two_node_path_analytic():
     g = make_graph({"A": ["B"], "B": []})
-    pi = personalized_pagerank(g, ["A"], EnhancementMode.SEMANTIC, PerceptionParams())
+    pi = personalized_pagerank(g, ["A"], PerceptionParams())
     assert pi["A"] == pytest.approx(0.540541, abs=1e-6)
     assert pi["B"] == pytest.approx(0.459459, abs=1e-6)
 
@@ -163,7 +166,7 @@ def test_teleport_dominance():
     g = random_graph(20, 0.2, seed=1)
     seeds = list(g.ids())[:4]
     params = PerceptionParams(teleport_alpha=0.999)
-    pi = personalized_pagerank(g, seeds, EnhancementMode.SEMANTIC, params)
+    pi = personalized_pagerank(g, seeds, params)
     v = {nid: (1 / len(seeds) if nid in seeds else 0.0) for nid in g.ids()}
     l1 = sum(abs(pi[nid] - v[nid]) for nid in g.ids())
     assert l1 < 0.01
@@ -176,7 +179,7 @@ def test_ppr_matches_dense_solve():
         g = random_graph(n, 0.15, seed=trial + 500)
         k = int(rng.integers(1, min(4, n) + 1))
         seeds = list(rng.choice(g.ids(), size=k, replace=False))
-        pi = personalized_pagerank(g, seeds, EnhancementMode.SEMANTIC, PerceptionParams())
+        pi = personalized_pagerank(g, seeds, PerceptionParams())
         want = oracle_ppr(g, set(seeds), 0.15)
         l1 = sum(abs(pi[nid] - want[nid]) for nid in g.ids())
         assert l1 < 1e-8
@@ -185,8 +188,7 @@ def test_ppr_matches_dense_solve():
 def test_ppr_is_a_distribution():
     for seed in range(6):
         g = random_graph(30, 0.1, seed=seed + 900)
-        pi = personalized_pagerank(g, [g.ids()[0]], EnhancementMode.SEMANTIC,
-                                   PerceptionParams())
+        pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
         assert all(p >= 0 for p in pi.values())
         assert abs(sum(pi.values()) - 1.0) < 1e-9
 
@@ -195,16 +197,16 @@ def test_ppr_nonconvergence_raises_with_residual():
     g = random_graph(25, 0.2, seed=3)
     params = PerceptionParams(ppr_tolerance=1e-10, ppr_max_iters=1)
     with pytest.raises(PprConvergenceError) as err:
-        personalized_pagerank(g, [g.ids()[0]], EnhancementMode.SEMANTIC, params)
+        personalized_pagerank(g, [g.ids()[0]], params)
     assert err.value.residual > 0
 
 
 def test_ppr_validates_seeds():
     g = make_graph({"a": []})
     with pytest.raises(ValueError):
-        personalized_pagerank(g, [], EnhancementMode.SEMANTIC, PerceptionParams())
+        personalized_pagerank(g, [], PerceptionParams())
     with pytest.raises(ValueError):
-        personalized_pagerank(g, ["ghost"], EnhancementMode.SEMANTIC, PerceptionParams())
+        personalized_pagerank(g, ["ghost"], PerceptionParams())
 
 
 # capsule ------------------------------------------------------------------------------
@@ -212,8 +214,7 @@ def test_ppr_validates_seeds():
 def _hundred_node_fixture():
     g = random_graph(100, 0.06, seed=42)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
-    pi = personalized_pagerank(g, [g.ids()[0]], EnhancementMode.SEMANTIC,
-                               PerceptionParams())
+    pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
     return g, part, pi
 
 
@@ -237,8 +238,7 @@ def test_fixed_seed_capsule_reproducible():
 
 def test_whole_graph_when_capacity_allows():
     g = random_graph(12, 0.3, seed=5)
-    pi = personalized_pagerank(g, [g.ids()[0]], EnhancementMode.SEMANTIC,
-                               PerceptionParams())
+    pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
     params = PerceptionParams(top_k_percent=100.0, retention_beta=1e6,
                               capsule_size=50)
     capsule = sample_knowledge(g, pi, params, rng_seed=0)
@@ -372,3 +372,251 @@ def test_report_json_matches_recorded_digest(seed, n, p, gamma, empty_classes, d
     part = detect_communities(g, emb, ModularityParams(gamma=gamma), seed)
     text = report_to_json(build_report(g, part, emb))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# string-keyed copies -----------------------------------------------------------------
+
+# Seed selection and capsule sampling as they were before they moved onto node
+# positions, kept word for word as the oracles of the position versions. They
+# break ties between ids with equal ``node_sort_key`` (such as "1" and "01") by
+# the order of the ppr mapping or of the partition's assignment dict.
+def reference_select_seed(
+    g: TextAttributedGraph,
+    partition: Partition,
+    emb: EmbeddingTable | None,
+    mode: EnhancementMode,
+    params: PerceptionParams = PerceptionParams(),
+) -> SeedSelection:
+    mode = EnhancementMode(mode)
+    if mode is EnhancementMode.SEMANTIC:
+        partition.validate(g)
+        members = partition.members_by_community()
+        best_idx, best_score = None, None
+        for idx, group in enumerate(members):
+            if emb is not None and emb.covers(group) and len(group) > 0:
+                x = emb.matrix(group)
+                var = float(x.var(axis=0).mean()) if len(group) > 1 else 0.0
+            else:
+                if emb is not None:
+                    raise ValueError(
+                        f"semantic seed selection needs embeddings for community {idx}")
+                var = 0.0
+            score = len(group) * (1.0 + params.seed_variance_mu * var)
+            if best_score is None or score < best_score - 1e-15:
+                best_idx, best_score = idx, score
+        return SeedSelection(frozenset(members[best_idx]), f"community:{best_idx}")
+
+    imbalance = train_imbalance(g)
+    if imbalance is None:
+        raise ValueError("topological seed selection requires training nodes")
+    target = min(sorted(imbalance), key=lambda lbl: (-imbalance[lbl], lbl))
+    nodes = frozenset(
+        rec.node_id for rec in g.nodes if rec.mask == "Train" and rec.label == target)
+    return SeedSelection(nodes, f"label:{target}")
+
+
+def reference_sample_knowledge(
+    g: TextAttributedGraph,
+    ppr: Mapping[str, float],
+    params: PerceptionParams = PerceptionParams(),
+    rng_seed: int = 0,
+    partition: Partition | None = None,
+) -> KnowledgeCapsule:
+    if not ppr:
+        raise ValueError("ppr scores must be nonempty")
+    missing = [nid for nid in ppr if not g.has_node(nid)]
+    if missing:
+        raise ValueError(f"ppr scores reference unknown nodes: {missing[:10]}")
+
+    ranked = sorted(ppr, key=lambda nid: (-ppr[nid], node_sort_key(nid)))
+    n = len(ranked)
+    k_count = max(1, math.ceil(n * params.top_k_percent / 100.0))
+    top_slice = ranked[:k_count]
+    peak = ppr[ranked[0]]
+    if peak <= 0.0:
+        raise ValueError("ppr scores must contain a positive maximum")
+
+    rng = np.random.default_rng(rng_seed)
+    draws = rng.random(len(top_slice))
+    retained = [
+        nid for nid, r in zip(top_slice, draws)
+        if r < min(1.0, params.retention_beta * ppr[nid] / peak)
+    ]
+
+    delegates: list[str] = []
+    if partition is not None:
+        partition.validate(g)
+        members = partition.members_by_community()
+        quota = min(len(members), math.ceil(params.capsule_size / 5))
+        ordered = sorted(
+            range(len(members)),
+            key=lambda c: (-len(members[c]), min(node_sort_key(v) for v in members[c])))
+        for c in ordered[:quota]:
+            scored = [v for v in members[c] if v in ppr]
+            if scored:
+                delegates.append(
+                    min(scored, key=lambda nid: (-ppr[nid], node_sort_key(nid))))
+
+    target = min(params.capsule_size, n)
+    if not retained:
+        chosen = top_slice[:target]
+    else:
+        pool = dict.fromkeys(retained)
+        for d in delegates:
+            pool.setdefault(d)
+        ordered_pool = sorted(pool, key=lambda nid: (-ppr[nid], node_sort_key(nid)))
+        chosen = ordered_pool[:target]
+        if len(chosen) < target:
+            seen = set(chosen)
+            for nid in top_slice:
+                if len(chosen) >= target:
+                    break
+                if nid not in seen:
+                    chosen.append(nid)
+                    seen.add(nid)
+            chosen.sort(key=lambda nid: (-ppr[nid], node_sort_key(nid)))
+
+    return KnowledgeCapsule(
+        node_ids=tuple(chosen),
+        records=tuple(g.node(nid) for nid in chosen),
+        ppr_scores={nid: float(ppr[nid]) for nid in chosen},
+    )
+
+
+def _distinct_key_graph(rng, n):
+    """A random graph with numeric and alphabetic ids whose ``node_sort_key``s
+    are all distinct, with records in shuffled order, so position order is
+    not canonical order."""
+    names = [str(i) if rng.random() < 0.7 else f"n{i}" for i in range(n)]
+    nbrs = {v: [] for v in names}
+    for a, b in rng.integers(n, size=(int(rng.integers(0, 3 * n)), 2)).tolist():
+        if a != b:
+            nbrs[names[a]].append(names[b])
+    recs = [NodeRecord(names[i], int(rng.integers(3)), f"document {i}", tuple(nbrs[names[i]]),
+                       MASKS[int(rng.integers(3))])
+            for i in rng.permutation(n).tolist()]
+    return TextAttributedGraph.from_records(recs, 3)
+
+
+def _random_partition(rng, g):
+    """A partition with a random number of communities, from an assignment
+    dict in shuffled order, numbered in random order rather than by smallest
+    member."""
+    ids = list(g.ids())
+    k = int(rng.integers(1, len(ids) + 1))
+    canon = Partition.from_assignment(
+        {ids[i]: int(rng.integers(k)) for i in rng.permutation(len(ids)).tolist()})
+    relabel = rng.permutation(canon.community_count).tolist()
+    return Partition({v: relabel[c] for v, c in canon.assignment.items()},
+                     canon.community_count)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_capsule_matches_reference_with_distinct_keys(seed):
+    rng = np.random.default_rng([seed, 41])
+    g = _distinct_key_graph(rng, int(rng.integers(1, 120)))
+    ids = g.ids()
+    part = _random_partition(rng, g)
+    seed_node = ids[int(rng.integers(len(ids)))]
+    pi = personalized_pagerank(g, [seed_node])
+    # scores from a few values tie often, so ties are broken by key
+    coarse = {v: float(rng.integers(1, 4)) / 8 for v in rng.permutation(ids).tolist()}
+    partial = {v: pi[v] for v in ids if v == seed_node or rng.random() < 0.5}
+    for scores in (pi, coarse, partial):
+        for beta, size, top in ((1e-9, 30, 20.0), (0.05, 7, 20.0), (0.5, 30, 20.0),
+                                (2.0, 30, 20.0), (2.0, 1, 100.0), (8.0, 200, 50.0),
+                                (1e6, 12, 5.0)):
+            params = PerceptionParams(retention_beta=beta, capsule_size=size,
+                                      top_k_percent=top)
+            for partition in (None, part):
+                rng_seed = int(rng.integers(1000))
+                got = sample_knowledge(g, scores, params, rng_seed, partition)
+                assert got == reference_sample_knowledge(g, scores, params, rng_seed,
+                                                         partition)
+
+
+def test_emptied_pool_falls_back_to_top_slice_and_still_validates():
+    g = random_graph(60, 0.08, seed=4)
+    pi = personalized_pagerank(g, [g.ids()[0]])
+    params = PerceptionParams(retention_beta=1e-12, top_k_percent=10.0, capsule_size=30)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
+    capsule = sample_knowledge(g, pi, params, 3, part)
+    # the top slice is 6 nodes, shorter than capsule_size, and no delegate joins
+    assert capsule == reference_sample_knowledge(g, pi, params, 3, part)
+    assert len(capsule) == 6
+    with pytest.raises(ValueError):
+        sample_knowledge(g, pi, params, 3, Partition.from_assignment({"0": 0}))
+
+
+class RecordingTable(EmbeddingTable):
+    """Records the ids of every matrix it gathers, in order."""
+
+    def matrix(self, ids):
+        self.gathered.append(list(ids))
+        return super().matrix(ids)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seed_matches_reference_with_distinct_keys(seed):
+    rng = np.random.default_rng([seed, 43])
+    g = _distinct_key_graph(rng, int(rng.integers(1, 90)))
+    part = _random_partition(rng, g)
+    base = random_embeddings(g, dim=4, seed=seed)
+    emb = RecordingTable({v: base[v] for v in base.ids()})
+    for mode in EnhancementMode:
+        for table in (None, emb):
+            emb.gathered = []
+            try:
+                want = reference_select_seed(g, part, table, mode)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    select_seed(g, part, table, mode)
+                continue
+            want_rows, emb.gathered = emb.gathered, []
+            assert select_seed(g, part, table, mode) == want
+            # the same rows in the same order, so the same variance floats;
+            # a single member's variance is 0 without a gather
+            assert emb.gathered == [rows for rows in want_rows if len(rows) > 1]
+
+
+def test_seed_needs_embeddings_for_the_first_uncovered_community():
+    g, part, small, big = _two_community_fixture()
+    emb = EmbeddingTable({v: [1.0, float(i)] for i, v in enumerate(g.ids()) if v != small[1]})
+    with pytest.raises(ValueError, match="community 1") as err:
+        select_seed(g, part, emb, EnhancementMode.SEMANTIC)
+    with pytest.raises(ValueError, match=str(err.value)):
+        reference_select_seed(g, part, emb, EnhancementMode.SEMANTIC)
+
+
+def _equal_key_leaves_fixture():
+    """A hub h with leaves "1" and "01" (equal ``node_sort_key``), s-h, and a
+    40-node path t0...t39 from s."""
+    path = [f"t{i}" for i in range(40)]
+    adj = {"h": ["1", "01", "s"], "1": [], "01": [], "s": ["t0"]}
+    adj.update({v: [w] for v, w in zip(path, path[1:])})
+    adj["t39"] = []
+    g = make_graph(adj)
+    rest = {v: 1 for v in ["h", "s", *path]}
+    p1 = Partition.from_assignment({"1": 0, "01": 0, **rest})
+    p2 = Partition.from_assignment({"01": 0, "1": 0, **rest})
+    return g, p1, p2
+
+
+def test_equal_partitions_give_equal_capsules_with_equal_keys():
+    g, p1, p2 = _equal_key_leaves_fixture()
+    pi = personalized_pagerank(g, ["t20"])
+    assert p1 == p2 and pi["1"] == pi["01"]
+    for rng_seed in range(5):
+        got = sample_knowledge(g, pi, PerceptionParams(), rng_seed, p1)
+        assert got == sample_knowledge(g, pi, PerceptionParams(), rng_seed, p2)
+        # nor does the order of the scores
+        assert got == sample_knowledge(g, dict(reversed(pi.items())), PerceptionParams(),
+                                       rng_seed, p1)
+        # the tie goes to the graph's first position of the two
+        assert g.ids().index("01") < g.ids().index("1")
+        assert "01" in got.node_ids and "1" not in got.node_ids
+        # the string-keyed copy gave each partition's first-built id instead
+        assert "1" in reference_sample_knowledge(g, pi, PerceptionParams(), rng_seed,
+                                                 p1).node_ids
+        assert "01" in reference_sample_knowledge(g, pi, PerceptionParams(), rng_seed,
+                                                  p2).node_ids

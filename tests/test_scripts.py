@@ -52,3 +52,17 @@ def test_repair_digests_prints_one_deterministic_row_per_setting():
     assert all(len(row) == 8 and len(row[6]) == 64 and int(row[5]) >= 0 for row in rows)
     assert any(int(row[5]) > 0 for row in rows)
     assert [row[:7] for row in rows] == [line.split("\t")[:7] for line in second.splitlines()]
+
+
+def test_synthesis_digests_prints_one_deterministic_row_per_run():
+    args = ("--sizes", "60", "--gammas", "0.5,1", "--seeds", "1", "--parts", "0",
+            "--iterations", "2")
+    first, second = (run_script("synthesis_digests.py", *args) for _ in range(2))
+    rows = [line.split("\t") for line in first.splitlines()]
+    # nodes, degree, gamma, seed, part, audit and graph digests, prompt
+    # characters per role, seconds
+    assert [row[:5] for row in rows] == [
+        ["60", "4.0", gamma, "1", "0"] for gamma in ("0.5", "1.0")]
+    assert all(len(row) == 12 and len(row[5]) == len(row[6]) == 64 for row in rows)
+    assert all(int(chars) > 0 for row in rows for chars in row[7:11])
+    assert [row[:11] for row in rows] == [line.split("\t")[:11] for line in second.splitlines()]

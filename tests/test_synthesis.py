@@ -170,7 +170,7 @@ def test_propose_edges_scores_and_filters():
         record=NodeRecord("n1", 0, "text", (), "Train"),
         proposed=("1", "3", "missing"))
     kept = propose_edges(g, gen, np.array([1.0, 0.0]), emb,
-                         frozenset({"1", "3"}), (0.6, 0.3, 0.1), 0.5)
+                         frozenset({"1", "3"}), (0.6, 0.3, 0.1), 0.5, max_deg=1)
     # deg ratio separates the two perfect-similarity targets
     assert [t for t, _ in kept] == ["1", "3"]
     assert kept[0][1] == pytest.approx(sigmoid(0.7))
@@ -182,7 +182,7 @@ def test_propose_edges_zero_norm_embedding_rejected():
     emb = EmbeddingTable({"1": [1.0, 0.0]})
     gen = GeneratedNode(NodeRecord("n1", 0, "t", (), "Train"), proposed=("1",))
     with pytest.raises(ValueError):
-        propose_edges(g, gen, np.zeros(2), emb, frozenset(), (0.6, 0.3, 0.1), 0.5)
+        propose_edges(g, gen, np.zeros(2), emb, frozenset(), (0.6, 0.3, 0.1), 0.5, 0)
 
 
 def test_filter_accepted_strictly_above_bar():
