@@ -13,7 +13,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,7 +95,7 @@ class TextAttributedGraph:
 
     __slots__ = (
         "nodes", "class_count", "normalization_fixes",
-        "_pos", "_num_edges", "_csr", "_key_rank",
+        "_pos", "_num_edges", "_degrees", "_csr", "_key_rank",
     )
 
     def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
@@ -105,6 +105,7 @@ class TextAttributedGraph:
         self.normalization_fixes = normalization_fixes
         self._pos = {rec.node_id: i for i, rec in enumerate(nodes)}
         self._num_edges = sum(len(rec.neighbors) for rec in nodes) // 2
+        self._degrees = None
         self._csr = None
         self._key_rank = None
 
@@ -192,7 +193,11 @@ class TextAttributedGraph:
         return len(self.nodes[self._pos[node_id]].neighbors)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)
+        """Read-only degree of each position."""
+        if self._degrees is None:
+            self._degrees = np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)
+            self._degrees.flags.writeable = False
+        return self._degrees
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Each undirected edge exactly once, oriented from the end with the

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,8 @@ _BRIDGE_CAP = 12
 _ISOLATE_CAP = 4
 _REPLACE_CAP = 8
 _GAIN_EPS = 1e-12
+# ARPACK tolerance of the first, loose pass of the spectrum's deflation check
+_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,16 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     largest remaining eigenvalue is checked; one above the smallest found
     takes its place until none is. Graphs too small for ARPACK to return
     ``count`` pairs use the dense solver.
+
+    The check runs loose first (``tol`` = ``_CHECK_TOL``) and returns a Ritz
+    pair (theta, w) of the shifted operator R. A Ritz value is at most R's
+    largest eigenvalue, and some eigenvalue of R lies within
+    r = |Rw - theta w| / |w| of theta: the residual bound on which ARPACK
+    accepts the full-precision pair too. So theta + r at most the smallest
+    found value (plus 1e-10) means no copy was missed, and the check stops;
+    only the matvec for r is added. Otherwise the check is redone at full
+    precision, and its test and swap are the full-precision check's, so every
+    swap and every returned bit is what that check alone gives.
     """
     s = a.shape[0]
     inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
@@ -104,15 +116,21 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     else:
         m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
         v0 = np.random.default_rng(0).standard_normal(s)
-        mu, vecs = eigsh(m, k=count, which="LA", v0=v0)
+        # a bare matvec: eigsh would wrap the CSR in several operator layers
+        mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
+                         k=count, which="LA", v0=v0)
         while True:
             # found pairs move to -3, below the spectrum of M in [-1, 1]
             shift = mu + 3.0
             rest = LinearOperator(
                 (s, s), dtype=np.float64,
                 matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
-            top, w = eigsh(rest, k=1, which="LA", v0=v0)
             low = int(np.argmin(mu))
+            theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=_CHECK_TOL)
+            r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
+            if theta[0] + r <= mu[low] + 1e-10:
+                break
+            top, w = eigsh(rest, k=1, which="LA", v0=v0)
             if top[0] <= mu[low] + 1e-10:
                 break
             mu[low], vecs[:, low] = top[0], w[:, 0]

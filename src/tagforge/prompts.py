@@ -6,7 +6,7 @@ apply per-role temperature defaults and the audit log can attribute calls.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .gateway import ChatRequest
 

@@ -18,10 +18,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .community import EmbeddingTable, ModularityParams, Partition, detect_communities
+from .community import EmbeddingTable, ModularityParams, detect_communities
 from .gateway import (
     AuditLog,
-    ChatRequest,
     PermanentProviderError,
     StructuredOutputError,
     TransportError,

@@ -156,6 +156,14 @@ def test_handshake_lemma_after_load():
         assert int(g.degrees().sum()) == 2 * g.num_edges
 
 
+def test_degrees_are_cached_read_only_and_follow_the_records():
+    g = random_graph(25, 0.15, 3)
+    deg = g.degrees()
+    assert deg is g.degrees() and not deg.flags.writeable and deg.dtype == np.int64
+    assert deg.tolist() == [len(g.neighbors(v)) for v in g.ids()]
+    assert np.array_equal(deg, np.diff(g.adjacency_csr().indptr))
+
+
 def test_node_sort_key_orders_numerics_before_text():
     ids = ["10", "2", "new_node 1", "1", "alpha"]
     assert sorted(ids, key=node_sort_key) == ["1", "2", "10", "alpha", "new_node 1"]

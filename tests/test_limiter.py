@@ -1,10 +1,15 @@
 import hashlib
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from conftest import make_graph, random_graph
 from tagforge.community import ModularityParams, Partition, detect_communities
@@ -12,6 +17,7 @@ from tagforge.graph import (
     NodeRecord,
     TextAttributedGraph,
     component_labels,
+    graph_from_json_obj,
     node_sort_key,
 )
 from tagforge.limiter import (
@@ -20,6 +26,7 @@ from tagforge.limiter import (
     _ISOLATE_CAP,
     _REPLACE_CAP,
     LimiterParams,
+    _smallest_laplacian_eigenvalues,
     RepairReport,
     _distortion,
     _first_per_cell,
@@ -108,7 +115,8 @@ def test_property_tensor_tie_goes_to_component_with_smallest_sort_key():
 def _networkx_graph(name, size):
     nx = pytest.importorskip("networkx")
     build = {"path": nx.path_graph, "cycle": nx.cycle_graph,
-             "hypercube": nx.hypercube_graph}[name]
+             "hypercube": nx.hypercube_graph,
+             "grid": lambda side: nx.grid_2d_graph(side, side)}[name]
     h = nx.convert_node_labels_to_integers(build(size), ordering="sorted")
     return make_graph({str(u): [str(v) for v in h[u] if v > u] for u in h})
 
@@ -191,6 +199,125 @@ def test_property_tensor_lanczos_is_deterministic_and_allocates_no_dense_matrix(
     s = round(property_tensor(g).component_profile[1] * g.num_nodes)
     assert peak < s * s * 8
 
+
+
+# The spectrum with a full-precision deflation check on every call, kept word
+# for word as the oracle of the one that checks loosely first.
+def reference_smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
+    """The ``count`` smallest eigenvalues of I - D^-1/2 A D^-1/2, ascending,
+    for a connected graph with at least two nodes.
+
+    They are 1 - mu for the largest eigenvalues mu of M = D^-1/2 A D^-1/2,
+    found by ARPACK's Lanczos iteration from a fixed start vector, so repeated
+    calls give the same bits. Lanczos can miss copies of a repeated
+    eigenvalue, so the found pairs are shifted below the spectrum and the
+    largest remaining eigenvalue is checked; one above the smallest found
+    takes its place until none is. Graphs too small for ARPACK to return
+    ``count`` pairs use the dense solver.
+    """
+    s = a.shape[0]
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    if s <= count + 1:
+        lap = np.eye(s) - (a.toarray() * inv_sqrt[None, :]) * inv_sqrt[:, None]
+        vals = np.linalg.eigvalsh(lap)[:count]
+    else:
+        m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
+        v0 = np.random.default_rng(0).standard_normal(s)
+        mu, vecs = eigsh(m, k=count, which="LA", v0=v0)
+        while True:
+            # found pairs move to -3, below the spectrum of M in [-1, 1]
+            shift = mu + 3.0
+            rest = LinearOperator(
+                (s, s), dtype=np.float64,
+                matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
+            top, w = eigsh(rest, k=1, which="LA", v0=v0)
+            low = int(np.argmin(mu))
+            if top[0] <= mu[low] + 1e-10:
+                break
+            mu[low], vecs[:, low] = top[0], w[:, 0]
+        vals = np.sort(1.0 - mu)
+    return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
+
+
+def _spectrum_input(g):
+    """The largest component's adjacency, as ``property_tensor`` passes it."""
+    comp, sizes = component_labels(g)
+    order = np.argsort(g.key_rank(), kind="stable")
+    in_order = comp[order]
+    big = in_order[np.argmax(sizes[in_order] == sizes.max())]
+    members = order[in_order == big]
+    return g.adjacency_csr()[members][:, members]
+
+
+def _planted_graph(n, avg_degree, seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return graph_from_json_obj(gen.planted_graph(n, avg_degree, seed))
+
+
+@pytest.mark.parametrize("n", [600, 1500, 4000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectrum_matches_reference_on_generator_graphs_and_samples(n, seed):
+    # limit-sparse's inputs: the original graph and its alpha=0.3 sample
+    g = _planted_graph(n, 1.6, seed)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+    sample = sample_limited(g, part, LimiterParams(alpha=0.3))
+    for graph in (g, sample):
+        a = _spectrum_input(graph)
+        assert a.shape[0] > 11
+        assert (_smallest_laplacian_eigenvalues(a, 10)
+                == reference_smallest_laplacian_eigenvalues(a, 10))
+
+
+# Q_d has the eigenvalue 2/d d times, C_n each of its inner eigenvalues twice
+# and the 10 x 10 grid most of its own twice; the reference's check swaps
+# ``swaps`` times (none in C40 at 7 and the grid at 7)
+@pytest.mark.parametrize("name,count,swaps", [
+    ("Q7", 5, 1), ("Q9", 10, 1), ("Q6", 7, 1), ("tree", 10, 1), ("C40", 7, 0), ("C36", 5, 2),
+    ("G10", 7, 0)])
+def test_spectrum_matches_reference_on_repeated_eigenvalues(monkeypatch, name, count, swaps):
+    if name == "tree":
+        g = _sparse_random_graph(tree=True)[1]
+    else:
+        g = _networkx_graph({"Q": "hypercube", "C": "cycle", "G": "grid"}[name[0]],
+                            int(name[1:]))
+    a = _spectrum_input(g)
+    scipy_eigsh, reference_calls = eigsh, []
+
+    def counting_eigsh(*args, **kwargs):
+        reference_calls.append(kwargs["k"])
+        return scipy_eigsh(*args, **kwargs)
+
+    monkeypatch.setitem(globals(), "eigsh", counting_eigsh)
+    want = reference_smallest_laplacian_eigenvalues(a, count)
+    assert reference_calls == [count] + [1] * (swaps + 1)
+    assert _smallest_laplacian_eigenvalues(a, count) == want
+
+
+@pytest.mark.parametrize("name,size,count,pattern", [
+    # one swap, after a full-precision check
+    ("hypercube", 7, 5, r"M(LF)+LF?"),
+    # the loose check's bound separates: no full-precision check
+    ("path", 60, 10, r"ML"),
+    # the bound does not separate, and the full-precision check finds no copy
+    ("grid", 10, 7, r"MLF"),
+])
+def test_spectrum_check_runs_at_full_precision_before_every_swap(
+        monkeypatch, name, size, count, pattern):
+    import tagforge.limiter as limiter
+    eigsh, calls = limiter.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        # M: the main solve, F: a full-precision check, L: a loose check
+        calls.append("M" if kwargs["k"] == count else "L" if "tol" in kwargs else "F")
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(limiter, "eigsh", recording_eigsh)
+    property_tensor(_networkx_graph(name, size), count)
+    # every loose check but the last ends in a swap, each after a full check
+    assert re.fullmatch(pattern, "".join(calls))
 
 # sampling ---------------------------------------------------------------------------
 

@@ -66,3 +66,14 @@ def test_synthesis_digests_prints_one_deterministic_row_per_run():
     assert all(len(row) == 12 and len(row[5]) == len(row[6]) == 64 for row in rows)
     assert all(int(chars) > 0 for row in rows for chars in row[7:11])
     assert [row[:11] for row in rows] == [line.split("\t")[:11] for line in second.splitlines()]
+
+
+def test_spectrum_digests_prints_one_deterministic_row_per_graph():
+    args = ("--sizes", "300", "--degrees", "1.6,4", "--seeds", "1")
+    first, second = (run_script("spectrum_digests.py", *args) for _ in range(2))
+    rows = [line.split("\t") for line in first.splitlines()]
+    # nodes, degree, seed, graph, largest component, digest, seconds
+    assert [row[:4] for row in rows] == [
+        ["300", degree, "1", kind] for degree in ("1.6", "4.0") for kind in ("original", "sample")]
+    assert all(len(row) == 7 and len(row[5]) == 64 and int(row[4]) > 11 for row in rows)
+    assert [row[:6] for row in rows] == [line.split("\t")[:6] for line in second.splitlines()]
