@@ -98,6 +98,15 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     takes its place until none is. Graphs too small for ARPACK to return
     ``count`` pairs use the dense solver.
 
+    The main solve keeps ``min(s, max(3 * count, 20))`` Lanczos vectors, not
+    ARPACK's default ``max(2 * count + 1, 20)``. The top eigenvalues of M in
+    the tree-like components of sparse graphs crowd near 1, and implicitly
+    restarted Lanczos separates such a cluster in far fewer restarts when its
+    basis is a few times wider than the number of pairs wanted: at 10 pairs
+    the main solve takes about half the time on the benchmark's components.
+    Four times as wide was no faster than three, and five times was slower.
+    The tests hold the values to 1e-12 of a dense solve.
+
     The check runs loose first (``tol`` = ``_CHECK_TOL``) and returns a Ritz
     pair (theta, w) of the shifted operator R. A Ritz value is at most R's
     largest eigenvalue, and some eigenvalue of R lies within
@@ -118,7 +127,7 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
         v0 = np.random.default_rng(0).standard_normal(s)
         # a bare matvec: eigsh would wrap the CSR in several operator layers
         mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
-                         k=count, which="LA", v0=v0)
+                         k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
         while True:
             # found pairs move to -3, below the spectrum of M in [-1, 1]
             shift = mu + 3.0
@@ -138,31 +147,38 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
 
 
-def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
-    """Degree and label histograms, leading normalized-Laplacian spectrum of
-    the largest component, and the component profile (count/n, largest/n).
+def _largest_component(g: TextAttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the largest connected component in the graph's canonical
+    order (``key_rank``), and the size of every component, for a graph with
+    at least one node.
 
     Among equally large largest components, the one holding the first node
-    in the graph's canonical order (``key_rank``) is the one whose spectrum
-    is taken.
+    in that order is taken.
+    """
+    comp, sizes = component_labels(g)
+    order = np.argsort(g.key_rank(), kind="stable")
+    in_order = comp[order]
+    big = in_order[np.argmax(sizes[in_order] == sizes.max())]
+    return order[in_order == big], sizes
+
+
+def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
+    """Degree and label histograms, leading normalized-Laplacian spectrum of
+    the largest component (``_largest_component``), and the component
+    profile (count/n, largest/n).
     """
     n = g.num_nodes
     hist, labels = histograms(g)
     spectral: tuple[float, ...] = ()
     profile = (0.0, 0.0)
     if n > 0:
-        comp, sizes = component_labels(g)
-        largest = int(sizes.max())
-        order = np.argsort(g.key_rank(), kind="stable")
-        in_order = comp[order]
-        big = in_order[np.argmax(sizes[in_order] == largest)]
-        if largest == 1:
+        members, sizes = _largest_component(g)
+        if members.size == 1:
             spectral = (0.0,)
         else:
-            members = order[in_order == big]
             spectral = _smallest_laplacian_eigenvalues(
                 g.adjacency_csr()[members][:, members], eigen_count)
-        profile = (sizes.size / n, largest / n)
+        profile = (sizes.size / n, members.size / n)
     return PropertyTensor(
         degree_histogram=hist,
         label_distribution=labels,

@@ -26,6 +26,7 @@ from tagforge.limiter import (
     _ISOLATE_CAP,
     _REPLACE_CAP,
     LimiterParams,
+    _largest_component,
     _smallest_laplacian_eigenvalues,
     RepairReport,
     _distortion,
@@ -241,12 +242,20 @@ def reference_smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tu
 
 def _spectrum_input(g):
     """The largest component's adjacency, as ``property_tensor`` passes it."""
-    comp, sizes = component_labels(g)
-    order = np.argsort(g.key_rank(), kind="stable")
-    in_order = comp[order]
-    big = in_order[np.argmax(sizes[in_order] == sizes.max())]
-    members = order[in_order == big]
+    members, _ = _largest_component(g)
     return g.adjacency_csr()[members][:, members]
+
+
+def _dense_spectrum(a, count):
+    """The ``count`` smallest normalized-Laplacian eigenvalues of the graph
+    with adjacency ``a``, by numpy's dense ``eigvalsh``."""
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    lap = np.eye(a.shape[0]) - (a.toarray() * inv_sqrt[None, :]) * inv_sqrt[:, None]
+    return np.clip(np.linalg.eigvalsh(lap), 0.0, 2.0)[:count]
+
+
+def _max_gap(got, want):
+    return float(np.abs(np.subtract(got, want)).max())
 
 
 def _planted_graph(n, avg_degree, seed):
@@ -267,8 +276,9 @@ def test_spectrum_matches_reference_on_generator_graphs_and_samples(n, seed):
     for graph in (g, sample):
         a = _spectrum_input(graph)
         assert a.shape[0] > 11
-        assert (_smallest_laplacian_eigenvalues(a, 10)
-                == reference_smallest_laplacian_eigenvalues(a, 10))
+        got = _smallest_laplacian_eigenvalues(a, 10)
+        assert _max_gap(got, _dense_spectrum(a, 10)) <= 1e-12
+        assert _max_gap(got, reference_smallest_laplacian_eigenvalues(a, 10)) <= 1e-12
 
 
 # Q_d has the eigenvalue 2/d d times, C_n each of its inner eigenvalues twice
@@ -293,7 +303,31 @@ def test_spectrum_matches_reference_on_repeated_eigenvalues(monkeypatch, name, c
     monkeypatch.setitem(globals(), "eigsh", counting_eigsh)
     want = reference_smallest_laplacian_eigenvalues(a, count)
     assert reference_calls == [count] + [1] * (swaps + 1)
-    assert _smallest_laplacian_eigenvalues(a, count) == want
+    got = _smallest_laplacian_eigenvalues(a, count)
+    assert _max_gap(got, _dense_spectrum(a, count)) <= 1e-12
+    assert _max_gap(got, want) <= 1e-12
+
+
+# the main solve's basis is capped at the component size: P3 at 1 is the
+# smallest input that reaches Lanczos, P12 at 10 and Q7 at 50 take the whole
+# space, and Q7 at 30 cuts its 35-fold eigenvalue 6/7
+@pytest.mark.parametrize("name,size,count", [
+    ("path", 3, 1), ("path", 12, 10), ("hypercube", 7, 30), ("hypercube", 7, 50)])
+def test_spectrum_basis_is_capped_at_the_component_size(monkeypatch, name, size, count):
+    import tagforge.limiter as limiter
+    eigsh, calls = limiter.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(limiter, "eigsh", recording_eigsh)
+    g = _networkx_graph(name, size)
+    got = property_tensor(g, count).top_spectral
+    assert count < calls[0]["ncv"] <= g.num_nodes
+    assert len(got) == count
+    assert _max_gap(got, _analytic_spectrum(name, size)[:count]) <= 1e-12
+    assert _max_gap(got, _dense_spectrum(_spectrum_input(g), count)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,size,count,pattern", [
