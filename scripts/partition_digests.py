@@ -3,15 +3,17 @@ of a sweep, so two versions of the detection code compare with one ``diff``.
 
 Graphs come from the benchmark's generator (perfbench/gen.py) with its label
 embeddings. Each row is tab-separated: nodes, average degree, seed, gamma,
-semantic term, community count, the sha256 of the sorted assignment, and the
-detection seconds. Every column but the last is deterministic, so
+semantic term, community count, the sha256 of the sorted assignment, the
+detection seconds, and the tracemalloc peak in MB of a second detection call
+on the same graph. The seconds come from the first call, which runs
+untraced. The first seven columns are deterministic, so
 
     diff <(python3 scripts/partition_digests.py | cut -f1-7) \\
          <(python3 other/scripts/partition_digests.py | cut -f1-7)
 
 is empty when the two give the same partitions. The default sweep runs
 2 x 5 x 5 graphs under three settings (gamma 0.5 with each semantic term, and
-gamma 1); it takes a few minutes.
+gamma 1); with the traced second call it takes about ten minutes.
 
 Usage:
     python3 scripts/partition_digests.py [--sizes 300,900,2000,4900,5100]
@@ -23,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,9 +66,13 @@ def main(argv=None) -> int:
                     part = detect_communities(g, emb, params, seed)
                     seconds = time.perf_counter() - start
                     total += seconds
+                    tracemalloc.start()
+                    detect_communities(g, emb, params, seed)
+                    peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+                    tracemalloc.stop()
                     print(n, degree, seed, params.gamma, params.semantic_term,
                           part.community_count, digest(part.assignment),
-                          f"{seconds:.3f}", sep="\t", flush=True)
+                          f"{seconds:.3f}", f"{peak_mb:.1f}", sep="\t", flush=True)
     print(f"# detection seconds in total: {total:.1f}", file=sys.stderr)
     return 0
 

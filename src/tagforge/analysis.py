@@ -204,7 +204,10 @@ def _canonical_sign(u: np.ndarray) -> np.ndarray:
 
 def grassmann_objective(u: np.ndarray, vectors) -> float:
     """Sum of squared principal angles between u and each row vector."""
-    x = _unit_rows(vectors)
+    return _objective_of_unit_rows(u, _unit_rows(vectors))
+
+
+def _objective_of_unit_rows(u: np.ndarray, x: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     u = u / np.linalg.norm(u)
     cosines = np.clip(np.abs(x @ u), 0.0, 1.0)
@@ -234,7 +237,10 @@ def principal_direction(
     else:
         u = mean / norm
     u = _canonical_sign(u)
-    f_prev = grassmann_objective(u, x)
+    # the objective normalizes its rows again, which moves x by ulps; doing
+    # that once keeps every value grassmann_objective(., x) would give
+    x_objective = _unit_rows(x)
+    f_prev = _objective_of_unit_rows(u, x_objective)
     converged = False
     outer_done = 0
     for outer in range(1, max_outer + 1):
@@ -246,7 +252,7 @@ def principal_direction(
             w = np.where(near_aligned, 1.0, np.arccos(a) / np.sqrt(1.0 - a ** 2))
         m = x.T @ (x * w[:, None])
         v = _canonical_sign(np.linalg.eigh(m)[1][:, -1])
-        f_new = grassmann_objective(v, x)
+        f_new = _objective_of_unit_rows(v, x_objective)
         # the reweighted eigen-step can overshoot on spread-out clouds;
         # halve the move back toward the previous direction until the
         # objective stops increasing, preserving the monotone guarantee
@@ -259,7 +265,7 @@ def principal_direction(
                 f_new = f_prev
                 break
             v = _canonical_sign(blend / bn)
-            f_new = grassmann_objective(v, x)
+            f_new = _objective_of_unit_rows(v, x_objective)
             halved += 1
         if f_new > f_prev + 1e-9:
             raise RuntimeError(

@@ -33,9 +33,13 @@ PAIR_SAMPLE_SIZE = 200_000
 # Above this node count a semantic run stays at the local-moving level and
 # skips coarsening, to bound memory. Each coarse level of k super-nodes holds
 # two dense k x k float arrays: its block sums ``sem`` and the per-community
-# sums ``csum`` local moving keeps over them. At 50k nodes the first coarse
-# level has k near 20k, about 3.3 GB per array.
+# sums ``csum`` local moving keeps over them. No other array grows with k^2:
+# _aggregate builds ``sem`` from row blocks of _SEM_BLOCK_FLOATS floats. At
+# 50k nodes the first coarse level has k near 20k, about 3.3 GB per array.
 AGGREGATE_SEMANTIC_LIMIT = 5000
+# Floats per row block of the pair-term matrix when _aggregate builds
+# semantic block sums: 4 MB, whatever the node count.
+_SEM_BLOCK_FLOATS = 2 ** 19
 
 _GAIN_EPS = 1e-12
 
@@ -191,10 +195,13 @@ def block_totals(
     return internal.astype(np.int64), (p.T @ a.getnnz(axis=1)).astype(np.int64)
 
 
-def _pair_term(sim_block: np.ndarray, semantic_term: str) -> np.ndarray:
+def _pair_term(sim_block: np.ndarray, semantic_term: str,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The semantic pair term of each similarity; ``out=sim_block`` applies
+    it in place."""
     if semantic_term == "similarity":
-        return np.maximum(sim_block, 0.0)
-    return 1.0 - sim_block
+        return np.maximum(sim_block, 0.0, out=out)
+    return np.subtract(1.0, sim_block, out=out)
 
 
 def _total_pair_sum(x_unit: np.ndarray, semantic_term: str) -> float:
@@ -202,8 +209,8 @@ def _total_pair_sum(x_unit: np.ndarray, semantic_term: str) -> float:
     n = x_unit.shape[0]
     total = 0.0
     for start in range(0, n, _ROW_BLOCK):
-        block = _pair_term(x_unit[start:start + _ROW_BLOCK] @ x_unit.T, semantic_term)
-        total += float(block.sum())
+        block = x_unit[start:start + _ROW_BLOCK] @ x_unit.T
+        total += float(_pair_term(block, semantic_term, out=block).sum())
     return total
 
 
@@ -217,7 +224,7 @@ def _sampled_pair_sum(x_unit: np.ndarray, semantic_term: str, rng_seed: int) -> 
     for start in range(0, PAIR_SAMPLE_SIZE, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         dots[block] = np.einsum("ij,ij->i", x_unit[li[block]], x_unit[mi[block]])
-    est = float(_pair_term(dots, semantic_term).mean()) * n * n
+    est = float(_pair_term(dots, semantic_term, out=dots).mean()) * n * n
     log.info(
         "semantic pair sum estimated from %d sampled pairs of %d^2 (seed %d)",
         PAIR_SAMPLE_SIZE, n, rng_seed)
@@ -407,8 +414,14 @@ def _aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
     """Collapse each community of ``comm`` into one super-node.
 
     Super-nodes are ordered by their smallest original member. Semantic block
-    sums are carried when ``level.sem`` exists, or, on the first level, built
-    from ``x_unit`` when it is given.
+    sums P^T T P are carried when ``level.sem`` exists, or, on the first
+    level, built from ``x_unit`` when it is given. T is taken one block of
+    rows at a time, in the order of the rows' new communities, with about
+    ``_SEM_BLOCK_FLOATS`` floats per block whatever n is. Each block's rows
+    are summed per column community (``rows @ P``), then per row community,
+    and added into the block's own communities' rows of ``sem`` only, so no
+    k x k temporary is made. The sums run in another order than the
+    whole-matrix P^T T P, so ``sem`` may differ from it in the last bits.
     """
     n = len(comm)
     comm = comm.tolist()
@@ -420,10 +433,10 @@ def _aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
     labels = sorted(first, key=first.__getitem__)
     remap = {c: i for i, c in enumerate(labels)}
     k = len(labels)
-    caff = [remap[c] for c in comm]
+    caff = np.array([remap[c] for c in comm], dtype=np.intp)
     members: list[list[int]] = [[] for _ in range(k)]
-    for v in range(n):
-        members[caff[v]].extend(level.members[v])
+    for v, c in enumerate(caff.tolist()):
+        members[c].extend(level.members[v])
     for ms in members:
         ms.sort()
     # weights are integer counts, so P^T A P and P^T strength are exact
@@ -432,14 +445,19 @@ def _aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
     strength = ind.T @ level.strength
     sem = None
     if level.sem is not None or x_unit is not None:
-        # P^T T P, one row block of the pair-term matrix T at a time
+        order = np.argsort(caff, kind="stable")
+        step = max(1, _SEM_BLOCK_FLOATS // n)
         sem = np.zeros((k, k))
-        for start in range(0, n, _ROW_BLOCK):
+        for start in range(0, n, step):
+            idx = order[start:start + step]
             if level.sem is not None:
-                rows = level.sem[start:start + _ROW_BLOCK]
+                rows = level.sem[idx]
             else:
-                rows = _pair_term(x_unit[start:start + _ROW_BLOCK] @ x_unit.T, semantic_term)
-            sem += ind[start:start + _ROW_BLOCK].T @ (rows @ ind)
+                rows = x_unit[idx] @ x_unit.T
+                _pair_term(rows, semantic_term, out=rows)
+            # sorted rows, so the block's communities are the labels lo..hi-1
+            lo, hi = int(caff[idx[0]]), int(caff[idx[-1]]) + 1
+            sem[lo:hi] += indicator(caff[idx] - lo, hi - lo).T @ (rows @ ind)
     return _Level(adj, strength, sem, members)
 
 

@@ -22,10 +22,11 @@ from scipy.sparse import csgraph
 log = logging.getLogger("tagforge.graph")
 
 MASKS = ("Train", "Validation", "Test")
-# Rows per block when a dense all-pairs quantity (semantic pair terms in
-# community detection) is reduced one block of sources at a time, which
-# bounds memory at _ROW_BLOCK * n floats. graph_stats also runs its BFS
-# sources in blocks of this size: _ROW_BLOCK / 64 uint64 words per node.
+# Rows per block when community detection sums the semantic pair term over
+# all pairs (at most _ROW_BLOCK * n floats at once) or gathers sampled pairs.
+# Detection's _aggregate sizes its blocks by a float budget instead. graph_stats
+# runs its BFS sources in blocks of this size: _ROW_BLOCK / 64 uint64 words
+# per node.
 _ROW_BLOCK = 1024
 
 

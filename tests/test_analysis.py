@@ -8,8 +8,11 @@ import scipy.stats
 
 from conftest import make_graph, random_graph
 from tagforge.analysis import (
+    _canonical_sign,
     _clustering_profile,
+    _unit_rows,
     CoherenceReport,
+    PrincipalDirection,
     coherence_score,
     coherence_statistics,
     clustering_similarity,
@@ -329,6 +332,77 @@ def test_grassmann_objective_scale_invariant():
     u = rng.normal(size=5)
     assert grassmann_objective(u, cloud) == pytest.approx(
         grassmann_objective(3.7 * u, cloud), abs=1e-9)
+
+
+# The principal direction that scored every candidate through the public
+# grassmann_objective, which normalizes the rows again on each call, kept word
+# for word as the reference for the version that normalizes them once.
+def reference_principal_direction(
+    vectors,
+    tol_radians: float = 1e-8,
+    max_outer: int = 100,
+) -> PrincipalDirection:
+    x = _unit_rows(vectors)
+    n, dim = x.shape
+    mean = x.mean(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 1e-12:
+        u = np.zeros(dim)
+        u[0] = 1.0
+    else:
+        u = mean / norm
+    u = _canonical_sign(u)
+    f_prev = grassmann_objective(u, x)
+    converged = False
+    outer_done = 0
+    for outer in range(1, max_outer + 1):
+        outer_done = outer
+        t = x @ u
+        a = np.clip(np.abs(t), 0.0, 1.0)
+        near_aligned = a > 1.0 - 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(near_aligned, 1.0, np.arccos(a) / np.sqrt(1.0 - a ** 2))
+        m = x.T @ (x * w[:, None])
+        v = _canonical_sign(np.linalg.eigh(m)[1][:, -1])
+        f_new = grassmann_objective(v, x)
+        # the reweighted eigen-step can overshoot on spread-out clouds;
+        # halve the move back toward the previous direction until the
+        # objective stops increasing, preserving the monotone guarantee
+        halved = 0
+        while f_new > f_prev and halved < 50:
+            blend = u + v if float(v @ u) >= 0.0 else u - v
+            bn = float(np.linalg.norm(blend))
+            if bn < 1e-300:
+                v = u
+                f_new = f_prev
+                break
+            v = _canonical_sign(blend / bn)
+            f_new = grassmann_objective(v, x)
+            halved += 1
+        if f_new > f_prev + 1e-9:
+            raise RuntimeError(
+                f"coherence objective increased from {f_prev:.12f} to {f_new:.12f}")
+        step = float(np.arccos(np.clip(abs(v @ u), 0.0, 1.0)))
+        u = v
+        f_prev = min(f_prev, f_new)
+        if step < tol_radians:
+            converged = True
+            break
+    return PrincipalDirection(direction=u, objective=f_prev,
+                              iterations=outer_done, converged=converged)
+
+
+@pytest.mark.parametrize("dim, n, spread", [
+    (3, 20, 0.3), (8, 60, 0.6), (16, 200, 1.0), (32, 500, 1.5), (32, 4000, 2.0)])
+def test_principal_direction_matches_reference_bit_for_bit(dim, n, spread):
+    rng = np.random.default_rng([37, dim, n])
+    base = rng.normal(size=dim)
+    cloud = base / np.linalg.norm(base) + rng.normal(0, spread, size=(n, dim))
+    for vectors in (cloud, np.eye(2), np.array([[1.0, 0.0], [-1.0, 0.0]])):
+        got, ref = principal_direction(vectors), reference_principal_direction(vectors)
+        assert np.array_equal(got.direction, ref.direction)
+        assert got.objective == ref.objective
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
 
 
 # coherence scores --------------------------------------------------------------------

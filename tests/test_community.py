@@ -28,9 +28,10 @@ from tagforge.community import (
     _Level,
     _pair_term,
     detect_communities,
+    indicator,
     semantic_modularity,
 )
-from tagforge.graph import TextAttributedGraph
+from tagforge.graph import _ROW_BLOCK, TextAttributedGraph
 
 # oracles ----------------------------------------------------------------------
 
@@ -613,3 +614,125 @@ def test_local_moving_leaves_out_the_nodes_own_pair_term(coarse):
     level = _Level(adj, np.array([0.5, 0.5]), sem, [[0], [1]])
     comm, improved = community._local_moving(level, 1.0, 0.0, 1.0, x_unit, "similarity")
     assert comm.tolist() == [0, 1] and not improved
+
+
+# aggregation against the whole-matrix reference ----------------------------------
+
+# The aggregation that summed each 1,024-row block of the pair-term matrix as
+# ind_b^T @ (rows @ ind), one k x k temporary per block, kept word for word as
+# the reference for the version that walks community-ordered blocks.
+def reference_aggregate(level: _Level, comm: np.ndarray, x_unit: np.ndarray | None,
+                        semantic_term: str) -> _Level:
+    """Collapse each community of ``comm`` into one super-node.
+
+    Super-nodes are ordered by their smallest original member. Semantic block
+    sums are carried when ``level.sem`` exists, or, on the first level, built
+    from ``x_unit`` when it is given.
+    """
+    n = len(comm)
+    comm = comm.tolist()
+    first: dict[int, int] = {}
+    for v in range(n):
+        c, m = comm[v], level.members[v][0]
+        if m < first.get(c, m + 1):
+            first[c] = m
+    labels = sorted(first, key=first.__getitem__)
+    remap = {c: i for i, c in enumerate(labels)}
+    k = len(labels)
+    caff = [remap[c] for c in comm]
+    members: list[list[int]] = [[] for _ in range(k)]
+    for v in range(n):
+        members[caff[v]].extend(level.members[v])
+    for ms in members:
+        ms.sort()
+    # weights are integer counts, so P^T A P and P^T strength are exact
+    ind = indicator(caff, k)
+    adj = (ind.T @ level.adj @ ind).tocsr()
+    strength = ind.T @ level.strength
+    sem = None
+    if level.sem is not None or x_unit is not None:
+        # P^T T P, one row block of the pair-term matrix T at a time
+        sem = np.zeros((k, k))
+        for start in range(0, n, _ROW_BLOCK):
+            if level.sem is not None:
+                rows = level.sem[start:start + _ROW_BLOCK]
+            else:
+                rows = _pair_term(x_unit[start:start + _ROW_BLOCK] @ x_unit.T, semantic_term)
+            sem += ind[start:start + _ROW_BLOCK].T @ (rows @ ind)
+    return _Level(adj, strength, sem, members)
+
+
+def assert_same_level(got: _Level, ref: _Level):
+    assert got.adj.shape == ref.adj.shape and (got.adj != ref.adj).nnz == 0
+    assert np.array_equal(got.strength, ref.strength)
+    assert got.members == ref.members
+    assert got.sem.shape == ref.sem.shape
+    # every pair term is nonnegative, so the sums have no cancellation
+    assert np.all(np.abs(got.sem - ref.sem) <= 1e-12 * np.abs(ref.sem))
+
+
+@pytest.mark.parametrize("term", ["similarity", "distance"])
+def test_aggregate_matches_reference_on_every_shape_of_labelling(term):
+    n = 1500
+    step = community._SEM_BLOCK_FLOATS // n
+    assert n % step and n > 2 * step  # several blocks, the last one short
+    rng = np.random.default_rng(41)
+    g = random_graph(n, 4.0 / n, seed=41)
+    x_unit = random_embeddings(g, dim=12, seed=41).unit_matrix(list(g.ids()))
+    level = _Level(g.adjacency_csr(), g.degrees().astype(np.float64), None,
+                   [[i] for i in range(n)])
+    big = rng.integers(0, 400, size=n)
+    big[rng.permutation(n)[:step + 100]] = 7  # one community larger than a block
+    labellings = {
+        "random": rng.integers(0, 600, size=n),
+        "larger than a block": big,
+        "k = 1": np.zeros(n, dtype=np.int64),
+        "k = n": rng.permutation(n),
+    }
+    for name, comm in labellings.items():
+        ref = reference_aggregate(level, comm, x_unit, term)
+        assert_same_level(community._aggregate(level, comm, x_unit, term), ref)
+        # the coarse level built from it, collapsed again from its sem
+        k = len(ref.members)
+        for coarse_comm in (rng.integers(0, max(1, k // 3), size=k), np.zeros(k, np.int64),
+                            np.arange(k)):
+            assert_same_level(community._aggregate(ref, coarse_comm, None, term),
+                              reference_aggregate(ref, coarse_comm, None, term))
+
+
+@pytest.mark.parametrize("term", ["similarity", "distance"])
+def test_aggregate_matches_reference_inside_detection(term, monkeypatch):
+    calls = []
+    fast = community._aggregate
+
+    def both(level, comm, x_unit, semantic_term):
+        got = fast(level, comm, x_unit, semantic_term)
+        assert_same_level(got, reference_aggregate(level, comm, x_unit, semantic_term))
+        calls.append(level.sem is None)
+        return got
+
+    monkeypatch.setattr(community, "_aggregate", both)
+    g, emb = planted(2000, seed=2007)
+    detect_communities(g, emb, ModularityParams(gamma=0.5, semantic_term=term), 11)
+    assert calls[0] and not calls[-1]  # the first level and at least one coarse level
+
+
+def test_first_aggregate_allocates_no_k_by_k_temporary(monkeypatch):
+    import tracemalloc
+    captured = []
+    fast = community._aggregate
+    monkeypatch.setattr(community, "_aggregate",
+                        lambda *args: captured.append(args) or fast(*args))
+    g, emb = planted(2000, seed=2007)
+    detect_communities(g, emb, ModularityParams(gamma=0.5), 11)
+    args = captured[0]
+    assert args[2] is not None  # built from the unit embeddings
+    tracemalloc.start()
+    try:
+        sem = fast(*args).sem
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sem) > 600
+    # sem itself plus a few blocks of the fixed float budget
+    assert peak < sem.nbytes + 4 * community._SEM_BLOCK_FLOATS * 8

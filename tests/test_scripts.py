@@ -33,11 +33,12 @@ def test_partition_digests_prints_one_deterministic_row_per_setting():
     args = ("--sizes", "60", "--degrees", "4", "--seeds", "1,2")
     first, second = (run_script("partition_digests.py", *args) for _ in range(2))
     rows = [line.split("\t") for line in first.splitlines()]
-    # nodes, degree, seed, gamma, term, communities, digest, seconds
+    # nodes, degree, seed, gamma, term, communities, digest, seconds, traced MB
     assert [row[:5] for row in rows] == [
         ["60", "4.0", seed, gamma, term] for seed in ("1", "2") for gamma, term in
         [("0.5", "similarity"), ("0.5", "distance"), ("1.0", "similarity")]]
-    assert all(len(row) == 8 and len(row[6]) == 64 and int(row[5]) > 0 for row in rows)
+    assert all(len(row) == 9 and len(row[6]) == 64 and int(row[5]) > 0 for row in rows)
+    assert all(float(row[8]) >= 0.0 for row in rows)
     assert [row[:7] for row in rows] == [line.split("\t")[:7] for line in second.splitlines()]
 
 
