@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import asdict, fields as dc_fields
 
@@ -40,16 +39,8 @@ from .graph import (
     save_graph,
 )
 from .limiter import LimiterParams, property_tensor, sample_limited_detailed
-from .perception import (
-    build_report,
-    fallback_mode,
-    personalized_pagerank,
-    report_to_json,
-    sample_knowledge,
-    select_seed,
-    train_imbalance,
-)
-from .synthesis import SynthesisConfig, run_synthesis, summarize_report
+from .perception import fallback_mode, train_imbalance
+from .synthesis import SynthesisConfig, perceive, retrieve, run_synthesis, summarize_report
 
 log = logging.getLogger("tagforge.cli")
 
@@ -172,27 +163,19 @@ def cmd_limit(args) -> int:
 def _dry_run(g, config: SynthesisConfig, seed: int) -> int:
     """Print the prompts the first iteration would send, with no provider.
 
-    Offline substitutions: community detection runs purely topologically
-    (gamma forced to 1), the mode comes from the class-imbalance fallback
-    rule, and semantic seed scoring treats every community as equally tight.
+    The loop's own stages run with three offline substitutions: gamma forced
+    to 1, the class-imbalance fallback mode, and no embeddings (every community
+    equally tight). ``seed + 1`` is the loop's capsule seed in iteration 1.
     """
-    partition = detect_communities(
-        g, None, ModularityParams(gamma=1.0, semantic_term=config.semantic_term),
-        rng_seed=seed)
-    report = build_report(g, partition, None)
-    report_json = report_to_json(report)
+    partition, report, report_json = perceive(
+        g, None, ModularityParams(gamma=1.0, semantic_term=config.semantic_term), seed)
     mode, _ = fallback_mode(train_imbalance(g), config.imbalance_fallback_threshold)
-    pparams = config.perception_params()
-    seed_sel = select_seed(g, partition, None, mode, pparams)
-    scores = personalized_pagerank(g, seed_sel.nodes, pparams)
-    capsule = sample_knowledge(g, scores, pparams, seed + 1, partition)
-    budget = math.ceil(config.new_node_fraction * len(capsule))
+    seed_sel, capsule, budget = retrieve(g, partition, None, mode, config, seed + 1)
 
     manager = prompts.manager_prompt(report_json, config.lambda_init)
     enhancement = prompts.enhancement_prompt(
-        mode.value,
-        json.dumps(capsule.to_json_obj(), ensure_ascii=False, indent=1),
-        summarize_report(report), budget, g.class_count, ())
+        mode.value, capsule.to_json(), summarize_report(report), budget,
+        g.class_count, ())
     for title, req in (("Manager", manager), ("Enhancement", enhancement)):
         print(f"=== {title} prompt (role={req.role_tag}, "
               f"temperature={req.resolved_temperature()}) ===")
@@ -227,9 +210,11 @@ def cmd_synthesize(args) -> int:
     provider = _make_provider(args.provider, cfg.get("provider", {}), seed, audit)
 
     result = run_synthesis(g, config, provider, rng_seed=seed)
-    save_graph(result.graph, args.output)
-    audit_path = args.audit or args.output + ".audit.jsonl"
-    result.audit.write(audit_path)
+    try:
+        save_graph(result.graph, args.output)
+    finally:
+        # the audit explains the run even when the graph cannot be written
+        result.audit.write(args.audit or args.output + ".audit.jsonl")
 
     if result.failure is not None:
         # the failure entry (provider_failure or internal_failure) is the

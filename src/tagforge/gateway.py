@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -379,12 +380,23 @@ def _as_number(value, message: str) -> float:
     return out
 
 
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _text(value, what: str) -> str:
+    """``value`` if it is a string UTF-8 can encode: a lone surrogate, which a
+    JSON escape can carry, would stop the audit and the graph being written."""
+    _require(isinstance(value, str), f"{what} must be a string")
+    _require(not _LONE_SURROGATE.search(value), f"{what} holds a lone surrogate")
+    return value
+
+
 def _norm_id(value) -> str:
     _require(isinstance(value, (str, int)) and not isinstance(value, bool),
              "node_id must be a string or integer")
     out = str(value)
     _require(out != "", "node_id must be nonempty")
-    return out
+    return _text(out, "node_id")
 
 
 def validate_schema(schema_id: str, value, raw_text: str = ""):
@@ -419,17 +431,14 @@ def validate_schema(schema_id: str, value, raw_text: str = ""):
             label = item["label"]
             _require(isinstance(label, int) and not isinstance(label, bool),
                      f"nodes[{i}].label must be an integer")
-            _require(isinstance(item["text"], str), f"nodes[{i}].text must be a string")
             _require(isinstance(item["neighbors"], list),
                      f"nodes[{i}].neighbors must be a list")
-            mask = item.get("mask", "Train")
-            _require(isinstance(mask, str), f"nodes[{i}].mask must be a string")
             out.append({
                 "node_id": _norm_id(item["node_id"]),
                 "label": label,
-                "text": item["text"],
+                "text": _text(item["text"], f"nodes[{i}].text"),
                 "neighbors": [_norm_id(nb) for nb in item["neighbors"]],
-                "mask": mask,
+                "mask": _text(item.get("mask", "Train"), f"nodes[{i}].mask"),
             })
         return out
 
@@ -465,10 +474,8 @@ def validate_schema(schema_id: str, value, raw_text: str = ""):
             flag = value.get("goal_reached", value.get("converged"))
             _require(isinstance(flag, bool),
                      "goal decision needs a boolean goal_reached")
-            justification = value.get("justification", "")
-            _require(isinstance(justification, str),
-                     "goal justification must be a string")
-            return {"goal_reached": flag, "justification": justification}
+            return {"goal_reached": flag, "justification": _text(
+                value.get("justification", ""), "goal justification")}
         raise SchemaValidationError("goal decision must be a boolean or an object")
 
     raise ValueError(f"unknown schema id {schema_id!r}")

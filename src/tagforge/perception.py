@@ -197,8 +197,9 @@ class KnowledgeCapsule:
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def to_json_obj(self) -> list[dict]:
-        return [
+    def to_json(self) -> str:
+        """The members as the generation prompt shows them."""
+        return json.dumps([
             {
                 "node_id": rec.node_id,
                 "label": rec.label,
@@ -208,7 +209,7 @@ class KnowledgeCapsule:
                 "relevance": self.ppr_scores[rec.node_id],
             }
             for rec in self.records
-        ]
+        ], ensure_ascii=False, indent=1)
 
 
 def sample_knowledge(

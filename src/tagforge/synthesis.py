@@ -1,24 +1,25 @@
 """The iterative synthesis loop and its update rules.
 
-Each round retrieves a knowledge capsule, asks the generation role for a
-budgeted batch of candidate nodes, wires survivors into the graph through a
-probabilistic edge filter, scores them, and merges those above an adaptive
-acceptance threshold. Objective weights move by projected gradient on a
-three-way progress vector and the loop stops on plateaued quality plus an
-explicit goal verdict, or at the iteration cap.
+An iteration runs these stages in order: ``perceive`` (communities and the
+environment report), ``select_mode``, ``retrieve`` (seed, personalized
+PageRank, knowledge capsule and node budget), ``generate_nodes``, wiring by
+``propose_edges``, ``evaluate_nodes`` (scores and the goal verdict), the merge
+of candidates above an adaptive acceptance bar, and progress: the bar, the
+objective weights (projected gradient on a three-way progress vector) and the
+stop test on plateaued quality plus the goal verdict, or the iteration cap.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import analysis
-from .community import EmbeddingTable, ModularityParams, detect_communities
+from .community import EmbeddingTable, ModularityParams, Partition, detect_communities
 from .gateway import (
     AuditLog,
     PermanentProviderError,
@@ -33,6 +34,7 @@ from .perception import (
     EnvironmentReport,
     PerceptionParams,
     KnowledgeCapsule,
+    SeedSelection,
     build_report,
     fallback_mode,
     personalized_pagerank,
@@ -91,17 +93,12 @@ class SynthesisConfig:
         lam = np.asarray(self.lambda_init, dtype=np.float64)
         if lam.shape != (3,) or abs(float(lam.sum()) - 1.0) > 1e-9 or np.any(lam < 0):
             raise ValueError("lambda_init must be a 3-point distribution")
+        # both raise on their own invalid fields, so a bad value fails here
+        self.perception_params()
+        self.modularity_params()
 
     def perception_params(self) -> PerceptionParams:
-        return PerceptionParams(
-            seed_variance_mu=self.seed_variance_mu,
-            teleport_alpha=self.teleport_alpha,
-            ppr_tolerance=self.ppr_tolerance,
-            ppr_max_iters=self.ppr_max_iters,
-            top_k_percent=self.top_k_percent,
-            retention_beta=self.retention_beta,
-            capsule_size=self.capsule_size,
-        )
+        return PerceptionParams(**{f.name: getattr(self, f.name) for f in fields(PerceptionParams)})
 
     def modularity_params(self) -> ModularityParams:
         return ModularityParams(gamma=self.gamma, semantic_term=self.semantic_term)
@@ -146,7 +143,6 @@ class SynthesisState:
     tau: float = 7.0
     lambda_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     quality_history: list = field(default_factory=list)
-    mode: str | None = None
     converged: bool = False
 
 
@@ -340,9 +336,8 @@ def generate_nodes(
     the class range, neighbor proposals naming unknown ids, and bad masks.
     Text length is screened later with the evaluation pre-filters.
     """
-    capsule_json = json.dumps(capsule.to_json_obj(), ensure_ascii=False, indent=1)
     req = prompts.enhancement_prompt(
-        mode.value, capsule_json, report_summary, budget, g.class_count,
+        mode.value, capsule.to_json(), report_summary, budget, g.class_count,
         prior_rejections)
     raw = complete_structured(provider, req, "generated-nodes")
     out: list[GeneratedNode] = []
@@ -505,6 +500,29 @@ def summarize_report(report: EnvironmentReport) -> str:
         f"communities={len(report.community_stats)}, labels={{{label_part}}}")
 
 
+# perception stages -------------------------------------------------------------
+
+def perceive(g: TextAttributedGraph, emb: EmbeddingTable | None, mparams: ModularityParams,
+             seed: int) -> tuple[Partition, EnvironmentReport, str]:
+    """The partition detected with ``seed``, its environment report and the
+    report's JSON."""
+    partition = detect_communities(g, emb, mparams, seed)
+    report = build_report(g, partition, emb)
+    return partition, report, report_to_json(report)
+
+
+def retrieve(g: TextAttributedGraph, partition: Partition, emb: EmbeddingTable | None,
+             mode: EnhancementMode, config: SynthesisConfig,
+             seed: int) -> tuple[SeedSelection, KnowledgeCapsule, int]:
+    """The seed region for ``mode``, the capsule sampled with ``seed`` after
+    personalized PageRank from that region, and the node budget."""
+    pparams = config.perception_params()
+    seed_sel = select_seed(g, partition, emb, mode, pparams)
+    scores = personalized_pagerank(g, seed_sel.nodes, pparams)
+    capsule = sample_knowledge(g, scores, pparams, seed, partition)
+    return seed_sel, capsule, math.ceil(config.new_node_fraction * len(capsule))
+
+
 # the loop ---------------------------------------------------------------------
 
 def run_synthesis(
@@ -531,7 +549,6 @@ def run_synthesis(
         tau=config.tau_initial, lambda_weights=tuple(config.lambda_init))
     g_current = g
     failure: str | None = None
-    pparams = config.perception_params()
     mparams = config.modularity_params()
 
     try:
@@ -539,37 +556,25 @@ def run_synthesis(
         vectors = embed_texts(provider, texts)
         emb = EmbeddingTable({rec.node_id: vec for rec, vec in zip(g.nodes, vectors)})
 
-        partition0 = detect_communities(g, emb, mparams, rng_seed)
-        report0 = build_report(g, partition0, emb)
-        report0_json = report_to_json(report0)
-        audit.record("initial_report", summary=summarize_report(report0))
+        partition, report, report_json = perceive(g, emb, mparams, rng_seed)
+        report0_json = report_json
+        audit.record("initial_report", summary=summarize_report(report))
 
         reference = ((analysis._clustering_profile(g), analysis.label_homogeneity_matrix(g))
                      if g.num_edges > 0 else None)
-        prev_mean: float | None = None
         prev_progress: np.ndarray | None = None
         prior_rejections: list[str] = []
 
         for iteration in range(1, config.max_iterations + 1):
             state.iteration = iteration
             try:
-                partition = (partition0 if iteration == 1 else
-                             detect_communities(g_current, emb, mparams,
-                                                rng_seed + iteration))
-                report = (report0 if iteration == 1 else
-                          build_report(g_current, partition, emb))
-                report_json = (report0_json if iteration == 1 else
-                               report_to_json(report))
-                imbalance = train_imbalance(g_current)
-
+                if iteration > 1:
+                    partition, report, report_json = perceive(
+                        g_current, emb, mparams, rng_seed + iteration)
                 mode = select_mode(provider, report_json, state.lambda_weights,
-                                   imbalance, config, audit)
-                state.mode = mode.value
-                seed_sel = select_seed(g_current, partition, emb, mode, pparams)
-                scores = personalized_pagerank(g_current, seed_sel.nodes, pparams)
-                capsule = sample_knowledge(
-                    g_current, scores, pparams, rng_seed + iteration, partition)
-                budget = math.ceil(config.new_node_fraction * len(capsule))
+                                   train_imbalance(g_current), config, audit)
+                seed_sel, capsule, budget = retrieve(
+                    g_current, partition, emb, mode, config, rng_seed + iteration)
                 audit.record(
                     "perception", iteration=iteration, mode=mode.value,
                     seed=seed_sel.descriptor, capsule_size=len(capsule),
@@ -582,7 +587,7 @@ def run_synthesis(
                 theta = (config.theta_semantic if mode is EnhancementMode.SEMANTIC
                          else config.theta_topological)
                 capsule_ids = frozenset(capsule.node_ids)
-                wired: list[GeneratedNode] = []
+                wired: list[tuple[GeneratedNode, np.ndarray]] = []
                 if candidates:
                     new_vectors = embed_texts(
                         provider, [gen.record.text for gen in candidates], emb.dim)
@@ -596,14 +601,15 @@ def run_synthesis(
                                          iteration=iteration)
                             continue
                         gen.kept_edges = tuple(kept)
-                        wired.append(gen)
+                        wired.append((gen, vec))
                 if not wired:
                     audit.record("iteration_unproductive", iteration=iteration,
                                  reason="no attachable candidates")
                     continue
 
                 assessment = evaluate_nodes(
-                    provider, wired, report0_json, report_json, config, audit)
+                    provider, [gen for gen, _ in wired], report0_json, report_json,
+                    config, audit)
                 accepted_ids = filter_accepted(assessment, state.tau)
                 prior_rejections = [
                     f"{nid}: {reason}" for nid, reason in
@@ -614,27 +620,26 @@ def run_synthesis(
                     for nid in sorted(assessment.composite)
                     if nid not in accepted_ids]
 
-                accepted = [gen for gen in wired if gen.record.node_id in accepted_ids]
+                accepted = [(gen, vec) for gen, vec in wired
+                            if gen.record.node_id in accepted_ids]
                 if accepted:
-                    by_vec = {gen.record.node_id: vec for gen, vec in
-                              zip(candidates, new_vectors)}
                     delta = SynthesizedDelta(
-                        new_nodes=tuple(gen.record for gen in accepted),
+                        new_nodes=tuple(gen.record for gen, _ in accepted),
                         bridge_edges=tuple(
                             (gen.record.node_id, target)
-                            for gen in accepted for target, _ in gen.kept_edges),
+                            for gen, _ in accepted for target, _ in gen.kept_edges),
                     )
                     g_current = merge_synthesis(g_current, delta)
-                    for gen in accepted:
-                        emb.put(gen.record.node_id, by_vec[gen.record.node_id])
+                    for gen, vec in accepted:
+                        emb.put(gen.record.node_id, vec)
 
                 mean_now = assessment.mean
                 if mean_now is not None:
                     state.tau = update_threshold(
-                        state.tau, mean_now, prev_mean, config.zeta,
-                        config.score_min, config.score_max)
+                        state.tau, mean_now,
+                        state.quality_history[-1] if state.quality_history else None,
+                        config.zeta, config.score_min, config.score_max)
                     state.quality_history.append(mean_now)
-                    prev_mean = mean_now
 
                 progress = _progress_vector(g_current, reference, assessment, config)
                 gradient = (progress - prev_progress

@@ -13,6 +13,7 @@ from tagforge import synthesis
 from tagforge.cli import main
 from tagforge.gateway import MockProvider
 from tagforge.graph import load_graph
+from tagforge.synthesis import SynthesisConfig, run_synthesis
 
 
 def _base_graph():
@@ -393,6 +394,54 @@ def test_synthesize_internal_error_exits_3_with_outputs(graph_file, tmp_path, ca
     assert "provider_failure" not in [e["kind"] for e in entries]
 
 
+def test_synthesize_writes_audit_when_graph_write_fails(graph_file, tmp_path):
+    script = _one_round_script(tmp_path)
+    audit = tmp_path / "a.jsonl"
+    assert main(["synthesize", graph_file, str(tmp_path / "no_such_dir" / "o.json"),
+                 "--provider", f"mock:{script}", "--config", _max_iters_config(tmp_path),
+                 "--audit", str(audit)]) == 2
+    assert _audit_entries(audit)[-1]["kind"] == "run_end"
+
+
+@pytest.mark.parametrize("label", [9, 1])
+def test_lone_surrogate_reply_aborts_iteration_and_keeps_audit(tmp_graph_file, tmp_path,
+                                                               label):
+    # label 9 once dropped the node under its id in the generation entry, so the
+    # audit could not be written; label 1 once put the id into the next prompt,
+    # whose digest failed
+    ring = make_graph({str(i): [str((i + 1) % 12)] for i in range(12)},
+                      labels={str(i): i % 2 for i in range(12)}, class_count=2)
+    graph = tmp_graph_file(ring, "ring.json")
+    bad = json.dumps([{"node_id": "\ud800bad", "label": label,
+                       "text": "a synthesized document body with plenty of characters",
+                       "neighbors": ["0", "1"]}])
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"0": json.dumps({"mode": "semantic"}),
+                                  "1": bad, "2": bad}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main(["synthesize", graph, str(out), "--provider", f"mock:{script}",
+                 "--seed", "1", "--config", _max_iters_config(tmp_path)]) == 0
+    entries = _audit_entries(tmp_path / "out.json.audit.jsonl")
+    aborted = [e for e in entries if e["kind"] == "iteration_aborted"]
+    assert [e["schema"] for e in aborted] == ["generated-nodes"]
+    assert entries[-1]["kind"] == "run_end" and entries[-1]["failure"] is None
+    assert load_graph(str(out)).num_nodes == 12
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", 2.0), ("capsule_size", 0), ("teleport_alpha", 0.0)])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_invalid_perception_config_exits_2_on_both_paths(graph_file, tmp_path, capsys,
+                                                         key, value, dry_run):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthesis": {key: value}}), encoding="utf-8")
+    flags = ["--dry-run"] if dry_run else ["--provider", f"mock:{_one_round_script(tmp_path)}"]
+    out = tmp_path / "o.json"
+    assert main(["synthesize", graph_file, str(out), "--config", str(cfg), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # dry run -----------------------------------------------------------------------------
 
 def test_dry_run_prints_prompts_without_provider(graph_file, tmp_path, capsys):
@@ -410,6 +459,48 @@ def test_dry_run_prints_prompts_without_provider(graph_file, tmp_path, capsys):
 def test_dry_run_without_provider_flag(graph_file, tmp_path):
     assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
                  "--dry-run"]) == 0
+
+
+class _RecordingProvider(MockProvider):
+    def __init__(self, script):
+        super().__init__(script)
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return super().complete(req)
+
+
+@pytest.mark.parametrize("dry_gamma", [0.5, 1.0])
+def test_dry_run_enhancement_prompt_is_the_loops_first(tmp_graph_file, tmp_path, capsys,
+                                                       dry_gamma):
+    # training labels 35:5 put the peak imbalance at 7, past the fallback
+    # threshold of 3, so both sides run the topological mode; with a retention
+    # factor of 0.5 the draws pick the capsule, so its seed shows in the prompt
+    rng = np.random.default_rng(7)
+    adj = {str(i): [str(j) for j in range(i + 1, 40) if rng.random() < 0.12]
+           for i in range(40)}
+    path = tmp_graph_file(make_graph(adj, labels={str(i): int(i % 8 == 0) for i in range(40)},
+                                     class_count=2), "imbalanced.json")
+    seed, capsule = 5, {"capsule_size": 6, "retention_beta": 0.5}
+    # unusable Manager replies (first try and repair), then no candidates
+    provider = _RecordingProvider({"0": "no idea", "1": "still none", "2": "[]"})
+    config = SynthesisConfig(gamma=1.0, max_iterations=1, **capsule)
+    result = run_synthesis(load_graph(path), config, provider, rng_seed=seed)
+    assert result.failure is None
+    fallback = [e for e in result.audit.entries if e["kind"] == "mode_fallback"]
+    assert [e["mode"] for e in fallback] == ["topological"]
+    (sent,) = [r for r in provider.requests if r.role_tag == "Enhancement"]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthesis": {"gamma": dry_gamma, **capsule}}),
+                   encoding="utf-8")
+    assert main(["synthesize", path, str(tmp_path / "o.json"), "--dry-run",
+                 "--seed", str(seed), "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out.split("=== Enhancement prompt", 1)[1]
+    system, user = printed.split("--- system ---\n", 1)[1].split("\n--- user ---\n")
+    assert system == sent.system_prompt
+    assert user == sent.user_prompt + "\n\n"
 
 
 # coherence ---------------------------------------------------------------------------

@@ -361,6 +361,31 @@ def test_goal_decision_shapes():
         validate_schema("goal-decision", "done")
 
 
+@pytest.mark.parametrize("schema_id, value", [
+    ("generated-nodes", [{"node_id": "\ud800bad", "label": 0, "text": "t",
+                          "neighbors": []}]),
+    ("generated-nodes", [{"node_id": "a", "label": 0, "text": "t",
+                          "neighbors": ["b\udfff"]}]),
+    ("generated-nodes", [{"node_id": "a", "label": 0, "text": "body \ud83d",
+                          "neighbors": []}]),
+    ("generated-nodes", [{"node_id": "a", "label": 0, "text": "t",
+                          "neighbors": [], "mask": "Tr\udc00ain"}]),
+    ("quality-scores", [{"node_id": "\ud800", "score": 5.0}]),
+    ("goal-decision", {"goal_reached": True, "justification": "ok \ud800"}),
+])
+def test_strings_utf8_cannot_encode_are_rejected(schema_id, value):
+    # a lone surrogate in the audit or the graph file stops either being written
+    with pytest.raises(SchemaValidationError, match="lone surrogate"):
+        validate_schema(schema_id, value)
+
+
+def test_paired_surrogates_and_non_ascii_text_pass():
+    reply = json.loads('[{"node_id": "\\u00e9\\ud83d\\ude00", "label": 0, '
+                       '"text": "caf\\u00e9", "neighbors": []}]')
+    out = validate_schema("generated-nodes", reply)
+    assert out[0]["node_id"] == "\u00e9\U0001F600" and out[0]["text"] == "caf\u00e9"
+
+
 def test_unknown_schema_id_rejected():
     with pytest.raises(ValueError):
         validate_schema("no-such-schema", {})
