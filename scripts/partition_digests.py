@@ -20,18 +20,10 @@ Usage:
                                          [--degrees 4,1.6]
                                          [--seeds 1,2,3,701,702]
 """
-import argparse
-import hashlib
 import json
-import sys
-import time
 import tracemalloc
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
+import sweep
 from gen import label_embeddings, planted_graph
 from tagforge.community import EmbeddingTable, ModularityParams, detect_communities
 from tagforge.graph import graph_from_json_obj
@@ -43,38 +35,26 @@ SETTINGS = (
 )
 
 
-def digest(assignment) -> str:
-    return hashlib.sha256(json.dumps(sorted(assignment.items())).encode()).hexdigest()
+def rows(args, clock):
+    for n, degree, seed in sweep.grid(args, "sizes", "degrees", "seeds"):
+        obj = planted_graph(n, degree, seed)
+        g = graph_from_json_obj(obj)
+        emb = EmbeddingTable(label_embeddings(obj, seed))
+        for params in SETTINGS:
+            part, seconds = clock(detect_communities, g, emb, params, seed)
+            tracemalloc.start()
+            detect_communities(g, emb, params, seed)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+            yield (n, degree, seed, params.gamma, params.semantic_term, part.community_count,
+                   sweep.sha256(json.dumps(sorted(part.assignment.items()))),
+                   f"{seconds:.3f}", f"{peak_mb:.1f}")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="300,900,2000,4900,5100")
-    ap.add_argument("--degrees", default="4,1.6")
-    ap.add_argument("--seeds", default="1,2,3,701,702")
-    args = ap.parse_args(argv)
-
-    total = 0.0
-    for n in (int(s) for s in args.sizes.split(",")):
-        for degree in (float(d) for d in args.degrees.split(",")):
-            for seed in (int(s) for s in args.seeds.split(",")):
-                obj = planted_graph(n, degree, seed)
-                g = graph_from_json_obj(obj)
-                emb = EmbeddingTable(label_embeddings(obj, seed))
-                for params in SETTINGS:
-                    start = time.perf_counter()
-                    part = detect_communities(g, emb, params, seed)
-                    seconds = time.perf_counter() - start
-                    total += seconds
-                    tracemalloc.start()
-                    detect_communities(g, emb, params, seed)
-                    peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-                    tracemalloc.stop()
-                    print(n, degree, seed, params.gamma, params.semantic_term,
-                          part.community_count, digest(part.assignment),
-                          f"{seconds:.3f}", f"{peak_mb:.1f}", sep="\t", flush=True)
-    print(f"# detection seconds in total: {total:.1f}", file=sys.stderr)
-    return 0
+    args = sweep.parser(__doc__, sizes=(int, "300,900,2000,4900,5100"),
+                        degrees=(float, "4,1.6"), seeds=(int, "1,2,3,701,702")).parse_args(argv)
+    return sweep.run(rows, args, "detection", 1)
 
 
 if __name__ == "__main__":

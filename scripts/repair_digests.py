@@ -21,18 +21,10 @@ Usage:
                                       [--degrees 1.4,1.6,2.0] [--seeds 1,2]
                                       [--alphas 0.3,0.5] [--epsilons 0,0.05]
 """
-import argparse
-import hashlib
 import json
 import logging
-import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
+import sweep
 from gen import planted_graph
 from tagforge.community import ModularityParams, detect_communities
 from tagforge.graph import graph_from_json_obj
@@ -40,42 +32,32 @@ from tagforge.limiter import LimiterParams, connectivity_repair, sample_limited_
 
 
 def digest(sample, report) -> str:
-    blob = json.dumps({"ids": list(sample.ids()),
-                       "trace": [x.hex() for x in report.distortion_trace],
-                       "warning": report.warning})
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sweep.sha256(json.dumps({"ids": list(sample.ids()),
+                                    "trace": [x.hex() for x in report.distortion_trace],
+                                    "warning": report.warning}))
+
+
+def rows(args, clock):
+    for n, degree, seed in sweep.grid(args, "sizes", "degrees", "seeds"):
+        g = graph_from_json_obj(planted_graph(n, degree, seed))
+        part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+        for alpha in args.alphas:
+            selected = sample_limited_detailed(
+                g, part, LimiterParams(alpha=alpha, max_repair_swaps=0)).graph
+            for epsilon in args.epsilons:
+                params = LimiterParams(alpha=alpha, repair_epsilon=epsilon)
+                (sample, report), seconds = clock(connectivity_repair, g, selected, part, params)
+                yield (n, degree, seed, alpha, epsilon, report.swaps, digest(sample, report),
+                       f"{seconds:.3f}")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="1000,2500,5000,10000")
-    ap.add_argument("--degrees", default="1.4,1.6,2.0")
-    ap.add_argument("--seeds", default="1,2")
-    ap.add_argument("--alphas", default="0.3,0.5")
-    ap.add_argument("--epsilons", default="0,0.05")
-    args = ap.parse_args(argv)
+    args = sweep.parser(__doc__, sizes=(int, "1000,2500,5000,10000"),
+                        degrees=(float, "1.4,1.6,2.0"), seeds=(int, "1,2"),
+                        alphas=(float, "0.3,0.5"), epsilons=(float, "0,0.05")).parse_args(argv)
     # the warning is part of the digest; keep it off stderr
     logging.getLogger("tagforge.limiter").setLevel(logging.ERROR)
-
-    total = 0.0
-    for n in (int(s) for s in args.sizes.split(",")):
-        for degree in (float(d) for d in args.degrees.split(",")):
-            for seed in (int(s) for s in args.seeds.split(",")):
-                g = graph_from_json_obj(planted_graph(n, degree, seed))
-                part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
-                for alpha in (float(a) for a in args.alphas.split(",")):
-                    selected = sample_limited_detailed(
-                        g, part, LimiterParams(alpha=alpha, max_repair_swaps=0)).graph
-                    for epsilon in (float(e) for e in args.epsilons.split(",")):
-                        params = LimiterParams(alpha=alpha, repair_epsilon=epsilon)
-                        start = time.perf_counter()
-                        sample, report = connectivity_repair(g, selected, part, params)
-                        seconds = time.perf_counter() - start
-                        total += seconds
-                        print(n, degree, seed, alpha, epsilon, report.swaps,
-                              digest(sample, report), f"{seconds:.3f}", sep="\t", flush=True)
-    print(f"# repair seconds in total: {total:.2f}", file=sys.stderr)
-    return 0
+    return sweep.run(rows, args, "repair", 2)
 
 
 if __name__ == "__main__":

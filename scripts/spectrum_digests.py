@@ -22,36 +22,24 @@ Usage:
     python3 scripts/spectrum_digests.py [--sizes 1000,4000,10000]
                                         [--degrees 1.6,4] [--seeds 1,2]
 """
-import argparse
-import hashlib
 import logging
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
+import sweep
 from gen import planted_graph
 from tagforge.community import ModularityParams, detect_communities
-from tagforge.graph import graph_from_json_obj
-from tagforge.limiter import LimiterParams, _largest_component, property_tensor, sample_limited
+from tagforge.graph import graph_from_json_obj, largest_component
+from tagforge.limiter import LimiterParams, property_tensor, sample_limited
 
 ALPHA = 0.3
 DENSE_LIMIT = 4000
 
 
-def digest(spectrum) -> str:
-    return hashlib.sha256(",".join(x.hex() for x in spectrum).encode()).hexdigest()
-
-
 def dense_gap(graph, spectrum) -> str:
     """Largest |difference| from the dense spectrum of the component whose
     spectrum ``property_tensor`` took."""
-    members, _ = _largest_component(graph)
+    members, _ = largest_component(graph)
     if members.size > DENSE_LIMIT:
         return "-"
     a = graph.adjacency_csr()[members][:, members].toarray()
@@ -61,33 +49,25 @@ def dense_gap(graph, spectrum) -> str:
     return f"{np.abs(np.subtract(spectrum, dense)).max():.1e}"
 
 
+def rows(args, clock):
+    for n, degree, seed in sweep.grid(args, "sizes", "degrees", "seeds"):
+        g = graph_from_json_obj(planted_graph(n, degree, seed))
+        part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+        sample = sample_limited(g, part, LimiterParams(alpha=ALPHA))
+        for kind, graph in (("original", g), ("sample", sample)):
+            pt, seconds = clock(property_tensor, graph)
+            spectrum = pt.top_spectral
+            yield (n, degree, seed, kind, round(pt.component_profile[1] * graph.num_nodes),
+                   sweep.sha256(",".join(x.hex() for x in spectrum)),
+                   dense_gap(graph, spectrum), f"{seconds:.3f}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="1000,4000,10000")
-    ap.add_argument("--degrees", default="1.6,4")
-    ap.add_argument("--seeds", default="1,2")
-    args = ap.parse_args(argv)
+    args = sweep.parser(__doc__, sizes=(int, "1000,4000,10000"), degrees=(float, "1.6,4"),
+                        seeds=(int, "1,2")).parse_args(argv)
     # repair warnings are not part of the digest; keep them off stderr
     logging.getLogger("tagforge.limiter").setLevel(logging.ERROR)
-
-    total = 0.0
-    for n in (int(s) for s in args.sizes.split(",")):
-        for degree in (float(d) for d in args.degrees.split(",")):
-            for seed in (int(s) for s in args.seeds.split(",")):
-                g = graph_from_json_obj(planted_graph(n, degree, seed))
-                part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
-                sample = sample_limited(g, part, LimiterParams(alpha=ALPHA))
-                for kind, graph in (("original", g), ("sample", sample)):
-                    start = time.perf_counter()
-                    pt = property_tensor(graph)
-                    seconds = time.perf_counter() - start
-                    total += seconds
-                    largest = round(pt.component_profile[1] * graph.num_nodes)
-                    print(n, degree, seed, kind, largest, digest(pt.top_spectral),
-                          dense_gap(graph, pt.top_spectral), f"{seconds:.3f}",
-                          sep="\t", flush=True)
-    print(f"# property_tensor seconds in total: {total:.2f}", file=sys.stderr)
-    return 0
+    return sweep.run(rows, args, "property_tensor", 2)
 
 
 if __name__ == "__main__":

@@ -20,64 +20,37 @@ Usage:
                                          [--gammas 0.5,1] [--seeds 1,2,3]
                                          [--parts 0,1] [--iterations 3]
 """
-import argparse
-import hashlib
-import json
 import logging
-import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
+import sweep
 from gen import planted_graph
 from provider import BenchProvider
-from tagforge.graph import graph_from_json_obj
+from tagforge.graph import graph_from_json_obj, graph_text
 from tagforge.synthesis import SynthesisConfig, run_synthesis
 
 ROLES = ("Manager", "Enhancement", "Evaluation", "Goal")
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def rows(args, clock):
+    for n, degree, gamma, seed, part in sweep.grid(
+            args, "sizes", "degrees", "gammas", "seeds", "parts"):
+        g = graph_from_json_obj(planted_graph(n, degree, seed, part))
+        config = SynthesisConfig(gamma=gamma, max_iterations=args.iterations)
+        provider = BenchProvider(seed=seed)
+        result, seconds = clock(run_synthesis, g, config, provider, seed)
+        yield (n, degree, gamma, seed, part,
+               sweep.sha256(result.audit.to_jsonl()), sweep.sha256(graph_text(result.graph)),
+               *(provider.prompt_chars[role] for role in ROLES), f"{seconds:.3f}")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="300,2000")
-    ap.add_argument("--degrees", default="4")
-    ap.add_argument("--gammas", default="0.5,1")
-    ap.add_argument("--seeds", default="1,2,3")
-    ap.add_argument("--parts", default="0,1")
+    ap = sweep.parser(__doc__, sizes=(int, "300,2000"), degrees=(float, "4"),
+                      gammas=(float, "0.5,1"), seeds=(int, "1,2,3"), parts=(int, "0,1"))
     ap.add_argument("--iterations", type=int, default=3)
     args = ap.parse_args(argv)
     # fallbacks and unproductive rounds are in the audit; keep them off stderr
     logging.getLogger("tagforge").setLevel(logging.ERROR)
-
-    total = 0.0
-    for n in (int(s) for s in args.sizes.split(",")):
-        for degree in (float(d) for d in args.degrees.split(",")):
-            for gamma in (float(x) for x in args.gammas.split(",")):
-                for seed in (int(s) for s in args.seeds.split(",")):
-                    for part in (int(p) for p in args.parts.split(",")):
-                        g = graph_from_json_obj(planted_graph(n, degree, seed, part))
-                        config = SynthesisConfig(gamma=gamma, max_iterations=args.iterations)
-                        provider = BenchProvider(seed=seed)
-                        start = time.perf_counter()
-                        result = run_synthesis(g, config, provider, rng_seed=seed)
-                        seconds = time.perf_counter() - start
-                        total += seconds
-                        # the bytes save_graph writes
-                        grown = json.dumps(result.graph.to_json_obj(),
-                                           ensure_ascii=False, indent=2) + "\n"
-                        print(n, degree, gamma, seed, part,
-                              sha256(result.audit.to_jsonl()), sha256(grown),
-                              *(provider.prompt_chars[role] for role in ROLES),
-                              f"{seconds:.3f}", sep="\t", flush=True)
-    print(f"# synthesis seconds in total: {total:.1f}", file=sys.stderr)
-    return 0
+    return sweep.run(rows, args, "synthesis", 1)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,13 +35,7 @@ class KSResult:
     small_sample: bool
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "small_sample": self.small_sample,
-        }
+        return asdict(self)
 
 
 def ks_p_value(statistic: float, n: int, m: int) -> float:
@@ -159,11 +153,7 @@ class FeatureSimilarityReport:
     label_homogeneity: float
 
     def to_dict(self) -> dict:
-        return {
-            "degree_ks": self.degree_ks.to_dict(),
-            "clustering_similarity": self.clustering_similarity,
-            "label_homogeneity": self.label_homogeneity,
-        }
+        return asdict(self)
 
 
 def feature_similarity_report(
@@ -304,14 +294,7 @@ class CoherenceReport:
     sample_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "scores": dict(self.scores),
-            "mean": self.mean,
-            "sample_std": self.sample_std,
-            "t_statistic": self.t_statistic,
-            "degenerate": self.degenerate,
-            "sample_size": self.sample_size,
-        }
+        return asdict(self)
 
 
 def coherence_statistics(scores: Mapping[str, float]) -> CoherenceReport:
@@ -355,13 +338,7 @@ class AgreementReport:
     instances: int
 
     def to_dict(self) -> dict:
-        return {
-            "t_score": self.t_score,
-            "pearson_r": self.pearson_r,
-            "degenerate": self.degenerate,
-            "reviewers": self.reviewers,
-            "instances": self.instances,
-        }
+        return asdict(self)
 
 
 def human_algorithm_agreement(

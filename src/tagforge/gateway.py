@@ -115,9 +115,12 @@ class AuditLog:
 
 
 def _prompt_digest(req: ChatRequest) -> str:
-    """SHA-256 hex digest of a request's role tag and both prompts."""
+    """SHA-256 hex digest of a request's role tag and both prompts. A lone
+    surrogate, which a repair prompt may quote from a reply, is hashed as its
+    own code unit rather than raising."""
     return hashlib.sha256(
-        f"{req.role_tag}\x1f{req.system_prompt}\x1f{req.user_prompt}".encode("utf-8")
+        f"{req.role_tag}\x1f{req.system_prompt}\x1f{req.user_prompt}".encode(
+            "utf-8", "surrogatepass")
     ).hexdigest()
 
 

@@ -13,7 +13,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,19 +200,6 @@ class TextAttributedGraph:
             self._degrees.flags.writeable = False
         return self._degrees
 
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Each undirected edge exactly once, oriented from the end with the
-        smaller ``_neighbor_key``, so ids with equal ``node_sort_key`` such as
-        "1" and "01" still give one orientation."""
-        for rec in self.nodes:
-            u = _neighbor_key(rec.node_id)
-            for nb in rec.neighbors:
-                if u < _neighbor_key(nb):
-                    yield (rec.node_id, nb)
-
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges())
-
     def adjacency_csr(self) -> sp.csr_matrix:
         if self._csr is None:
             n = self.num_nodes
@@ -348,8 +335,13 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
+def graph_text(g: TextAttributedGraph) -> str:
+    """The text of a graph file, as ``save_graph`` writes it."""
+    return json.dumps(g.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
+
+
 def save_graph(g: TextAttributedGraph, path: str) -> None:
-    atomic_write_text(path, json.dumps(g.to_json_obj(), ensure_ascii=False, indent=2) + "\n")
+    atomic_write_text(path, graph_text(g))
 
 
 # statistics --------------------------------------------------------------
@@ -401,6 +393,21 @@ def component_labels(
     return labels, np.bincount(sub_labels, minlength=count).astype(np.int64)
 
 
+def largest_component(g: TextAttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the largest connected component in the graph's canonical
+    order (``key_rank``), and the size of every component, for a graph with
+    at least one node.
+
+    Among equally large largest components, the one holding the first node
+    in that order is taken, so the choice does not depend on record order.
+    """
+    comp, sizes = component_labels(g)
+    order = np.argsort(g.key_rank(), kind="stable")
+    in_order = comp[order]
+    big = in_order[np.argmax(sizes[in_order] == sizes.max())]
+    return order[in_order == big], sizes
+
+
 def histograms(g: TextAttributedGraph) -> tuple[dict[int, int], dict[int, int]]:
     """Node count per degree and node count per label, keyed in node order."""
     return (dict(Counter(len(rec.neighbors) for rec in g.nodes)),
@@ -425,20 +432,20 @@ def graph_stats(g: TextAttributedGraph) -> GraphStats:
     """Connectivity, degree, clustering, and distance summary of a graph.
 
     Average path length is the mean shortest-path distance over node pairs of
-    the largest connected component; a graph with no pair yields zero. It is
-    exact: a level-synchronous BFS runs 64 sources per uint64 word (Then et
-    al., VLDB 2014) and sums integer hop counts, at O(diameter * m * L / 64)
-    word operations for L nodes and m edges in that component.
+    the largest connected component (``largest_component``); a graph with no
+    pair yields zero. It is exact: a level-synchronous BFS runs 64 sources per
+    uint64 word (Then et al., VLDB 2014) and sums integer hop counts, at
+    O(diameter * m * L / 64) word operations for L nodes and m edges in that
+    component.
     """
     n = g.num_nodes
     if n == 0:
         return GraphStats(0, 0, 0.0, 0.0, 0.0, 0.0, 0, 0, {}, {})
     m = g.num_edges
-    labels, sizes = component_labels(g)
-    largest = int(sizes.max())
+    comp_idx, sizes = largest_component(g)
+    largest = int(comp_idx.size)
     avg_path = 0.0
     if largest >= 2:
-        comp_idx = np.flatnonzero(labels == int(sizes.argmax()))
         sub = g.adjacency_csr()[comp_idx][:, comp_idx]
         starts, indices = sub.indptr[:-1], sub.indices
         total = 0

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .community import Partition, indicator
-from .graph import TextAttributedGraph, component_labels, histograms
+from .graph import TextAttributedGraph, component_labels, histograms, largest_component
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -147,24 +147,9 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
 
 
-def _largest_component(g: TextAttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the largest connected component in the graph's canonical
-    order (``key_rank``), and the size of every component, for a graph with
-    at least one node.
-
-    Among equally large largest components, the one holding the first node
-    in that order is taken.
-    """
-    comp, sizes = component_labels(g)
-    order = np.argsort(g.key_rank(), kind="stable")
-    in_order = comp[order]
-    big = in_order[np.argmax(sizes[in_order] == sizes.max())]
-    return order[in_order == big], sizes
-
-
 def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
     """Degree and label histograms, leading normalized-Laplacian spectrum of
-    the largest component (``_largest_component``), and the component
+    the largest component (``largest_component``), and the component
     profile (count/n, largest/n).
     """
     n = g.num_nodes
@@ -172,7 +157,7 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
     spectral: tuple[float, ...] = ()
     profile = (0.0, 0.0)
     if n > 0:
-        members, sizes = _largest_component(g)
+        members, sizes = largest_component(g)
         if members.size == 1:
             spectral = (0.0,)
         else:

@@ -304,7 +304,6 @@ class EnvironmentReport:
     global_stats: GraphStats
     class_stats: dict
     community_stats: dict
-    structural_distribution: dict
     semantic_distribution: dict
 
     def to_json_obj(self) -> dict:
@@ -331,7 +330,7 @@ class EnvironmentReport:
             "Graph": graph_block,
             "StructuralDistribution": {
                 "degree_distribution": {
-                    str(k): v for k, v in sorted(self.structural_distribution.items())},
+                    str(k): v for k, v in sorted(self.global_stats.degree_histogram.items())},
             },
             "SemanticDistribution": self.semantic_distribution,
             "LabelDistribution": {
@@ -424,6 +423,5 @@ def build_report(
         global_stats=stats,
         class_stats=class_stats,
         community_stats=comm_stats,
-        structural_distribution=dict(stats.degree_histogram),
         semantic_distribution=sem_dist,
     )

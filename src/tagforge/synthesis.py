@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,19 +49,15 @@ log = logging.getLogger("tagforge.synthesis")
 
 
 @dataclass(frozen=True)
-class SynthesisConfig:
-    """All knobs of the loop; defaults follow the reference configuration."""
+class SynthesisConfig(PerceptionParams, ModularityParams):
+    """All knobs of the loop; defaults follow the reference configuration.
 
-    capsule_size: int = 30
+    The seed, PageRank and capsule knobs are those of ``PerceptionParams``
+    and the detection knobs those of ``ModularityParams``, so the config is
+    passed to both stages as it is.
+    """
+
     new_node_fraction: float = 0.15
-    top_k_percent: float = 20.0
-    retention_beta: float = 2.0
-    seed_variance_mu: float = 0.5
-    teleport_alpha: float = 0.15
-    ppr_tolerance: float = 1e-10
-    ppr_max_iters: int = 200
-    gamma: float = 0.5
-    semantic_term: str = "similarity"
     theta_semantic: tuple[float, float, float] = (0.6, 0.3, 0.1)
     theta_topological: tuple[float, float, float] = (0.2, 0.5, 0.3)
     edge_threshold: float = 0.5
@@ -93,15 +89,8 @@ class SynthesisConfig:
         lam = np.asarray(self.lambda_init, dtype=np.float64)
         if lam.shape != (3,) or abs(float(lam.sum()) - 1.0) > 1e-9 or np.any(lam < 0):
             raise ValueError("lambda_init must be a 3-point distribution")
-        # both raise on their own invalid fields, so a bad value fails here
-        self.perception_params()
-        self.modularity_params()
-
-    def perception_params(self) -> PerceptionParams:
-        return PerceptionParams(**{f.name: getattr(self, f.name) for f in fields(PerceptionParams)})
-
-    def modularity_params(self) -> ModularityParams:
-        return ModularityParams(gamma=self.gamma, semantic_term=self.semantic_term)
+        PerceptionParams.__post_init__(self)
+        ModularityParams.__post_init__(self)
 
 
 @dataclass
@@ -516,10 +505,9 @@ def retrieve(g: TextAttributedGraph, partition: Partition, emb: EmbeddingTable |
              seed: int) -> tuple[SeedSelection, KnowledgeCapsule, int]:
     """The seed region for ``mode``, the capsule sampled with ``seed`` after
     personalized PageRank from that region, and the node budget."""
-    pparams = config.perception_params()
-    seed_sel = select_seed(g, partition, emb, mode, pparams)
-    scores = personalized_pagerank(g, seed_sel.nodes, pparams)
-    capsule = sample_knowledge(g, scores, pparams, seed, partition)
+    seed_sel = select_seed(g, partition, emb, mode, config)
+    scores = personalized_pagerank(g, seed_sel.nodes, config)
+    capsule = sample_knowledge(g, scores, config, seed, partition)
     return seed_sel, capsule, math.ceil(config.new_node_fraction * len(capsule))
 
 
@@ -549,14 +537,13 @@ def run_synthesis(
         tau=config.tau_initial, lambda_weights=tuple(config.lambda_init))
     g_current = g
     failure: str | None = None
-    mparams = config.modularity_params()
 
     try:
         texts = [rec.text for rec in g.nodes]
         vectors = embed_texts(provider, texts)
         emb = EmbeddingTable({rec.node_id: vec for rec, vec in zip(g.nodes, vectors)})
 
-        partition, report, report_json = perceive(g, emb, mparams, rng_seed)
+        partition, report, report_json = perceive(g, emb, config, rng_seed)
         report0_json = report_json
         audit.record("initial_report", summary=summarize_report(report))
 
@@ -570,7 +557,7 @@ def run_synthesis(
             try:
                 if iteration > 1:
                     partition, report, report_json = perceive(
-                        g_current, emb, mparams, rng_seed + iteration)
+                        g_current, emb, config, rng_seed + iteration)
                 mode = select_mode(provider, report_json, state.lambda_weights,
                                    train_imbalance(g_current), config, audit)
                 seed_sel, capsule, budget = retrieve(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tagforge.graph import NodeRecord, TextAttributedGraph
+from tagforge.graph import NodeRecord, TextAttributedGraph, _neighbor_key
 
 
 def cosine_similarity(a, b):
@@ -18,6 +18,21 @@ def cosine_similarity(a, b):
     if nx == 0.0 or ny == 0.0:
         raise ValueError("cosine similarity undefined for zero-norm vectors")
     return float(np.dot(x, y) / (nx * ny))
+
+
+def edges(g):
+    """Each undirected edge of ``g`` exactly once, oriented from the end with
+    the smaller ``_neighbor_key``, so ids with equal ``node_sort_key`` such as
+    "1" and "01" still give one orientation."""
+    for rec in g.nodes:
+        u = _neighbor_key(rec.node_id)
+        for nb in rec.neighbors:
+            if u < _neighbor_key(nb):
+                yield (rec.node_id, nb)
+
+
+def edge_set(g):
+    return frozenset(edges(g))
 
 
 def make_graph(adjacency, labels=None, class_count=None, masks=None, texts=None):

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from conftest import make_graph, random_graph
+from conftest import edges, make_graph, random_graph
 from tagforge.analysis import (
     _canonical_sign,
     _clustering_profile,
@@ -183,7 +183,7 @@ def loop_homogeneity_matrix(g):
     c = g.class_count
     h = np.zeros((c, c))
     m = g.num_edges
-    for u, v in g.edges():
+    for u, v in edges(g):
         a, b = g.node(u).label, g.node(v).label
         if a == b:
             h[a, a] += 1.0 / m

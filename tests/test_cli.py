@@ -403,21 +403,28 @@ def test_synthesize_writes_audit_when_graph_write_fails(graph_file, tmp_path):
     assert _audit_entries(audit)[-1]["kind"] == "run_end"
 
 
-@pytest.mark.parametrize("label", [9, 1])
+_BODY = "a synthesized document body with plenty of characters"
+
+
+@pytest.mark.parametrize("reply", [
+    # a JSON escape of a lone surrogate: label 9 once dropped the node under
+    # its id in the generation entry, so the audit could not be written;
+    # label 1 once put the id into the next prompt, whose digest failed
+    pytest.param(json.dumps([{"node_id": "\ud800bad", "label": label, "text": _BODY,
+                              "neighbors": ["0", "1"]}]), id=str(label))
+    for label in (9, 1)] + [
+    # a real lone surrogate in the text: the repair prompt quotes it, and its
+    # prompt key once raised
+    pytest.param(json.dumps([{"node_id": "new_node 1", "label": 1, "text": _BODY + " \ud800",
+                              "neighbors": ["0", "1"]}], ensure_ascii=False), id="text")])
 def test_lone_surrogate_reply_aborts_iteration_and_keeps_audit(tmp_graph_file, tmp_path,
-                                                               label):
-    # label 9 once dropped the node under its id in the generation entry, so the
-    # audit could not be written; label 1 once put the id into the next prompt,
-    # whose digest failed
+                                                               reply):
     ring = make_graph({str(i): [str((i + 1) % 12)] for i in range(12)},
                       labels={str(i): i % 2 for i in range(12)}, class_count=2)
     graph = tmp_graph_file(ring, "ring.json")
-    bad = json.dumps([{"node_id": "\ud800bad", "label": label,
-                       "text": "a synthesized document body with plenty of characters",
-                       "neighbors": ["0", "1"]}])
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"0": json.dumps({"mode": "semantic"}),
-                                  "1": bad, "2": bad}), encoding="utf-8")
+                                  "1": reply, "2": reply}), encoding="utf-8")
     out = tmp_path / "out.json"
     assert main(["synthesize", graph, str(out), "--provider", f"mock:{script}",
                  "--seed", "1", "--config", _max_iters_config(tmp_path)]) == 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     complete_graph,
     cosine_similarity,
+    edges,
     make_graph,
     path_graph,
     random_embeddings,
@@ -41,7 +42,7 @@ def oracle_newman(g, partition):
     pos = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     a = np.zeros((n, n))
-    for u, v in g.edges():
+    for u, v in edges(g):
         a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
     k = a.sum(axis=1)
     two_m = k.sum()
@@ -59,7 +60,7 @@ def oracle_semantic(g, partition, emb, gamma, term):
     pos = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     a = np.zeros((n, n))
-    for u, v in g.edges():
+    for u, v in edges(g):
         a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
     k = a.sum(axis=1)
     two_m = k.sum()
@@ -433,7 +434,7 @@ def test_detected_modularity_matches_networkx(seed):
     part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
     graph = nx.Graph()
     graph.add_nodes_from(g.ids())
-    graph.add_edges_from(g.edges())
+    graph.add_edges_from(edges(g))
     expected = nx.community.modularity(
         graph, [set(members) for members in part.members_by_community()])
     assert part.community_count > 1

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_graph, path_graph, random_graph, triangle, two_k3
+from conftest import edge_set, edges, make_graph, path_graph, random_graph, triangle, two_k3
 from tagforge.graph import (
     _ROW_BLOCK,
     GraphSchemaError,
@@ -32,7 +32,7 @@ def oracle_clustering(g):
     ids = g.ids()
     pos = {v: i for i, v in enumerate(ids)}
     a = np.zeros((n, n))
-    for u, v in g.edges():
+    for u, v in edges(g):
         a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
     total = 0.0
     for i in range(n):
@@ -56,7 +56,7 @@ def oracle_path_length(g):
     pos = {v: i for i, v in enumerate(ids)}
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for u, v in g.edges():
+    for u, v in edges(g):
         dist[pos[u], pos[v]] = dist[pos[v], pos[u]] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
@@ -80,7 +80,7 @@ def oracle_components(g):
             x = parent[x]
         return x
 
-    for u, v in g.edges():
+    for u, v in edges(g):
         parent[find(u)] = find(v)
     roots = {}
     for v in g.ids():
@@ -172,18 +172,18 @@ def test_node_sort_key_orders_numerics_before_text():
 def test_edges_yield_every_edge_once_with_equal_sort_keys():
     # "1", "01" and "001" share a node_sort_key
     g = make_graph({"1": ["01", "001", "2"], "01": ["001"], "001": [], "2": ["b"], "b": []})
-    edges = list(g.edges())
-    assert len(edges) == g.num_edges == 5
-    assert {frozenset(e) for e in edges} == {
+    found = list(edges(g))
+    assert len(found) == g.num_edges == 5
+    assert {frozenset(e) for e in found} == {
         frozenset(p) for p in [("1", "01"), ("1", "001"), ("01", "001"), ("1", "2"), ("2", "b")]}
     # where the keys differ, the smaller key comes first
-    assert ("1", "2") in edges and ("2", "b") in edges
+    assert ("1", "2") in found and ("2", "b") in found
     for seed in range(3):
         rng = np.random.default_rng(seed)
         ids = [str(i) for i in range(40)] + ["0" + str(i) for i in range(0, 40, 3)] + ["x", "y"]
         adj = {i: [j for j in ids if j != i and rng.random() < 0.1] for i in ids}
         g = make_graph(adj)
-        assert len(list(g.edges())) == len(g.edge_set()) == g.num_edges
+        assert len(list(edges(g))) == len(edge_set(g)) == g.num_edges
 
 
 # serialization ------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_round_trip_preserves_everything(tmp_path):
     save_graph(g, str(path))
     g2 = load_graph(str(path))
     assert g2.ids() == g.ids()
-    assert g2.edge_set() == g.edge_set()
+    assert edge_set(g2) == edge_set(g)
     assert g2.class_count == g.class_count
     for nid in g.ids():
         assert g2.node(nid) == g.node(nid)
@@ -361,6 +361,17 @@ def test_path_length_of_largest_component_away_from_position_zero():
     assert s.avg_path_length == pair_mean(200 * (200 * 200 - 1) // 3, 200)
 
 
+def test_path_length_of_tied_largest_components_does_not_depend_on_record_order():
+    # a path 0-1-2-3 and a star 4-{5,6,7}: the path holds the first id in
+    # canonical order, whichever records come first
+    adj = {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,), 4: (5, 6, 7), 5: (4,), 6: (4,), 7: (4,)}
+    recs = [NodeRecord(str(i), 0, f"node {i}", tuple(str(j) for j in adj[i])) for i in adj]
+    for order in (recs, recs[4:] + recs[:4]):
+        s = graph_stats(TextAttributedGraph.from_records(order, 1))
+        assert s.largest_component_size == 4
+        assert s.avg_path_length == pair_mean(2 * 10, 4)
+
+
 def test_path_length_matches_scipy_shortest_path_on_planted_graph():
     from scipy.sparse import csgraph
 
@@ -389,7 +400,7 @@ def test_merge_empty_delta_is_identity():
     g = random_graph(8, 0.3, seed=2)
     merged = merge_synthesis(g, SynthesizedDelta(new_nodes=()))
     assert merged.ids() == g.ids()
-    assert merged.edge_set() == g.edge_set()
+    assert edge_set(merged) == edge_set(g)
 
 
 def test_merge_adds_node_and_back_edge():
@@ -611,8 +622,8 @@ def test_subgraph_edges_are_induced(n, seed):
     keep = [v for v in g.ids() if rng.random() < 0.6] or [g.ids()[0]]
     sub = g.subgraph(keep)
     kept = set(keep)
-    expected = {(u, v) for u, v in g.edges() if u in kept and v in kept}
-    assert sub.edge_set() == expected
+    expected = {(u, v) for u, v in edges(g) if u in kept and v in kept}
+    assert edge_set(sub) == expected
     for nid in sub.ids():
         assert sub.node(nid).text == g.node(nid).text
         assert sub.node(nid).label == g.node(nid).label

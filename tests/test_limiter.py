@@ -11,13 +11,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from conftest import make_graph, random_graph
+from conftest import edge_set, make_graph, random_graph
 from tagforge.community import ModularityParams, Partition, detect_communities
 from tagforge.graph import (
     NodeRecord,
     TextAttributedGraph,
     component_labels,
     graph_from_json_obj,
+    largest_component,
     node_sort_key,
 )
 from tagforge.limiter import (
@@ -26,7 +27,6 @@ from tagforge.limiter import (
     _ISOLATE_CAP,
     _REPLACE_CAP,
     LimiterParams,
-    _largest_component,
     _smallest_laplacian_eigenvalues,
     RepairReport,
     _distortion,
@@ -242,7 +242,7 @@ def reference_smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tu
 
 def _spectrum_input(g):
     """The largest component's adjacency, as ``property_tensor`` passes it."""
-    members, _ = _largest_component(g)
+    members, _ = largest_component(g)
     return g.adjacency_csr()[members][:, members]
 
 
@@ -360,7 +360,7 @@ def test_alpha_one_returns_everything():
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     sampled = sample_limited(g, part, LimiterParams(alpha=1.0))
     assert sorted(sampled.ids()) == sorted(g.ids())
-    assert sampled.edge_set() == g.edge_set()
+    assert edge_set(sampled) == edge_set(g)
 
 
 def test_two_cell_targets_six_four():
@@ -418,7 +418,7 @@ def test_repair_noop_when_within_epsilon():
     sub = g.subgraph(list(g.ids()))
     repaired, report = connectivity_repair(g, sub, part, LimiterParams())
     assert report.swaps == 0
-    assert repaired.edge_set() == sub.edge_set()
+    assert edge_set(repaired) == edge_set(sub)
 
 
 def test_repair_single_swap_fixture():
@@ -484,7 +484,7 @@ def test_property_sample_invariants(n, seed):
     # selected ids must come from the original graph, induced edges only
     kept = set(result.graph.ids())
     assert kept <= set(g.ids())
-    assert result.graph.edge_set() <= g.edge_set()
+    assert edge_set(result.graph) <= edge_set(g)
 
 
 # Digests of the sample ids and the repair's distortion trace (as float.hex),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_graph, random_embeddings, random_graph
+from conftest import edges, make_graph, random_embeddings, random_graph
 from tagforge.community import EmbeddingTable, ModularityParams, Partition, detect_communities
 from tagforge.graph import MASKS, NodeRecord, TextAttributedGraph, node_sort_key
 from tagforge.perception import (
@@ -38,7 +38,7 @@ def oracle_ppr(g, seeds, alpha):
     for s in seeds:
         v[pos[s]] = 1.0 / len(seeds)
     a = np.zeros((n, n))
-    for x, y in g.edges():
+    for x, y in edges(g):
         a[pos[x], pos[y]] = a[pos[y], pos[x]] = 1.0
     deg = a.sum(axis=0)
     m = np.zeros((n, n))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_config_validation():
         SynthesisConfig(edge_threshold=1.5)
     with pytest.raises(ValueError):
         SynthesisConfig(max_iterations=0)
+
+
+def test_config_schema_is_pinned():
+    # the run_start audit entry and the "synthesis" config section carry these
+    # keys; a key added or dropped by a base class shows here
+    assert {f.name: f.default for f in fields(SynthesisConfig)} == {
+        "capsule_size": 30, "new_node_fraction": 0.15, "top_k_percent": 20.0,
+        "retention_beta": 2.0, "seed_variance_mu": 0.5, "teleport_alpha": 0.15,
+        "ppr_tolerance": 1e-10, "ppr_max_iters": 200, "gamma": 0.5,
+        "semantic_term": "similarity", "theta_semantic": (0.6, 0.3, 0.1),
+        "theta_topological": (0.2, 0.5, 0.3), "edge_threshold": 0.5, "tau_initial": 7.0,
+        "zeta": 0.1, "score_min": 0.0, "score_max": 10.0, "epsilon": 0.05, "window_k": 2,
+        "eta": 0.05, "lambda_init": (1 / 3, 1 / 3, 1 / 3), "max_iterations": 15,
+        "min_text_chars": 20, "imbalance_fallback_threshold": 3.0}
+    assert len(fields(SynthesisConfig)) == 24
 
 
 def test_budget_is_ceil_of_fraction():
