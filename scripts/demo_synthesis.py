@@ -9,12 +9,10 @@ Usage:
 """
 import argparse
 import json
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
+
+import sweep  # noqa: F401  (puts src/ and perfbench/ on the path)
 
 from tagforge.gateway import MockProvider
 from tagforge.graph import NodeRecord, TextAttributedGraph, graph_stats

@@ -13,13 +13,8 @@ Usage:
                                      [--alphas 0.2,0.35,0.5,0.65,0.8]
 """
 import argparse
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
+import sweep  # noqa: F401  (puts src/ and perfbench/ on the path)
 from gen import planted_graph
 from tagforge.analysis import ks_two_sample
 from tagforge.community import ModularityParams, detect_communities

@@ -30,7 +30,8 @@ import sweep
 from gen import planted_graph
 from tagforge.community import ModularityParams, detect_communities
 from tagforge.graph import graph_from_json_obj, largest_component
-from tagforge.limiter import LimiterParams, property_tensor, sample_limited
+from tagforge.limiter import (LimiterParams, dense_laplacian_eigenvalues, property_tensor,
+                              sample_limited)
 
 ALPHA = 0.3
 DENSE_LIMIT = 4000
@@ -42,10 +43,8 @@ def dense_gap(graph, spectrum) -> str:
     members, _ = largest_component(graph)
     if members.size > DENSE_LIMIT:
         return "-"
-    a = graph.adjacency_csr()[members][:, members].toarray()
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    lap = np.eye(members.size) - (a * inv_sqrt[None, :]) * inv_sqrt[:, None]
-    dense = np.clip(np.linalg.eigvalsh(lap), 0.0, 2.0)[:len(spectrum)]
+    dense = dense_laplacian_eigenvalues(
+        graph.adjacency_csr()[members][:, members], len(spectrum))
     return f"{np.abs(np.subtract(spectrum, dense)).max():.1e}"
 
 

@@ -5,7 +5,8 @@ combinations, sha256, timing, and the printing of rows and of the timed total.
 Each script turns its parsed flags into rows, and ``run`` prints them one
 per line, tab-separated, as they come, then the seconds its ``Clock``
 counted on stderr. Importing this module puts ``src/`` and ``perfbench/`` on
-the path.
+the path, which is all that ``limiter_sweep.py`` and ``demo_synthesis.py``
+import it for.
 """
 import argparse
 import hashlib

@@ -204,17 +204,14 @@ def _objective_of_unit_rows(u: np.ndarray, x: np.ndarray) -> float:
     return float((np.arccos(cosines) ** 2).sum())
 
 
-def principal_direction(
-    vectors,
-    tol_radians: float = 1e-8,
-    max_outer: int = 100,
-) -> PrincipalDirection:
+def principal_direction(vectors) -> PrincipalDirection:
     """Direction minimizing the sum of squared angles to the given vectors.
 
     Iteratively reweighted scheme: each round weights every vector by
     arccos(|u.x|) / sqrt(1 - (u.x)^2) (limit 1 as the angle vanishes), builds
     the weighted second-moment matrix, and takes its dominant eigenvector.
-    Starts from the normalized mean. The objective is monitored and must
+    Starts from the normalized mean and stops when a round turns it by under
+    1e-8 radians, or after 100 rounds. The objective is monitored and must
     never increase; a numerical increase beyond 1e-9 raises.
     """
     x = _unit_rows(vectors)
@@ -231,10 +228,7 @@ def principal_direction(
     # that once keeps every value grassmann_objective(., x) would give
     x_objective = _unit_rows(x)
     f_prev = _objective_of_unit_rows(u, x_objective)
-    converged = False
-    outer_done = 0
-    for outer in range(1, max_outer + 1):
-        outer_done = outer
+    for outer in range(1, 101):
         t = x @ u
         a = np.clip(np.abs(t), 0.0, 1.0)
         near_aligned = a > 1.0 - 1e-12
@@ -263,11 +257,10 @@ def principal_direction(
         step = float(np.arccos(np.clip(abs(v @ u), 0.0, 1.0)))
         u = v
         f_prev = min(f_prev, f_new)
-        if step < tol_radians:
-            converged = True
+        if step < 1e-8:
             break
     return PrincipalDirection(direction=u, objective=f_prev,
-                              iterations=outer_done, converged=converged)
+                              iterations=outer, converged=step < 1e-8)
 
 
 def coherence_score(x, direction) -> float:

@@ -236,7 +236,6 @@ def semantic_modularity(
     partition: Partition,
     emb: EmbeddingTable | None = None,
     params: ModularityParams = ModularityParams(gamma=1.0),
-    pair_sum_override: float | None = None,
 ) -> float:
     """Score a partition by edge density minus null model minus semantic spread.
 
@@ -256,10 +255,7 @@ def semantic_modularity(
         if emb is None or not emb.covers(g.ids()):
             raise ValueError("gamma below 1 requires embeddings covering every node")
         members = partition.members_by_community()
-        if pair_sum_override is not None:
-            s_tot = pair_sum_override
-        else:
-            s_tot = _total_pair_sum(emb.unit_matrix(list(g.ids())), params.semantic_term)
+        s_tot = _total_pair_sum(emb.unit_matrix(list(g.ids())), params.semantic_term)
         if s_tot > 0.0:
             same = 0.0
             for group in members:

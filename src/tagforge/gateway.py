@@ -33,6 +33,10 @@ ROLE_TEMPERATURE = {
 }
 EMBED_BATCH = 64
 SCHEMA_IDS = ("generated-nodes", "quality-scores", "mode-decision", "goal-decision")
+# The scale of both quality-scores dimensions: the Evaluation prompts state
+# it, and the loop clamps every score onto it.
+SCORE_MIN = 0.0
+SCORE_MAX = 10.0
 
 
 class TransportError(RuntimeError):
@@ -70,12 +74,8 @@ class ChatRequest:
     role_tag: str
     system_prompt: str
     user_prompt: str
-    temperature: float | None = None
-    max_tokens: int = 2048
 
     def resolved_temperature(self) -> float:
-        if self.temperature is not None:
-            return self.temperature
         return ROLE_TEMPERATURE.get(self.role_tag, 0.0)
 
 
@@ -190,7 +190,7 @@ class HttpProvider:
                 {"role": "user", "content": req.user_prompt},
             ],
             "temperature": req.resolved_temperature(),
-            "max_tokens": req.max_tokens,
+            "max_tokens": 2048,
         }
         started = time.monotonic()
         reply = self._post("/chat/completions", body)
@@ -278,14 +278,13 @@ class MockProvider:
         self.embed_calls = 0
 
     @classmethod
-    def from_file(cls, path: str, seed: int = 0, embed_dim: int = 32,
-                  audit: AuditLog | None = None) -> "MockProvider":
+    def from_file(cls, path: str, seed: int = 0, audit: AuditLog | None = None) -> "MockProvider":
         with open(path, "r", encoding="utf-8") as fh:
             script = json.load(fh)
         if not isinstance(script, dict) or not all(
                 isinstance(v, str) for v in script.values()):
             raise ValueError(f"{path}: mock script must map string keys to string replies")
-        return cls(script, seed=seed, embed_dim=embed_dim, audit=audit)
+        return cls(script, seed=seed, audit=audit)
 
     def complete(self, req: ChatRequest) -> str:
         ordinal = self.calls
@@ -491,7 +490,8 @@ _REPAIR_HINTS = {
         "label (integer), text, neighbors (array of existing node ids), and mask."),
     "quality-scores": (
         "Reply with a JSON array of objects, each with keys node_id, "
-        "semantic_coherence (0-10), and structural_integrity (0-10)."),
+        f"semantic_coherence ({SCORE_MIN:g}-{SCORE_MAX:g}), and "
+        f"structural_integrity ({SCORE_MIN:g}-{SCORE_MAX:g})."),
     "goal-decision": 'Reply with JSON like {"goal_reached": false, "justification": "..."}.',
 }
 
@@ -517,8 +517,6 @@ def complete_structured(provider, req: ChatRequest, schema_id: str):
             "The previous reply could not be used because it did not match the "
             f"required format. {_REPAIR_HINTS[schema_id]} Output only the JSON "
             "value, with no surrounding prose.\n\nPrevious reply:\n" + raw1),
-        temperature=req.temperature,
-        max_tokens=req.max_tokens,
     )
     raw2 = provider.complete(repair)
     value, found = extract_json(raw2)

@@ -346,6 +346,11 @@ def save_graph(g: TextAttributedGraph, path: str) -> None:
 
 # statistics --------------------------------------------------------------
 
+def histogram_json(counts: dict) -> dict:
+    """A histogram as the JSON reports write it: string keys, ascending by key."""
+    return {str(k): v for k, v in sorted(counts.items())}
+
+
 @dataclass(frozen=True)
 class GraphStats:
     num_nodes: int
@@ -369,8 +374,8 @@ class GraphStats:
             "avg_path_length": self.avg_path_length,
             "connected_components": self.connected_components,
             "largest_component_size": self.largest_component_size,
-            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
-            "label_distribution": {str(k): v for k, v in sorted(self.label_distribution.items())},
+            "degree_histogram": histogram_json(self.degree_histogram),
+            "label_distribution": histogram_json(self.label_distribution),
         }
 
 

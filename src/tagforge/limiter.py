@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .community import Partition, indicator
-from .graph import TextAttributedGraph, component_labels, histograms, largest_component
+from .graph import TextAttributedGraph, component_labels, histogram_json, histograms, largest_component
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -63,8 +63,8 @@ class PropertyTensor:
 
     def to_dict(self) -> dict:
         return {
-            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
-            "label_distribution": {str(k): v for k, v in sorted(self.label_distribution.items())},
+            "degree_histogram": histogram_json(self.degree_histogram),
+            "label_distribution": histogram_json(self.label_distribution),
             "top_spectral": list(self.top_spectral),
             "component_profile": list(self.component_profile),
         }
@@ -86,6 +86,14 @@ class LimitResult:
     repair: RepairReport
 
 
+def dense_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of I - D^-1/2 A D^-1/2, ascending
+    and clipped to [0, 2], from numpy's dense ``eigvalsh``."""
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    lap = np.eye(a.shape[0]) - (a.toarray() * inv_sqrt[None, :]) * inv_sqrt[:, None]
+    return np.clip(np.linalg.eigvalsh(lap)[:count], 0.0, 2.0)
+
+
 def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
     """The ``count`` smallest eigenvalues of I - D^-1/2 A D^-1/2, ascending,
     for a connected graph with at least two nodes.
@@ -96,7 +104,7 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     eigenvalue, so the found pairs are shifted below the spectrum and the
     largest remaining eigenvalue is checked; one above the smallest found
     takes its place until none is. Graphs too small for ARPACK to return
-    ``count`` pairs use the dense solver.
+    ``count`` pairs use ``dense_laplacian_eigenvalues``.
 
     The main solve keeps ``min(s, max(3 * count, 20))`` Lanczos vectors, not
     ARPACK's default ``max(2 * count + 1, 20)``. The top eigenvalues of M in
@@ -118,33 +126,30 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     swap and every returned bit is what that check alone gives.
     """
     s = a.shape[0]
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
     if s <= count + 1:
-        lap = np.eye(s) - (a.toarray() * inv_sqrt[None, :]) * inv_sqrt[:, None]
-        vals = np.linalg.eigvalsh(lap)[:count]
-    else:
-        m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
-        v0 = np.random.default_rng(0).standard_normal(s)
-        # a bare matvec: eigsh would wrap the CSR in several operator layers
-        mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
-                         k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
-        while True:
-            # found pairs move to -3, below the spectrum of M in [-1, 1]
-            shift = mu + 3.0
-            rest = LinearOperator(
-                (s, s), dtype=np.float64,
-                matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
-            low = int(np.argmin(mu))
-            theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=_CHECK_TOL)
-            r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
-            if theta[0] + r <= mu[low] + 1e-10:
-                break
-            top, w = eigsh(rest, k=1, which="LA", v0=v0)
-            if top[0] <= mu[low] + 1e-10:
-                break
-            mu[low], vecs[:, low] = top[0], w[:, 0]
-        vals = np.sort(1.0 - mu)
-    return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
+        return tuple(dense_laplacian_eigenvalues(a, count).tolist())
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
+    v0 = np.random.default_rng(0).standard_normal(s)
+    # a bare matvec: eigsh would wrap the CSR in several operator layers
+    mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
+                     k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
+    while True:
+        # found pairs move to -3, below the spectrum of M in [-1, 1]
+        shift = mu + 3.0
+        rest = LinearOperator(
+            (s, s), dtype=np.float64,
+            matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
+        low = int(np.argmin(mu))
+        theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=_CHECK_TOL)
+        r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
+        if theta[0] + r <= mu[low] + 1e-10:
+            break
+        top, w = eigsh(rest, k=1, which="LA", v0=v0)
+        if top[0] <= mu[low] + 1e-10:
+            break
+        mu[low], vecs[:, low] = top[0], w[:, 0]
+    return tuple(np.clip(np.sort(1.0 - mu), 0.0, 2.0).tolist())
 
 
 def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:
@@ -582,7 +587,9 @@ def sample_limited_detailed(
 ) -> LimitResult:
     """Produce the alpha-fraction sample with repair, plus bookkeeping.
 
-    Selection is deterministic: ranking ties break on node id.
+    Selection is deterministic: within a cell, utilities within ``_GAIN_EPS``
+    of each other are equal, and ties go to the smaller ``key_rank``, then
+    to the earlier position.
     """
     n = g.num_nodes
     partition.validate(g)
@@ -592,7 +599,7 @@ def sample_limited_detailed(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
 
     ids = g.ids()
-    keys = g.key_rank().tolist()
+    key_rank = g.key_rank()
     k = partition.community_count
     comm = partition.community_array(g)
     cells: dict[tuple, list[int]] = {}
@@ -617,13 +624,19 @@ def sample_limited_detailed(
     covered = np.zeros(k, dtype=np.int64)
     selected: list[int] = []
     for key in sorted(cell_targets):
-        members = cells[key]
-        want = cell_targets[key]
-        if want >= len(members):
-            chosen = sorted(members, key=keys.__getitem__)
-        else:
-            weights = dict(zip(members, score(np.array(members), covered).tolist()))
-            chosen = sorted(members, key=lambda i: (-weights[i], keys[i]))[:want]
+        # Coverage is equal across a cell, so two utilities in it differ by
+        # l1 (d_i - d_j) / D + l3 (o_i / d_i - o_j / d_j), D the largest degree
+        # and o the neighbours outside the community: at l1 = l3 = 1/3 by 0 or
+        # by at least 1 / (3 D^3), above _GAIN_EPS while D < 6,900, and float
+        # sums of terms in [0, 1] err by ulps. So utilities within _GAIN_EPS
+        # are equal: a tier ends where utility drops by more, and ranks by
+        # key_rank, then position.
+        rows = np.array(cells[key])
+        utility = score(rows, covered)
+        order = np.argsort(-utility)
+        rows, utility = rows[order], utility[order]
+        tier = np.cumsum(np.append(0, utility[:-1] - utility[1:] > _GAIN_EPS))
+        chosen = rows[np.lexsort((rows, key_rank[rows], tier))][:cell_targets[key]].tolist()
         covered[key[1]] += len(chosen)
         selected.extend(chosen)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .community import EmbeddingTable, Partition, block_totals, indicator
-from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats
+from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats, histogram_json
 
 log = logging.getLogger("tagforge.perception")
 
@@ -329,12 +329,10 @@ class EnvironmentReport:
         return {
             "Graph": graph_block,
             "StructuralDistribution": {
-                "degree_distribution": {
-                    str(k): v for k, v in sorted(self.global_stats.degree_histogram.items())},
+                "degree_distribution": histogram_json(self.global_stats.degree_histogram),
             },
             "SemanticDistribution": self.semantic_distribution,
-            "LabelDistribution": {
-                str(k): v for k, v in sorted(self.global_stats.label_distribution.items())},
+            "LabelDistribution": histogram_json(self.global_stats.label_distribution),
             "ClassStatistics": {
                 str(lbl): {
                     "count": cs.count,

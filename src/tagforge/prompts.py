@@ -1,14 +1,14 @@
 """Prompt builders for the agent roles.
 
 Every builder returns a ChatRequest carrying the role tag so the gateway can
-apply per-role temperature defaults and the audit log can attribute calls.
+apply per-role temperatures and the audit log can attribute calls.
 """
 from __future__ import annotations
 
 import json
 from typing import Sequence
 
-from .gateway import ChatRequest
+from .gateway import SCORE_MAX, SCORE_MIN, ChatRequest
 
 MANAGER_SYSTEM = (
     "You coordinate a pipeline that grows a text-attributed graph with new "
@@ -25,9 +25,10 @@ ENHANCEMENT_SYSTEM = (
 
 EVALUATION_SYSTEM = (
     "You review candidate nodes proposed for a text-attributed graph. Score "
-    "each candidate from 0 to 10 on two dimensions: semantic coherence (does "
-    "the text fit the labeled topic and its proposed neighborhood) and "
-    "structural integrity (are the proposed links plausible for the graph).")
+    f"each candidate from {SCORE_MIN:g} to {SCORE_MAX:g} on two dimensions: "
+    "semantic coherence (does the text fit the labeled topic and its proposed "
+    "neighborhood) and structural integrity (are the proposed links plausible "
+    "for the graph).")
 
 GOAL_SYSTEM = (
     "You judge whether a graph synthesis run has met its goal. Compare the "
@@ -82,7 +83,8 @@ def evaluation_prompt(
         "\nCurrent graph summary:\n" + current_summary +
         "\nCandidate nodes:\n" + candidates_json +
         "\n\nScore every candidate. Reply with a JSON array of objects, each "
-        "with keys node_id, semantic_coherence (0-10), structural_integrity (0-10).")
+        f"with keys node_id, semantic_coherence ({SCORE_MIN:g}-{SCORE_MAX:g}), "
+        f"structural_integrity ({SCORE_MIN:g}-{SCORE_MAX:g}).")
     return ChatRequest(role_tag="Evaluation", system_prompt=EVALUATION_SYSTEM,
                        user_prompt=user)
 

@@ -21,6 +21,8 @@ import numpy as np
 from . import analysis
 from .community import EmbeddingTable, ModularityParams, Partition, detect_communities
 from .gateway import (
+    SCORE_MAX,
+    SCORE_MIN,
     AuditLog,
     PermanentProviderError,
     StructuredOutputError,
@@ -63,8 +65,6 @@ class SynthesisConfig(PerceptionParams, ModularityParams):
     edge_threshold: float = 0.5
     tau_initial: float = 7.0
     zeta: float = 0.1
-    score_min: float = 0.0
-    score_max: float = 10.0
     epsilon: float = 0.05
     window_k: int = 2
     eta: float = 0.05
@@ -80,9 +80,7 @@ class SynthesisConfig(PerceptionParams, ModularityParams):
             raise ValueError("max_iterations must be at least 1")
         if self.window_k < 1:
             raise ValueError("window_k must be at least 1")
-        if self.score_min >= self.score_max:
-            raise ValueError("score_min must be below score_max")
-        if not (self.score_min <= self.tau_initial <= self.score_max):
+        if not (SCORE_MIN <= self.tau_initial <= SCORE_MAX):
             raise ValueError("tau_initial must lie on the score scale")
         if not (0.0 <= self.edge_threshold <= 1.0):
             raise ValueError("edge_threshold must lie in [0, 1]")
@@ -180,15 +178,13 @@ def update_threshold(
     mean_current: float,
     mean_previous: float | None,
     zeta: float = 0.1,
-    score_min: float = 0.0,
-    score_max: float = 10.0,
 ) -> float:
     """Drift the acceptance bar toward recent quality movement, clamped to
     the score scale. With no previous mean the bar stays put."""
     if mean_previous is None:
         return tau_prev
     tau = tau_prev + zeta * (mean_current - mean_previous)
-    return min(score_max, max(score_min, tau))
+    return min(SCORE_MAX, max(SCORE_MIN, tau))
 
 
 def check_convergence(
@@ -314,7 +310,6 @@ def generate_nodes(
     report_summary: str,
     mode: EnhancementMode,
     budget: int,
-    config: SynthesisConfig,
     prior_rejections: Sequence[str] = (),
     audit: AuditLog | None = None,
 ) -> list[GeneratedNode]:
@@ -424,10 +419,10 @@ def evaluate_nodes(
             if row is None:
                 rejected[nid] = "unscored"
                 continue
-            sem = min(config.score_max, max(config.score_min, row["semantic_coherence"]))
-            struct = min(config.score_max, max(config.score_min, row["structural_integrity"]))
+            sem = min(SCORE_MAX, max(SCORE_MIN, row["semantic_coherence"]))
+            struct = min(SCORE_MAX, max(SCORE_MIN, row["structural_integrity"]))
             if sem != row["semantic_coherence"] or struct != row["structural_integrity"]:
-                log.warning("score for %s clamped onto the configured scale", nid)
+                log.warning("score for %s clamped onto the score scale", nid)
             semantic[nid] = sem
             structural[nid] = struct
             composite[nid] = (sem + struct) / 2.0
@@ -458,14 +453,13 @@ def _progress_vector(
     g_now: TextAttributedGraph,
     reference: tuple[dict, np.ndarray] | None,
     assessment: QualityAssessment | None,
-    config: SynthesisConfig,
 ) -> np.ndarray:
     """Three normalized progress readings: round quality, structural fidelity
     to the initial graph, and negated class imbalance. ``reference`` is the
     initial graph's clustering profile and label-pair matrix, or None when it
     has no edge."""
     if assessment is not None and assessment.mean_semantic is not None:
-        quality = assessment.mean_semantic / config.score_max
+        quality = assessment.mean_semantic / SCORE_MAX
     else:
         quality = 0.0
     structure = 0.0
@@ -569,7 +563,7 @@ def run_synthesis(
 
                 candidates = generate_nodes(
                     provider, g_current, capsule, summarize_report(report),
-                    mode, budget, config, prior_rejections, audit)
+                    mode, budget, prior_rejections, audit)
 
                 theta = (config.theta_semantic if mode is EnhancementMode.SEMANTIC
                          else config.theta_topological)
@@ -625,10 +619,10 @@ def run_synthesis(
                     state.tau = update_threshold(
                         state.tau, mean_now,
                         state.quality_history[-1] if state.quality_history else None,
-                        config.zeta, config.score_min, config.score_max)
+                        config.zeta)
                     state.quality_history.append(mean_now)
 
-                progress = _progress_vector(g_current, reference, assessment, config)
+                progress = _progress_vector(g_current, reference, assessment)
                 gradient = (progress - prev_progress
                             if prev_progress is not None else np.zeros(3))
                 state.lambda_weights = update_weights(

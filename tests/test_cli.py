@@ -335,6 +335,15 @@ def test_removed_synthesis_allow_internal_edges_key_exits_2(graph_file, tmp_path
     assert "allow_internal_edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("score_min", 0.0), ("score_max", 5.0)])
+def test_removed_synthesis_key_exits_2(graph_file, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthesis": {key: value}}), encoding="utf-8")
+    assert main(["synthesize", graph_file, str(tmp_path / "o.json"),
+                 "--provider", "live", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_synthesize_bad_embedding_reply_exits_3(graph_file, tmp_path, capsys,
                                                 monkeypatch):
     script = _one_round_script(tmp_path)

@@ -17,6 +17,7 @@ from tagforge.gateway import (
     MockScriptError,
     PermanentProviderError,
     ProviderConfig,
+    ROLE_TEMPERATURE,
     SchemaValidationError,
     StructuredOutputError,
     TransportError,
@@ -145,13 +146,14 @@ def test_chat_reply_missing_content_is_permanent(stub):
 def test_chat_request_body_shape(stub):
     stub.behaviors = [(200, CHAT_OK)]
     provider = _provider(stub.endpoint)
-    provider.complete(ChatRequest(role_tag="Evaluation", system_prompt="s",
-                                  user_prompt="u", temperature=0.2))
+    provider.complete(ChatRequest(role_tag="Enhancement", system_prompt="s",
+                                  user_prompt="u"))
     path, body = stub.seen[0]
     assert path.endswith("/chat/completions")
     assert body["messages"] == [{"role": "system", "content": "s"},
                                 {"role": "user", "content": "u"}]
-    assert body["temperature"] == 0.2
+    assert body["temperature"] == ROLE_TEMPERATURE["Enhancement"] == 0.7
+    assert body["max_tokens"] == 2048
 
 
 def test_embed_orders_rows_by_index(stub):
@@ -239,7 +241,6 @@ def test_prompt_key_format_and_sensitivity():
 
 
 def test_resolved_temperature_role_default_and_override():
-    assert ChatRequest("Manager", "s", "u", temperature=0.9).resolved_temperature() == 0.9
     default = ChatRequest("Manager", "s", "u").resolved_temperature()
     assert 0.0 <= default <= 1.0
     assert ChatRequest("NoSuchRole", "s", "u").resolved_temperature() == 0.0

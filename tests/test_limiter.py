@@ -375,6 +375,20 @@ def test_two_cell_targets_six_four():
     assert result.graph.num_nodes == 5
 
 
+def test_selection_breaks_exact_utility_ties_by_key_rank():
+    # "144" (degree 4) and "295" (degree 6) share the cell (label 1,
+    # community 1) with 2 neighbours outside it each, so both have utility
+    # (d / 12 + out / d) / 3 = 5/18 exactly at the largest degree 12; the
+    # coverage term, the same for the whole cell, must not decide
+    g = _planted_graph(300, 4, 3)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), 3)
+    samples = [sample_limited_detailed(g, part, LimiterParams(
+        alpha=0.3, lambda_weights=weights, repair_epsilon=1e9)).graph
+        for weights in ((1 / 3, 1 / 3, 1 / 3), (1 / 3, 0.0, 1 / 3))]
+    assert samples[0].has_node("144") and not samples[0].has_node("295")
+    assert list(samples[0].ids()) == list(samples[1].ids())
+
+
 def test_sample_size_and_class_deviation_invariants():
     for seed in range(10):
         g = random_graph(30 + 7 * seed, 0.08, seed=seed + 50)
@@ -553,8 +567,9 @@ def _repair_digest(result):
     (500, 1.8, 14, "one", 0.5, 0.0, 18, "d8d0ffc17adb34c2"),
     # every node its own cell: no same-cell swap candidates exist
     (600, 1.5, 8, "singleton", 0.3, 0.0, 0, "c0a5ccdee07494b3"),
-    # repair runs until no swap reduces the distortion
-    (800, 1.5, 9, "detect", 0.3, 0.0, 37, "51e77f3c925ecab4"),
+    # repair runs until no swap reduces the distortion; one cell's selection
+    # breaks an exact utility tie
+    (800, 1.5, 9, "detect", 0.3, 0.0, 36, "53592e3116297ce6"),
 ])
 def test_long_repairs_match_recorded_digests(
         n, degree, seed, partition, alpha, epsilon, swaps, digest):

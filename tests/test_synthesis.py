@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph, random_graph
-from tagforge import analysis
+from tagforge import analysis, prompts
 from tagforge.community import EmbeddingTable
-from tagforge.gateway import AuditLog, MockProvider
+from tagforge.gateway import _REPAIR_HINTS, AuditLog, MockProvider
 from tagforge.perception import EnhancementMode, KnowledgeCapsule
 from tagforge.synthesis import (
     GeneratedNode,
@@ -217,10 +217,10 @@ def test_config_schema_is_pinned():
         "ppr_tolerance": 1e-10, "ppr_max_iters": 200, "gamma": 0.5,
         "semantic_term": "similarity", "theta_semantic": (0.6, 0.3, 0.1),
         "theta_topological": (0.2, 0.5, 0.3), "edge_threshold": 0.5, "tau_initial": 7.0,
-        "zeta": 0.1, "score_min": 0.0, "score_max": 10.0, "epsilon": 0.05, "window_k": 2,
+        "zeta": 0.1, "epsilon": 0.05, "window_k": 2,
         "eta": 0.05, "lambda_init": (1 / 3, 1 / 3, 1 / 3), "max_iterations": 15,
         "min_text_chars": 20, "imbalance_fallback_threshold": 3.0}
-    assert len(fields(SynthesisConfig)) == 24
+    assert len(fields(SynthesisConfig)) == 22
 
 
 def test_budget_is_ceil_of_fraction():
@@ -273,8 +273,7 @@ def test_generate_nodes_drop_reasons_and_budget():
     audit = AuditLog()
     provider = MockProvider({"0": json.dumps(batch)})
     out = generate_nodes(provider, g, _capsule(g), "summary",
-                         EnhancementMode.SEMANTIC, 10, SynthesisConfig(),
-                         audit=audit)
+                         EnhancementMode.SEMANTIC, 10, audit=audit)
     assert [gen.record.node_id for gen in out] == ["n_good", "n_good2"]
     assert out[1].proposed == ("2",)
     gen_record = next(e for e in audit.entries if e["kind"] == "generation")
@@ -293,8 +292,7 @@ def test_generate_nodes_truncates_to_budget():
     batch = [{"node_id": f"n{i}", "label": 0, "text": "c" * 25, "neighbors": ["1"]}
              for i in range(4)]
     provider = MockProvider({"0": json.dumps(batch)})
-    out = generate_nodes(provider, g, _capsule(g), "s", EnhancementMode.SEMANTIC,
-                         2, SynthesisConfig())
+    out = generate_nodes(provider, g, _capsule(g), "s", EnhancementMode.SEMANTIC, 2)
     assert [gen.record.node_id for gen in out] == ["n0", "n1"]
 
 
@@ -338,6 +336,21 @@ def test_evaluate_nodes_unscored_and_clamped():
     assert qa.goal_reached is True and qa.goal_justification == "done"
 
 
+def test_clamp_scale_is_the_scale_the_prompts_state():
+    provider = MockProvider({
+        "0": json.dumps([{"node_id": "a", "semantic_coherence": 1e9,
+                          "structural_integrity": -1e9}]),
+        "1": json.dumps({"goal_reached": False}),
+    })
+    qa = evaluate_nodes(provider, [_gen("a")], "{}", "{}", SynthesisConfig())
+    low, high = qa.structural["a"], qa.semantic["a"]
+    assert (low, high) == (0.0, 10.0)
+    assert f" from {low:g} to {high:g} " in prompts.EVALUATION_SYSTEM
+    for text in (prompts.evaluation_prompt("[]", "", "").user_prompt,
+                 _REPAIR_HINTS["quality-scores"]):
+        assert text.count(f" ({low:g}-{high:g})") == 2
+
+
 def test_evaluate_nodes_goal_fallback_degrades_to_false():
     audit = AuditLog()
     provider = MockProvider({"0": "??", "1": "??"}, audit=audit)
@@ -364,8 +377,8 @@ def test_progress_structure_reading_equals_public_similarities(seed):
                  analysis.label_homogeneity_matrix(initial))
     expected = 0.5 * (analysis.clustering_similarity(now, initial)
                       + analysis.label_homogeneity_similarity(now, initial))
-    assert _progress_vector(now, reference, None, SynthesisConfig())[1] == expected
-    assert _progress_vector(now, None, None, SynthesisConfig())[1] == 0.0
+    assert _progress_vector(now, reference, None)[1] == expected
+    assert _progress_vector(now, None, None)[1] == 0.0
 
 
 # the loop --------------------------------------------------------------------------
