@@ -289,26 +289,54 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     On coarse levels the semantic sums come from ``csum``, a copy of
     ``level.sem`` whose row ``c`` is kept equal to the sum of the ``sem`` rows
     of community ``c``'s members: a move of ``v`` from ``a`` to ``b`` does
-    ``csum[a] -= sem[v]`` and ``csum[b] += sem[v]``. A visit reads
-    ``csum[groups, v]`` and takes ``sem[v, v]`` off its own community's entry,
-    so it costs O(candidates), not O(members). On the first level a visit
-    takes the pair terms between ``v`` and the members of its own and every
-    candidate community in one product, sums them per community, and takes
-    ``v``'s own term off.
+    ``csum[a] -= sem[v]`` and ``csum[b] += sem[v]``. A visit reads column
+    ``v`` of ``csum`` at its own and every candidate community and takes
+    ``sem[v, v]`` off its own community's entry, so it costs O(candidates),
+    not O(members). On the first level a visit takes the pair terms between
+    ``v`` and the members of its own and every candidate community in one
+    product, sums them per community, and takes ``v``'s own term off.
 
-    A visit is skipped before its neighbour scan when nothing it reads has
-    changed since the node was last weighed and stayed put. ``changed_at[c]``
-    is the move number at which community ``c`` last gained or lost a member
-    (both ends of a move are stamped), ``stayed_at[v]`` the move count when
-    ``v`` last stayed (-1 once it moves) and ``stayed_keys[v]`` the
-    communities of its neighbours then. The visit is skipped when ``v``'s own
-    community and every stored key are no newer than ``stayed_at[v]``. This is
-    exact: a neighbour that moved left a community among the stored keys and
-    stamped it, so no neighbour moved and ``links`` is the same; community
-    strengths, semantic sums, ``min_member`` and member-set order change only
-    with membership, which stamps. The visit would compute the same floats and
-    keep ``v``. A visit with no candidate community (every neighbour in
-    ``v``'s own) stays put too, and is recorded the same way.
+    A sweep visits only dirty nodes, in index order. Every node starts dirty.
+    A visit that ends with ``v`` staying put, with or without a candidate
+    community, clears ``dirty[v]`` and registers ``v`` in ``watch`` under its
+    own community and under each candidate. A move of ``v`` from ``a`` to
+    ``b`` marks every node registered under ``a`` or ``b`` dirty and empties
+    both lists; ``v`` itself stays dirty. A node marked ahead of the sweep's
+    position is visited in this sweep, one marked behind it in the next. A
+    clean node would stay put again: a neighbour that moved left a community
+    ``v`` is registered under, so no neighbour moved and ``links`` is the
+    same, and community strengths, semantic sums, ``min_member`` and
+    member-set order change only with membership, which marks. The visit
+    would compute the same floats. A node that stayed twice is listed twice
+    under a community, which only marks it twice.
+
+    Before it sorts the candidates and builds semantic sums, a visit bounds
+    every candidate's gain by topology alone and keeps ``v`` when no bound
+    exceeds ``_GAIN_EPS``. The bound is applied on the first level and
+    wherever ``sem_coeff == 0``. Each computed first-level pair term lies in
+    ``[lo, hi]``: ``[0, 1]`` for ``similarity``, ``[-1, 2]`` for
+    ``distance``. A bound is the gain in the same float expression order
+    with every candidate's semantic sum replaced by ``lo * n`` and the own
+    community's by ``U = hi * len(members[cur])``. IEEE rounding of -, * and
+    / is monotone and ``sem_coeff >= 0``, so the bound is at least the gain
+    whenever each candidate sum, as computed, is at least ``lo * n`` and the
+    own sum is at most U:
+
+    - ``similarity``'s ``max(x.y, 0)`` is never below 0, nor is a sum of
+      such terms. ``distance``'s 1 - x.y can round below 0 for
+      near-identical unit rows, but only by a few ``d * eps`` for dimension
+      d, far above -1 per term, and a candidate has fewer than n members.
+    - A computed term exceeds ``hi`` by a few ``d * eps`` at most. Once
+      ``v``'s own term is taken off, the own sum holds ``len(members[cur])
+      - 1`` terms, so U leaves a slack of one whole term, which covers the
+      rounding while ``len(members[cur]) * (len(members[cur]) + d) * eps``
+      is below 1/2: any community under ten million members.
+    - At ``sem_coeff == 0`` every semantic product is 0 and the bound is
+      the gain.
+
+    Coarse levels read ``csum``, whose entries are nonnegative in exact
+    arithmetic but can drift below 0 under ``+=`` and ``-=``, so a visit
+    there builds the sums. Reading ``csum`` costs little anyway.
     """
     n = len(level.members)
     indptr, nbrs, weights = (arr.tolist() for arr in (
@@ -321,26 +349,24 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     # canonical tie-breaking
     first = [ms[0] for ms in level.members]
     min_member = list(first)
-    moves = 0
-    changed_at = [0] * n
-    stayed_at = [-1] * n
-    stayed_keys: list[tuple[int, ...]] = [()] * n
+    dirty = bytearray(b"\x01") * n
+    watch: list[list[int]] = [[] for _ in range(n)]
     coarse_sem = level.sem is not None and sem_coeff != 0.0
     if coarse_sem:
         csum = level.sem.copy()
         self_term = level.sem.diagonal().tolist()
     elif sem_coeff != 0.0:
         self_term = _pair_term(np.einsum("ij,ij->i", x_unit, x_unit), semantic_term).tolist()
+    lo, hi = (0.0, 1.0) if semantic_term == "similarity" else (-1.0, 2.0)
+    floor = sem_coeff * (lo * n)
 
     improved_any = False
     while True:
         moved = False
         for v in range(n):
-            cur = comm[v]
-            last = stayed_at[v]
-            if (last >= 0 and changed_at[cur] <= last
-                    and all(changed_at[c] <= last for c in stayed_keys[v])):
+            if not dirty[v]:
                 continue
+            cur = comm[v]
             links: dict[int, float] = {}
             for j in range(indptr[v], indptr[v + 1]):
                 u = nbrs[j]
@@ -348,58 +374,64 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                     continue
                 c = comm[u]
                 links[c] = links.get(c, 0.0) + weights[j]
-            cands = sorted((c for c in links if c != cur), key=min_member.__getitem__)
-            if not cands:
-                stayed_at[v] = moves
-                stayed_keys[v] = tuple(links)
-                continue
             k_v = node_strength[v]
-
-            groups = [cur] + cands
-            if sem_coeff == 0.0:
-                sem = [0.0] * len(groups)
-            else:
-                if coarse_sem:
-                    sem = csum[groups, v].tolist()
+            scale = gamma * k_v
+            # each candidate's value and v's own community's value, before
+            # their semantic sums; rounding is monotone, so the largest
+            # candidate value gives the largest bound
+            topo = {c: links[c] - scale * comm_strength[c] / two_m for c in links if c != cur}
+            own = links.get(cur, 0.0) - scale * (comm_strength[cur] - k_v) / two_m
+            best_c = cur
+            if topo and (coarse_sem or (max(topo.values()) - floor)
+                         - (own - sem_coeff * (hi * len(members[cur]))) > _GAIN_EPS):
+                cands = sorted(topo, key=min_member.__getitem__)
+                groups = [cur] + cands
+                if sem_coeff == 0.0:
+                    sem = [0.0] * len(groups)
                 else:
-                    pos = [u for c in groups for u in members[c]]
-                    vals = _pair_term(x_unit[pos] @ x_unit[v], semantic_term).tolist()
-                    sem, start = [], 0
-                    for c in groups:
-                        end = start + len(members[c])
-                        sem.append(sum(vals[start:end]))
-                        start = end
-                sem[0] -= self_term[v]
-
-            k_c = comm_strength[cur] - k_v
-            base = links.get(cur, 0.0) - gamma * k_v * k_c / two_m - sem_coeff * sem[0]
-            best_c, best_gain = cur, 0.0
-            for c, s in zip(cands, sem[1:]):
-                delta = (links[c] - gamma * k_v * comm_strength[c] / two_m
-                         - sem_coeff * s) - base
-                if delta > best_gain + _GAIN_EPS:
-                    best_gain = delta
-                    best_c = c
-            if best_c != cur:
-                members[cur].discard(v)
-                members[best_c].add(v)
-                comm_strength[cur] -= k_v
-                comm_strength[best_c] += k_v
-                if coarse_sem:
-                    csum[cur] -= level.sem[v]
-                    csum[best_c] += level.sem[v]
-                comm[v] = best_c
-                if first[v] == min_member[cur]:
-                    min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
-                min_member[best_c] = min(min_member[best_c], first[v])
-                moves += 1
-                changed_at[cur] = changed_at[best_c] = moves
-                stayed_at[v] = -1
-                moved = True
-                improved_any = True
-            else:
-                stayed_at[v] = moves
-                stayed_keys[v] = tuple(links)
+                    if coarse_sem:
+                        col = csum[:, v]
+                        sem = [float(col[c]) for c in groups]
+                    else:
+                        pos = [u for c in groups for u in members[c]]
+                        vals = _pair_term(x_unit.take(pos, axis=0) @ x_unit[v],
+                                          semantic_term).tolist()
+                        sem, start = [], 0
+                        for c in groups:
+                            end = start + len(members[c])
+                            sem.append(sum(vals[start:end]))
+                            start = end
+                    sem[0] -= self_term[v]
+                base = own - sem_coeff * sem[0]
+                best_gain = 0.0
+                for c, s in zip(cands, sem[1:]):
+                    delta = (topo[c] - sem_coeff * s) - base
+                    if delta > best_gain + _GAIN_EPS:
+                        best_gain = delta
+                        best_c = c
+            if best_c == cur:
+                dirty[v] = 0
+                watch[cur].append(v)
+                for c in topo:
+                    watch[c].append(v)
+                continue
+            members[cur].discard(v)
+            members[best_c].add(v)
+            comm_strength[cur] -= k_v
+            comm_strength[best_c] += k_v
+            if coarse_sem:
+                csum[cur] -= level.sem[v]
+                csum[best_c] += level.sem[v]
+            comm[v] = best_c
+            if first[v] == min_member[cur]:
+                min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)
+            min_member[best_c] = min(min_member[best_c], first[v])
+            for c in (cur, best_c):
+                for u in watch[c]:
+                    dirty[u] = 1
+                watch[c].clear()
+            moved = True
+            improved_any = True
         if not moved:
             break
     return np.array(comm), improved_any

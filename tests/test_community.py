@@ -402,6 +402,13 @@ RECORDED_PARTITIONS = {
     # each candidate community on every visit
     (2700, 0.5, "similarity"):
         "77d5cee4b8b36f60b4c74b3bdd56a498a03a8d829738ad049003d50723066310",
+    # at size, recorded with the local moving that skipped a visit by comparing
+    # community stamps: gamma = 0.5 stays at the first level, gamma = 1 has a
+    # long tail of sweeps
+    (10000, 0.5, "similarity"):
+        "766ec094f70e6ae5369b93a9f57f3c503c2e9f62b7378d698d3fa8dcf8a8b0b6",
+    (10000, 1.0, "similarity"):
+        "1d5de4ea4e44b00e3b512ce6ce6cb4d3ecfc3973ac5a939cecc2734fc37a1b4d",
 }
 
 
@@ -544,8 +551,8 @@ def check_local_moving(monkeypatch):
     return levels
 
 
-@pytest.mark.parametrize("gamma,term", [
-    (1.0, "similarity"), (0.5, "similarity"), (0.5, "distance")])
+@pytest.mark.parametrize("gamma,term", [(1.0, "similarity")] + [
+    (gamma, term) for gamma in (0.1, 0.5, 0.9) for term in ("similarity", "distance")])
 def test_local_moving_matches_full_sweep_reference(gamma, term, monkeypatch):
     levels = check_local_moving(monkeypatch)
     params = ModularityParams(gamma=gamma, semantic_term=term)
@@ -601,6 +608,70 @@ def test_local_moving_revisits_node_when_only_its_own_community_changed():
     assert comm.tolist() == [y, y, x, x, y, y] and improved
     ref_comm, ref_improved = reference_local_moving(*args)
     assert np.array_equal(comm, ref_comm) and improved == ref_improved
+
+
+@st.composite
+def small_levels(draw):
+    """A small level and the arguments of one local moving call on it. First
+    levels draw unit rows from a palette holding duplicates and antipodes, so
+    pair terms hit 0, 1 and 2; coarse levels come from ``_aggregate`` over a
+    first level or carry a hand-drawn nonnegative symmetric ``sem``."""
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    adj = np.zeros((n, n))
+    for p, q in chosen:
+        adj[p, q] = adj[q, p] = draw(st.sampled_from([1.0, 1.0, 2.0, 0.5, 3.0]))
+    level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), None, [[i] for i in range(n)])
+    # gamma = 0 drops the null model, so topology ties and the semantic
+    # sums alone decide
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    term = draw(st.sampled_from(["similarity", "distance"]))
+    # semantic sums of the same order as topology, where the bound matters
+    sem_coeff = (1.0 - gamma) * draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    kind = draw(st.sampled_from(["first", "first", "aggregated", "hand"]))
+    x_unit = None
+    if kind != "hand":
+        u = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=3)
+        u /= np.linalg.norm(u)
+        palette = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], u, -u])
+        x_unit = palette[draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))]
+    if kind == "aggregated":
+        comm = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        level, x_unit = community._aggregate(level, comm, x_unit, term), None
+    elif kind == "hand":
+        sem = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.5]),
+                                     min_size=n * n, max_size=n * n))).reshape(n, n)
+        level.sem = sem + sem.T
+    two_m = float(level.strength.sum())
+    return level, two_m, gamma, sem_coeff, x_unit, term
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_levels())
+def test_local_moving_matches_full_sweep_reference_on_small_levels(args):
+    comm, improved = community._local_moving(*args)
+    ref_comm, ref_improved = reference_local_moving(*args)
+    assert comm.tolist() == ref_comm.tolist() and improved == ref_improved
+
+
+def test_local_moving_weighs_the_own_community_penalty_before_settling_a_stay():
+    """Topology favours keeping v with w by 0.1, less than the 0.5 that v's
+    duplicate-vector partner w costs it in semantics, so v leaves for x. A
+    topology bound that took the own community's semantic sum as 0 would
+    settle the stay. Sweep 1: w joins v, v leaves w for x, x joins y. Sweep
+    2: w follows v, and v leaves w again for {x, y}. Sweep 3: w follows v."""
+    w, v, x, y = range(4)
+    adj = np.zeros((4, 4))
+    for p, q, weight in [(w, v, 1.0), (v, x, 0.9), (x, y, 5.0)]:
+        adj[p, q] = adj[q, p] = weight
+    x_unit = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), None, [[i] for i in range(4)])
+    args = (level, float(adj.sum()), 0.0, 0.5, x_unit, "similarity")
+    comm, improved = community._local_moving(*args)
+    assert comm.tolist() == [y, y, y, y] and improved
+    ref_comm, _ = reference_local_moving(*args)
+    assert np.array_equal(comm, ref_comm)
 
 
 @pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "first"])
