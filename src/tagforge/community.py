@@ -32,10 +32,10 @@ EXACT_PAIR_LIMIT = 650
 PAIR_SAMPLE_SIZE = 200_000
 # Above this node count a semantic run stays at the local-moving level and
 # skips coarsening, to bound memory. Each coarse level of k super-nodes holds
-# two dense k x k float arrays: its block sums ``sem`` and the per-community
-# sums ``csum`` local moving keeps over them. No other array grows with k^2:
-# _aggregate builds ``sem`` from row blocks of _SEM_BLOCK_FLOATS floats. At
-# 50k nodes the first coarse level has k near 20k, about 3.3 GB per array.
+# one dense k x k float array, its block sums ``sem``. No other array grows
+# with k^2: _aggregate builds ``sem`` from row blocks of _SEM_BLOCK_FLOATS
+# floats, and local moving reads it a row at a time. At 50k nodes the first
+# coarse level has k near 20k, about 3.3 GB.
 AGGREGATE_SEMANTIC_LIMIT = 5000
 # Floats per row block of the pair-term matrix when _aggregate builds
 # semantic block sums: 4 MB, whatever the node count.
@@ -268,7 +268,16 @@ def semantic_modularity(
 # detection ----------------------------------------------------------------
 
 class _Level:
-    """One coarsening level: weighted CSR adjacency over super-nodes."""
+    """One coarsening level: weighted CSR adjacency over super-nodes.
+
+    ``sem``, where present, holds the semantic block sums of the level:
+    ``sem[u, w]`` is the sum of the pair terms of the ``len(members[u]) *
+    len(members[w])`` ordered pairs of original nodes with one end in ``u``
+    and one in ``w``, and each term lies in ``[lo, hi]``: ``[0, 1]`` for
+    ``similarity``, ``[-1, 2]`` for ``distance``. ``_aggregate``, the only
+    producer of ``sem``, keeps this by induction: it sums blocks of the first
+    level's pair terms, or of the sums of the level it collapses.
+    """
 
     def __init__(self, adj: sp.csr_matrix, strength: np.ndarray,
                  sem: np.ndarray | None, members: list[list[int]]):
@@ -286,15 +295,10 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     a graph neighbor. Ties on gain go to the community whose smallest original
     member comes first, which makes the sweep order permutation invariant.
 
-    On coarse levels the semantic sums come from ``csum``, a copy of
-    ``level.sem`` whose row ``c`` is kept equal to the sum of the ``sem`` rows
-    of community ``c``'s members: a move of ``v`` from ``a`` to ``b`` does
-    ``csum[a] -= sem[v]`` and ``csum[b] += sem[v]``. A visit reads column
-    ``v`` of ``csum`` at its own and every candidate community and takes
-    ``sem[v, v]`` off its own community's entry, so it costs O(candidates),
-    not O(members). On the first level a visit takes the pair terms between
-    ``v`` and the members of its own and every candidate community in one
-    product, sums them per community, and takes ``v``'s own term off.
+    A visit that weighs semantics gathers the terms between ``v`` and the
+    members of its own community but ``v`` and of every candidate community,
+    from row ``v`` of ``level.sem`` on coarse levels and from ``x_unit`` on
+    the first, and sums them per community.
 
     A sweep visits only dirty nodes, in index order. Every node starts dirty.
     A visit that ends with ``v`` staying put, with or without a candidate
@@ -310,33 +314,34 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     would compute the same floats. A node that stayed twice is listed twice
     under a community, which only marks it twice.
 
-    Before it sorts the candidates and builds semantic sums, a visit bounds
-    every candidate's gain by topology alone and keeps ``v`` when no bound
-    exceeds ``_GAIN_EPS``. The bound is applied on the first level and
-    wherever ``sem_coeff == 0``. Each computed first-level pair term lies in
-    ``[lo, hi]``: ``[0, 1]`` for ``similarity``, ``[-1, 2]`` for
-    ``distance``. A bound is the gain in the same float expression order
-    with every candidate's semantic sum replaced by ``lo * n`` and the own
-    community's by ``U = hi * len(members[cur])``. IEEE rounding of -, * and
-    / is monotone and ``sem_coeff >= 0``, so the bound is at least the gain
-    whenever each candidate sum, as computed, is at least ``lo * n`` and the
-    own sum is at most U:
+    Before it sorts the candidates and gathers, a visit bounds every
+    candidate's gain by topology alone and keeps ``v`` when no bound exceeds
+    ``_GAIN_EPS``. Sizes count original nodes: ``N`` in all, ``|v|`` in
+    ``v`` and ``comm_size[c]`` in community ``c``. A bound is the gain in the
+    same float expression order with every candidate's semantic sum replaced
+    by the floor ``lo * N * |v|`` and the own community's by ``U = hi * |v|
+    * comm_size[cur]``. IEEE rounding of -, * and / is monotone and
+    ``sem_coeff >= 0``, so the bound is at least the gain whenever each
+    candidate sum, as computed, is at least the floor and the own sum at
+    most U. By ``_Level``'s contract a candidate sum holds ``|v| *
+    comm_size[c]`` terms and the own sum ``|v| * (comm_size[cur] - |v|)``:
 
     - ``similarity``'s ``max(x.y, 0)`` is never below 0, nor is a sum of
       such terms. ``distance``'s 1 - x.y can round below 0 for
-      near-identical unit rows, but only by a few ``d * eps`` for dimension
-      d, far above -1 per term, and a candidate has fewer than n members.
-    - A computed term exceeds ``hi`` by a few ``d * eps`` at most. Once
-      ``v``'s own term is taken off, the own sum holds ``len(members[cur])
-      - 1`` terms, so U leaves a slack of one whole term, which covers the
-      rounding while ``len(members[cur]) * (len(members[cur]) + d) * eps``
-      is below 1/2: any community under ten million members.
+      near-identical unit rows, but only by a few ``d * eps`` per term for
+      dimension d, far above the floor's -1 per term.
+    - A computed term exceeds ``hi`` by a few ``d * eps`` at most, and a
+      float sum of K terms, in whatever order and over however many levels,
+      is off by at most ``K * eps`` times the sum of their sizes. Over the
+      own sum's K terms, U leaves a slack of ``|v|**2`` whole terms, at
+      least one. That covers the rounding while ``(comm_size[cur] + d)**2
+      * eps`` is below 1/2: any community under ten million original
+      nodes.
     - At ``sem_coeff == 0`` every semantic product is 0 and the bound is
       the gain.
 
-    Coarse levels read ``csum``, whose entries are nonnegative in exact
-    arithmetic but can drift below 0 under ``+=`` and ``-=``, so a visit
-    there builds the sums. Reading ``csum`` costs little anyway.
+    On the first level every size is 1, so the floor is ``lo * n`` and U
+    is ``hi`` times the community's member count.
     """
     n = len(level.members)
     indptr, nbrs, weights = (arr.tolist() for arr in (
@@ -345,20 +350,16 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     node_strength = level.strength.tolist()
     comm_strength = list(node_strength)
     members: list[set[int]] = [{i} for i in range(n)]
+    size = [len(ms) for ms in level.members]
+    comm_size = list(size)
     # smallest original member per super-node and per community, for
     # canonical tie-breaking
     first = [ms[0] for ms in level.members]
     min_member = list(first)
     dirty = bytearray(b"\x01") * n
     watch: list[list[int]] = [[] for _ in range(n)]
-    coarse_sem = level.sem is not None and sem_coeff != 0.0
-    if coarse_sem:
-        csum = level.sem.copy()
-        self_term = level.sem.diagonal().tolist()
-    elif sem_coeff != 0.0:
-        self_term = _pair_term(np.einsum("ij,ij->i", x_unit, x_unit), semantic_term).tolist()
     lo, hi = (0.0, 1.0) if semantic_term == "similarity" else (-1.0, 2.0)
-    floor = sem_coeff * (lo * n)
+    lo_total = lo * sum(size)
 
     improved_any = False
     while True:
@@ -374,7 +375,7 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
                     continue
                 c = comm[u]
                 links[c] = links.get(c, 0.0) + weights[j]
-            k_v = node_strength[v]
+            k_v, size_v = node_strength[v], size[v]
             scale = gamma * k_v
             # each candidate's value and v's own community's value, before
             # their semantic sums; rounding is monotone, so the largest
@@ -382,26 +383,23 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
             topo = {c: links[c] - scale * comm_strength[c] / two_m for c in links if c != cur}
             own = links.get(cur, 0.0) - scale * (comm_strength[cur] - k_v) / two_m
             best_c = cur
-            if topo and (coarse_sem or (max(topo.values()) - floor)
-                         - (own - sem_coeff * (hi * len(members[cur]))) > _GAIN_EPS):
+            if topo and (max(topo.values()) - sem_coeff * (lo_total * size_v)) - (
+                    own - sem_coeff * (hi * (size_v * comm_size[cur]))) > _GAIN_EPS:
                 cands = sorted(topo, key=min_member.__getitem__)
-                groups = [cur] + cands
                 if sem_coeff == 0.0:
-                    sem = [0.0] * len(groups)
+                    sem = [0.0] * (len(cands) + 1)
                 else:
-                    if coarse_sem:
-                        col = csum[:, v]
-                        sem = [float(col[c]) for c in groups]
-                    else:
-                        pos = [u for c in groups for u in members[c]]
+                    pos = [u for u in members[cur] if u != v]
+                    ends = [len(pos)]
+                    for c in cands:
+                        pos.extend(members[c])
+                        ends.append(len(pos))
+                    if level.sem is None:
                         vals = _pair_term(x_unit.take(pos, axis=0) @ x_unit[v],
                                           semantic_term).tolist()
-                        sem, start = [], 0
-                        for c in groups:
-                            end = start + len(members[c])
-                            sem.append(sum(vals[start:end]))
-                            start = end
-                    sem[0] -= self_term[v]
+                    else:
+                        vals = level.sem[v].take(pos).tolist()
+                    sem = [sum(vals[start:end]) for start, end in zip([0] + ends, ends)]
                 base = own - sem_coeff * sem[0]
                 best_gain = 0.0
                 for c, s in zip(cands, sem[1:]):
@@ -419,9 +417,8 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
             members[best_c].add(v)
             comm_strength[cur] -= k_v
             comm_strength[best_c] += k_v
-            if coarse_sem:
-                csum[cur] -= level.sem[v]
-                csum[best_c] += level.sem[v]
+            comm_size[cur] -= size_v
+            comm_size[best_c] += size_v
             comm[v] = best_c
             if first[v] == min_member[cur]:
                 min_member[cur] = min((first[u] for u in members[cur]), default=n + 1)

@@ -465,8 +465,7 @@ def validate_schema(schema_id: str, value, raw_text: str = ""):
                 sem = struct = _as_number(item["score"],
                                           f"scores[{i}].score must be a number")
             out.append({"node_id": nid, "semantic_coherence": sem,
-                        "structural_integrity": struct,
-                        "composite": (sem + struct) / 2.0})
+                        "structural_integrity": struct})
         return out
 
     if schema_id == "goal-decision":

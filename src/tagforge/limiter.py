@@ -4,9 +4,9 @@ Given a target fraction alpha, nodes are apportioned across (label,
 community) cells by largest-remainder rounding, applied first across classes
 and then across each class's cells so per-class totals never drift more than
 one node from their rounding targets. Within a cell the highest-utility nodes
-win, where utility blends degree, coverage of not-yet-selected community
-mass, and bridge potential. A greedy swap repair then nudges the sample's
-component profile toward the source graph without ever touching cell counts.
+win, where utility blends degree and bridge potential. A greedy swap repair
+then nudges the sample's component profile toward the source graph without
+ever touching cell counts.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ _CHECK_TOL = 1e-6
 @dataclass(frozen=True)
 class LimiterParams:
     alpha: float = 0.5
-    lambda_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    lambda_weights: tuple[float, float] = (1 / 3, 1 / 3)
     repair_epsilon: float = 0.05
     max_repair_swaps: int | None = None
     eigen_count: int = 10
@@ -44,8 +44,8 @@ class LimiterParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if len(self.lambda_weights) != 3 or any(w < 0 for w in self.lambda_weights):
-            raise ValueError("lambda_weights must be three nonnegative values")
+        if len(self.lambda_weights) != 2 or any(w < 0 for w in self.lambda_weights):
+            raise ValueError("lambda_weights must be two nonnegative values")
         if self.repair_epsilon < 0.0:
             raise ValueError("repair_epsilon must be nonnegative")
         if self.eigen_count < 1:
@@ -178,47 +178,34 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
 
 
 def _utility(g: TextAttributedGraph, comm: np.ndarray, k: int,
-             lambda_weights: Sequence[float]):
-    """The formula of ``node_weights`` over node positions, as
-    ``score(rows, covered)`` with ``covered`` the selected node count per
-    community. Everything but coverage is computed here, once per sample.
-    """
-    l1, l2, l3 = lambda_weights
+             lambda_weights: Sequence[float]) -> np.ndarray:
+    """The formula of ``node_weights`` at every node position."""
+    l_degree, l_bridge = lambda_weights
     a = g.adjacency_csr()
     p = indicator(comm, k)
-    sizes = np.bincount(comm, minlength=k)
     deg = a.getnnz(axis=1)
     max_deg = int(deg.max(initial=0))
     degree_term = deg / max_deg if max_deg > 0 else np.zeros(len(deg))
     outside = deg - np.asarray((a @ p).multiply(p).sum(axis=1)).ravel()
     bridge = np.divide(outside, deg, out=np.zeros(len(deg)), where=deg > 0)
-
-    def score(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
-        c = comm[rows]
-        return (l1 * degree_term[rows] + l2 * (1.0 - covered[c] / sizes[c])
-                + l3 * bridge[rows])
-    return score
+    return l_degree * degree_term + l_bridge * bridge
 
 
 def node_weights(
     g: TextAttributedGraph,
     candidates: Iterable[str],
-    selected: Iterable[str],
     partition: Partition,
-    lambda_weights: Sequence[float] = (1 / 3, 1 / 3, 1 / 3),
+    lambda_weights: Sequence[float] = (1 / 3, 1 / 3),
 ) -> dict[str, float]:
-    """Utility of adding each candidate given what is already selected.
+    """Utility of selecting each candidate.
 
-    Blends normalized degree, the unselected fraction of the candidate's
-    community, and the fraction of its neighbors outside its own community
-    (zero for isolated nodes).
+    Blends normalized degree and the fraction of the candidate's neighbors
+    outside its own community (zero for isolated nodes).
     """
-    k = partition.community_count
-    comm = partition.community_array(g)
-    covered = np.bincount(comm[[g.index_of(u) for u in set(selected)]], minlength=k)
     candidates = list(candidates)
     rows = np.array([g.index_of(v) for v in candidates], dtype=np.intp)
-    weights = _utility(g, comm, k, lambda_weights)(rows, covered)
+    weights = _utility(g, partition.community_array(g), partition.community_count,
+                       lambda_weights)[rows]
     return dict(zip(candidates, weights.tolist()))
 
 
@@ -620,24 +607,21 @@ def sample_limited_detailed(
         )
         cell_targets.update(shares)
 
-    score = _utility(g, comm, k, params.lambda_weights)
-    covered = np.zeros(k, dtype=np.int64)
+    node_utility = _utility(g, comm, k, params.lambda_weights)
     selected: list[int] = []
     for key in sorted(cell_targets):
-        # Coverage is equal across a cell, so two utilities in it differ by
-        # l1 (d_i - d_j) / D + l3 (o_i / d_i - o_j / d_j), D the largest degree
-        # and o the neighbours outside the community: at l1 = l3 = 1/3 by 0 or
-        # by at least 1 / (3 D^3), above _GAIN_EPS while D < 6,900, and float
-        # sums of terms in [0, 1] err by ulps. So utilities within _GAIN_EPS
-        # are equal: a tier ends where utility drops by more, and ranks by
-        # key_rank, then position.
+        # Two utilities differ by l1 (d_i - d_j) / D + l2 (o_i / d_i - o_j /
+        # d_j), D the largest degree and o the neighbours outside the
+        # community: at l1 = l2 = 1/3 by 0 or by at least 1 / (3 D^3), above
+        # _GAIN_EPS while D < 6,900, and float sums of terms in [0, 1] err by
+        # ulps. So utilities within _GAIN_EPS are equal: a tier ends where
+        # utility drops by more, and ranks by key_rank, then position.
         rows = np.array(cells[key])
-        utility = score(rows, covered)
+        utility = node_utility[rows]
         order = np.argsort(-utility)
         rows, utility = rows[order], utility[order]
         tier = np.cumsum(np.append(0, utility[:-1] - utility[1:] > _GAIN_EPS))
         chosen = rows[np.lexsort((rows, key_rank[rows], tier))][:cell_targets[key]].tolist()
-        covered[key[1]] += len(chosen)
         selected.extend(chosen)
 
     sub = g.subgraph(ids[i] for i in selected)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tagforge.graph import NodeRecord, TextAttributedGraph, _neighbor_key
 
@@ -109,3 +110,8 @@ def tmp_graph_file(tmp_path):
         return str(path)
 
     return _write
+
+
+# ``--hypothesis-profile deep`` runs a property test that reads
+# ``settings.default.max_examples`` ten times as deep as tier-1's 400.
+settings.register_profile("deep", max_examples=4000)

@@ -133,6 +133,7 @@ def test_limit_writes_output_and_sidecar(capsys, graph_file, tmp_path):
                          .read_text(encoding="utf-8"))
     assert set(sidecar) == {"original", "sample", "repair", "cell_targets", "config"}
     assert sidecar["config"]["alpha"] == 0.5
+    assert sidecar["config"]["lambda_weights"] == [1 / 3, 1 / 3]
     assert sidecar["config"]["seed"] == 0
     assert all(":" in key for key in sidecar["cell_targets"])
     assert sum(sidecar["cell_targets"].values()) == 3
@@ -171,6 +172,15 @@ def test_unknown_limiter_config_key_exits_2(graph_file, tmp_path, capsys):
     assert main(["limit", graph_file, str(tmp_path / "o.json"),
                  "--config", str(cfg)]) == 2
     assert "alhpa" in capsys.readouterr().err
+
+
+def test_three_limiter_weights_exit_2(graph_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"limiter": {"lambda_weights": [0.3, 0.3, 0.4]}}),
+                   encoding="utf-8")
+    assert main(["limit", graph_file, str(tmp_path / "o.json"),
+                 "--config", str(cfg)]) == 2
+    assert "lambda_weights" in capsys.readouterr().err
 
 
 def test_unknown_config_section_exits_2(graph_file, tmp_path, capsys):

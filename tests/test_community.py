@@ -592,9 +592,9 @@ def test_local_moving_revisits_node_when_only_its_own_community_changed():
     """Node v ends up alone with non-neighbours, then a non-neighbour joins its
     community and v leaves on the next sweep, although no community holding a
     neighbour of v changed. With gamma = 0 a co-assigned pair counts its edge
-    weight minus its semantic value. Sweep 1: u joins x, v joins them, b joins
-    y. Sweep 2: u leaves for {b, y}, v stays, w joins {x, v}. Sweep 3: v
-    follows u."""
+    weight minus its semantic value; values up to 2 lie in the ``distance``
+    term's range. Sweep 1: u joins x, v joins them, b joins y. Sweep 2: u
+    leaves for {b, y}, v stays, w joins {x, v}. Sweep 3: v follows u."""
     u, v, w, x, b, y = range(6)
     adj, sem = np.zeros((6, 6)), np.zeros((6, 6))
     for p, q, weight in [(u, x, 3.6), (u, v, 2), (u, b, 3), (u, y, 3), (w, x, 2.5), (b, y, 1)]:
@@ -603,7 +603,7 @@ def test_local_moving_revisits_node_when_only_its_own_community_changed():
                         (x, b, 1.5), (x, y, 1.5), (w, b, 1), (w, y, 1)]:
         sem[p, q] = sem[q, p] = value
     level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), sem, [[i] for i in range(6)])
-    args = (level, float(adj.sum()), 0.0, 1.0, None, "similarity")
+    args = (level, float(adj.sum()), 0.0, 1.0, None, "distance")
     comm, improved = community._local_moving(*args)
     assert comm.tolist() == [y, y, x, x, y, y] and improved
     ref_comm, ref_improved = reference_local_moving(*args)
@@ -615,7 +615,7 @@ def small_levels(draw):
     """A small level and the arguments of one local moving call on it. First
     levels draw unit rows from a palette holding duplicates and antipodes, so
     pair terms hit 0, 1 and 2; coarse levels come from ``_aggregate`` over a
-    first level or carry a hand-drawn nonnegative symmetric ``sem``."""
+    first level or are drawn by hand within ``_Level``'s contract."""
     n = draw(st.integers(2, 12))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
@@ -640,14 +640,25 @@ def small_levels(draw):
         comm = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
         level, x_unit = community._aggregate(level, comm, x_unit, term), None
     elif kind == "hand":
-        sem = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.5]),
-                                     min_size=n * n, max_size=n * n))).reshape(n, n)
-        level.sem = sem + sem.T
+        # sem = P^T T P: T a symmetric matrix of dyadic pair terms in the
+        # term's [lo, hi] over the original nodes, so every sum is exact, and
+        # P a grouping of them in which super-node i's smallest member is i
+        group = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=10))
+        members = [[] for _ in range(n)]
+        for orig, c in enumerate(group):
+            members[c].append(orig)
+        palette = ([0.0, 0.25, 0.5, 1.0] if term == "similarity"
+                   else [-1.0, -0.5, 0.0, 0.75, 1.5, 2.0])
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        t = np.triu(rng.choice(palette, size=(len(group), len(group))))
+        p = np.eye(n)[group]
+        level = _Level(level.adj, level.strength, p.T @ (t + np.triu(t, 1).T) @ p, members)
     two_m = float(level.strength.sum())
     return level, two_m, gamma, sem_coeff, x_unit, term
 
 
-@settings(max_examples=400, deadline=None)
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(small_levels())
 def test_local_moving_matches_full_sweep_reference_on_small_levels(args):
     comm, improved = community._local_moving(*args)
@@ -676,16 +687,81 @@ def test_local_moving_weighs_the_own_community_penalty_before_settling_a_stay():
 
 @pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "first"])
 def test_local_moving_leaves_out_the_nodes_own_pair_term(coarse):
-    """Two nodes joined by an edge of weight 0.5 whose pair term is 0.8. With
-    gamma = 0 joining gains 0.5 - 0.8 < 0, so both stay alone. The node's own
-    term (5 on the coarse level's diagonal, 1 for a unit vector's similarity
-    with itself) must not count against staying put."""
+    """Two nodes joined by an edge of weight 0.5 whose pair terms are 0.8:
+    one term between two unit vectors, or four between two super-nodes of two
+    members each. With gamma = 0 joining gains 0.5 - 0.8 or 0.5 - 3.2 < 0, so
+    both stay alone. The node's own term (1 for a unit vector's similarity
+    with itself, 4 on the coarse level's diagonal) must not count against
+    staying put."""
     adj = sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    sem = np.array([[5.0, 0.8], [0.8, 5.0]]) if coarse else None
+    sem = np.array([[4.0, 3.2], [3.2, 4.0]]) if coarse else None
     x_unit = None if coarse else np.array([[1.0, 0.0], [0.8, 0.6]])
-    level = _Level(adj, np.array([0.5, 0.5]), sem, [[0], [1]])
+    level = _Level(adj, np.array([0.5, 0.5]), sem, [[0, 1], [2, 3]] if coarse else [[0], [1]])
     comm, improved = community._local_moving(level, 1.0, 0.0, 1.0, x_unit, "similarity")
     assert comm.tolist() == [0, 1] and not improved
+
+
+def test_local_moving_bounds_the_own_sum_by_original_nodes():
+    """Super-nodes v (2 members), w (3), q (1) and x (1); gamma = 0, so a
+    co-assigned pair counts its edge weight minus its semantic sum. Sweep 1: v
+    joins w for 7 - 5 over x's 1, w stays, q joins {v, w} for 2 - 1.5. Sweep
+    2: v's own sum is 5 + 1.5, so leaving for x gains 1 - (7 - 6.5). U must
+    count original nodes, 1 * 2 * 6 = 12: counted in super-nodes, 2 * 3 = 6,
+    or without v's size, 6, the bound 1 - (7 - 6) settles a stay."""
+    v, w, q, x = range(4)
+    adj, sem = np.zeros((4, 4)), np.zeros((4, 4))
+    for p, r, weight in [(v, w, 7), (v, x, 1), (w, q, 2)]:
+        adj[p, r] = adj[r, p] = weight
+    for p, r, value in [(v, w, 5), (v, q, 1.5), (x, w, 1)]:
+        sem[p, r] = sem[r, p] = value
+    members = [[0, 1], [2, 3, 4], [5], [6]]
+    sem[range(4), range(4)] = [len(ms) ** 2 for ms in members]
+    level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), sem, members)
+    args = (level, float(adj.sum()), 0.0, 1.0, None, "similarity")
+    comm, improved = community._local_moving(*args)
+    assert comm.tolist() == [x, w, w, x] and improved
+    ref_comm, _ = reference_local_moving(*args)
+    assert np.array_equal(comm, ref_comm)
+
+
+@pytest.mark.parametrize("term", ["similarity", "distance"])
+def test_coarse_levels_keep_the_semantic_sum_contract(term, monkeypatch):
+    """Each block sum of a level that detection builds lies within the term's
+    [lo, hi] times the number of original pairs it sums."""
+    levels = []
+    fast = community._local_moving
+    monkeypatch.setattr(community, "_local_moving",
+                        lambda *args: levels.append(args[0]) or fast(*args))
+    g, emb = planted(900, seed=907)
+    detect_communities(g, emb, ModularityParams(gamma=0.5, semantic_term=term), 11)
+    lo, hi = (0.0, 1.0) if term == "similarity" else (-1.0, 2.0)
+    coarse = [lv for lv in levels if lv.sem is not None]
+    assert len(coarse) >= 2
+    for level in coarse:
+        sizes = np.array([len(ms) for ms in level.members], dtype=np.float64)
+        pairs = np.outer(sizes, sizes)
+        tol = 1e-9 * pairs
+        assert np.all(level.sem >= lo * pairs - tol) and np.all(level.sem <= hi * pairs + tol)
+
+
+def test_local_moving_holds_no_copy_of_the_semantic_block_sums(monkeypatch):
+    import tracemalloc
+    captured = []
+    fast = community._local_moving
+    monkeypatch.setattr(community, "_local_moving",
+                        lambda *args: captured.append(args) or fast(*args))
+    g, emb = planted(2000, seed=2007)
+    detect_communities(g, emb, ModularityParams(gamma=0.5), 11)
+    args = captured[1]  # the first coarse level
+    level = args[0]
+    assert level.sem is not None and len(level.sem) > 600
+    tracemalloc.start()
+    try:
+        fast(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < level.sem.nbytes / 2
 
 
 # aggregation against the whole-matrix reference ----------------------------------

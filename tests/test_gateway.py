@@ -333,9 +333,10 @@ def test_quality_scores_two_dimensions_and_single_score():
         {"node_id": "n1", "semantic_coherence": 8.0, "structural_integrity": 6.0},
         {"node_id": 2, "score": 7.5},
     ])
-    assert out[0]["composite"] == pytest.approx(7.0)
+    assert out[0] == {"node_id": "n1", "semantic_coherence": 8.0,
+                      "structural_integrity": 6.0}
     assert out[1] == {"node_id": "2", "semantic_coherence": 7.5,
-                      "structural_integrity": 7.5, "composite": 7.5}
+                      "structural_integrity": 7.5}
 
 
 def test_quality_scores_rejections():
