@@ -1,15 +1,13 @@
 """Quality measurement for synthesized graphs.
 
-Three families of checks live here: distribution comparisons between a
+Two families of checks live here: distribution comparisons between a
 source graph and a grown or sampled variant (two-sample KS on degrees,
-degree-binned clustering similarity, label homogeneity overlap), subspace
+degree-binned clustering similarity, label homogeneity overlap), and subspace
 coherence of embedding clouds scored against an iteratively reweighted
-principal direction, and the summary statistics used when human ratings are
-available.
+principal direction.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -305,92 +303,3 @@ def coherence_statistics(scores: Mapping[str, float]) -> CoherenceReport:
         return CoherenceReport(dict(scores), mean, 0.0, None, True, int(vals.size))
     t = (mean - 0.5) / (std / math.sqrt(vals.size))
     return CoherenceReport(dict(scores), mean, std, float(t), False, int(vals.size))
-
-
-# human and algorithmic agreement --------------------------------------------
-
-def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1 or xa.size < 2:
-        raise ValueError("need two equal-length samples of at least two points")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    denom = math.sqrt(float((dx ** 2).sum()) * float((dy ** 2).sum()))
-    if denom == 0.0:
-        raise ValueError("correlation undefined under zero variance")
-    return float((dx * dy).sum() / denom)
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    t_score: float
-    pearson_r: float | None
-    degenerate: bool
-    reviewers: int
-    instances: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def human_algorithm_agreement(
-    ratings: np.ndarray, algorithm_scores: Sequence[float]) -> AgreementReport:
-    """Grand mean of reviewer ratings plus their correlation with the
-    algorithmic scores; correlation is withheld when either side is constant.
-    """
-    r = np.asarray(ratings, dtype=np.float64)
-    if r.ndim != 2 or r.size == 0:
-        raise ValueError("ratings must be a nonempty reviewers-by-instances array")
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise ValueError("ratings must lie in [0, 1]")
-    scores = np.asarray(algorithm_scores, dtype=np.float64)
-    if scores.shape != (r.shape[1],):
-        raise ValueError("need one algorithmic score per rated instance")
-    t_score = float(r.mean())
-    per_instance = r.mean(axis=0)
-    try:
-        rho: float | None = pearson_correlation(per_instance, scores)
-        degenerate = False
-    except ValueError:
-        rho = None
-        degenerate = True
-    return AgreementReport(
-        t_score=t_score, pearson_r=rho, degenerate=degenerate,
-        reviewers=int(r.shape[0]), instances=int(r.shape[1]))
-
-
-def load_ratings_csv(path: str, sub_dimensions: int = 1) -> np.ndarray:
-    """Read a reviewers-by-instances ratings table.
-
-    With ``sub_dimensions`` above one, each instance occupies that many
-    consecutive columns, which are averaged into the instance rating.
-    """
-    if sub_dimensions < 1:
-        raise ValueError("sub_dimensions must be at least 1")
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            try:
-                vals = [float(cell) for cell in row]
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise ValueError(f"{path}:{line_no}: non-numeric rating")
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no rating rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    if width % sub_dimensions != 0:
-        raise ValueError(
-            f"{path}: {width} columns not divisible by {sub_dimensions} sub-dimensions")
-    arr = np.array(rows, dtype=np.float64)
-    if sub_dimensions > 1:
-        arr = arr.reshape(arr.shape[0], width // sub_dimensions, sub_dimensions).mean(axis=2)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{path}: ratings must lie in [0, 1]")
-    return arr

@@ -44,79 +44,65 @@ _SEM_BLOCK_FLOATS = 2 ** 19
 _GAIN_EPS = 1e-12
 
 
-class EmbeddingTable:
-    """Dense vectors keyed by node id, all of one dimension, none zero-norm.
+def embedding_row(vec: Sequence[float], dim: int = 0) -> tuple[np.ndarray, float]:
+    """``vec`` as a float64 row, with its norm.
 
-    Rows live in one raw matrix and one matrix of unit rows, found through an
-    id-to-row index. Both matrices grow by doubling, so a run of ``put``
-    calls copies O(n * dim) values in total.
+    The rule every embedding row meets: a nonempty 1-d vector of numbers, of
+    ``dim`` entries unless ``dim`` is 0, whose norm is finite and nonzero.
+    Any other row raises ValueError.
+    """
+    try:
+        row = np.asarray(vec, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"embedding row is not numeric: {exc}") from exc
+    if row.ndim != 1 or row.size == 0 or row.size != (dim or row.size):
+        raise ValueError(f"embedding row has shape {row.shape}, expected ({dim or 'd > 0'},)")
+    norm = float(np.linalg.norm(row))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValueError("embedding row has zero or non-finite norm")
+    return row, norm
+
+
+class EmbeddingTable:
+    """Dense vectors in one graph's node order, all of one dimension, none
+    zero-norm.
+
+    The key order of the mapping is the node order: row i of ``raw`` and of
+    its unit-norm copy ``unit`` is the vector of ``ids[i]``. A consumer
+    reads rows by node position of a graph ``g`` after ``check(g)``, which
+    raises unless ``ids`` equals ``g.ids()``. ``extended`` appends the nodes
+    a merge appends.
     """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        self._index: dict[str, int] = {}
-        self._raw = np.zeros((0, 0))
-        self._unit = np.zeros((0, 0))
-        self._reserve = len(vectors)
-        self.dim = 0
-        for node_id, vec in vectors.items():
-            self.put(str(node_id), vec)
+        self.ids = tuple(map(str, vectors))
+        self.raw, self.unit = _stacked(vectors.values(), 0)
+        self.dim = self.raw.shape[1]
 
-    def put(self, node_id: str, vec: Sequence[float]) -> None:
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"embedding for {node_id!r} must be a nonempty 1-d vector")
-        if self.dim == 0:
-            self.dim = arr.size
-        elif arr.size != self.dim:
-            raise ValueError(
-                f"embedding for {node_id!r} has dimension {arr.size}, expected {self.dim}")
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError(f"embedding for {node_id!r} has zero or non-finite norm")
-        row = self._index.get(node_id)
-        if row is None:
-            row = len(self._index)
-            if row == self._raw.shape[0]:
-                rows = max(2 * row, self._reserve, 16)
-                self._raw = self._grown(self._raw, rows)
-                self._unit = self._grown(self._unit, rows)
-            self._index[node_id] = row
-        self._raw[row] = arr
-        self._unit[row] = arr / norm
-
-    def _grown(self, mat: np.ndarray, rows: int) -> np.ndarray:
-        out = np.empty((rows, self.dim))
-        used = len(self._index)
-        if used:
-            out[:used] = mat[:used]
+    def extended(self, vectors: Mapping[str, Sequence[float]]) -> "EmbeddingTable":
+        """A table of these rows followed by ``vectors``, in key order."""
+        raw, unit = _stacked(vectors.values(), self.dim)
+        out = EmbeddingTable({})
+        out.ids, out.dim = self.ids + tuple(map(str, vectors)), self.dim
+        out.raw, out.unit = np.vstack((self.raw, raw)), np.vstack((self.unit, unit))
         return out
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._index
+    def check(self, g: TextAttributedGraph) -> None:
+        if self.ids != g.ids():
+            raise ValueError("embedding table ids are not the graph's node ids in node order")
 
-    def __getitem__(self, node_id: str) -> np.ndarray:
-        return self._raw[self._index[node_id]]
 
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._index)
-
-    def covers(self, ids: Iterable[str]) -> bool:
-        return all(i in self._index for i in ids)
-
-    def unit(self, node_id: str) -> np.ndarray:
-        return self._unit[self._index[node_id]]
-
-    def unit_matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return self._unit[self._rows(ids)]
-
-    def matrix(self, ids: Sequence[str]) -> np.ndarray:
-        return self._raw[self._rows(ids)]
-
-    def _rows(self, ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
+def _stacked(vectors: Iterable[Sequence[float]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and unit rows of ``vectors``, each checked by ``embedding_row``
+    against ``dim`` or, when it is 0, against the first row's dimension."""
+    rows, norms = [], []
+    for vec in vectors:
+        row, norm = embedding_row(vec, dim)
+        dim = row.size
+        rows.append(row)
+        norms.append(norm)
+    raw = np.array(rows).reshape(len(rows), dim)
+    return raw, raw / np.array(norms).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -239,7 +225,9 @@ def semantic_modularity(
 ) -> float:
     """Score a partition by edge density minus null model minus semantic spread.
 
-    Exact evaluation; the semantic part costs O(n^2) vector products. At
+    Exact evaluation; the semantic part costs O(n^2) vector products, taken
+    in row blocks as ``_total_pair_sum`` takes them, so no community forms a
+    |C| x |C| array. At
     ``gamma = 1`` the score equals classic modularity and ``emb`` may be None.
     """
     m = g.num_edges
@@ -252,15 +240,15 @@ def semantic_modularity(
     q = int(internal.sum()) / m - params.gamma * float((deg_sum ** 2).sum()) / (4.0 * m * m)
 
     if params.gamma < 1.0:
-        if emb is None or not emb.covers(g.ids()):
-            raise ValueError("gamma below 1 requires embeddings covering every node")
-        members = partition.members_by_community()
-        s_tot = _total_pair_sum(emb.unit_matrix(list(g.ids())), params.semantic_term)
+        if emb is None:
+            raise ValueError("gamma below 1 requires embeddings")
+        emb.check(g)
+        s_tot = _total_pair_sum(emb.unit, params.semantic_term)
         if s_tot > 0.0:
             same = 0.0
-            for group in members:
-                xb = emb.unit_matrix(group)
-                same += float(_pair_term(xb @ xb.T, params.semantic_term).sum())
+            for group in partition.members_by_community():
+                rows = emb.unit[[g.index_of(v) for v in group]]
+                same += _total_pair_sum(rows, params.semantic_term)
             q -= (1.0 - params.gamma) * same / (2.0 * m * s_tot)
     return q
 
@@ -515,9 +503,10 @@ def detect_communities(
     x_unit = None
     sem_coeff = 0.0
     if params.gamma < 1.0:
-        if emb is None or not emb.covers(order):
-            raise ValueError("gamma below 1 requires embeddings covering every node")
-        x_unit = emb.unit_matrix(order)
+        if emb is None:
+            raise ValueError("gamma below 1 requires embeddings")
+        emb.check(g)
+        x_unit = emb.unit[perm]
         if n <= EXACT_PAIR_LIMIT:
             s_tot = _total_pair_sum(x_unit, params.semantic_term)
         else:

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import requests
 
+from .community import embedding_row
 from .graph import atomic_write_text
 
 log = logging.getLogger("tagforge.gateway")
@@ -315,13 +316,12 @@ class MockProvider:
         return out
 
 
-def embed_texts(provider, texts: Sequence[str], dim: int | None = None) -> list[np.ndarray]:
+def embed_texts(provider, texts: Sequence[str], dim: int = 0) -> list[np.ndarray]:
     """Embed texts in batches of EMBED_BATCH and check every reply.
 
-    Each reply must hold one row per text, and every row must be a vector
-    of one dimension (``dim`` when given, else that of the first row) whose
-    norm is finite and nonzero, the condition EmbeddingTable.put enforces.
-    Any other reply raises PermanentProviderError.
+    Each reply must hold one row per text, and every row must pass
+    ``community.embedding_row`` at one dimension: ``dim`` unless it is 0,
+    else that of the first row. Any other reply raises PermanentProviderError.
     """
     out: list[np.ndarray] = []
     for start in range(0, len(texts), EMBED_BATCH):
@@ -332,16 +332,10 @@ def embed_texts(provider, texts: Sequence[str], dim: int | None = None) -> list[
                 f"embedding reply has {len(rows)} rows for {len(chunk)} texts")
         for row in rows:
             try:
-                vec = np.asarray(row, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise PermanentProviderError(f"embedding row is not numeric: {exc}") from exc
-            dim = dim or vec.size
-            if vec.ndim != 1 or vec.size != dim:
-                raise PermanentProviderError(
-                    f"embedding row has shape {vec.shape}, expected ({dim},)")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.isfinite(norm):
-                raise PermanentProviderError("embedding row has zero or non-finite norm")
+                vec, _ = embedding_row(row, dim)
+            except ValueError as exc:
+                raise PermanentProviderError(str(exc)) from exc
+            dim = vec.size
             out.append(vec)
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,7 +179,11 @@ def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTe
 
 def _utility(g: TextAttributedGraph, comm: np.ndarray, k: int,
              lambda_weights: Sequence[float]) -> np.ndarray:
-    """The formula of ``node_weights`` at every node position."""
+    """Utility of selecting each node, at every node position.
+
+    Blends normalized degree and the fraction of the node's neighbors
+    outside its own community (zero for isolated nodes).
+    """
     l_degree, l_bridge = lambda_weights
     a = g.adjacency_csr()
     p = indicator(comm, k)
@@ -189,24 +193,6 @@ def _utility(g: TextAttributedGraph, comm: np.ndarray, k: int,
     outside = deg - np.asarray((a @ p).multiply(p).sum(axis=1)).ravel()
     bridge = np.divide(outside, deg, out=np.zeros(len(deg)), where=deg > 0)
     return l_degree * degree_term + l_bridge * bridge
-
-
-def node_weights(
-    g: TextAttributedGraph,
-    candidates: Iterable[str],
-    partition: Partition,
-    lambda_weights: Sequence[float] = (1 / 3, 1 / 3),
-) -> dict[str, float]:
-    """Utility of selecting each candidate.
-
-    Blends normalized degree and the fraction of the candidate's neighbors
-    outside its own community (zero for isolated nodes).
-    """
-    candidates = list(candidates)
-    rows = np.array([g.index_of(v) for v in candidates], dtype=np.intp)
-    weights = _utility(g, partition.community_array(g), partition.community_count,
-                       lambda_weights)[rows]
-    return dict(zip(candidates, weights.tolist()))
 
 
 def _largest_remainder(

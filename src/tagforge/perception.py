@@ -111,24 +111,22 @@ def select_seed(
     ids = g.ids()
     if mode is EnhancementMode.SEMANTIC:
         partition.validate(g)
+        if emb is not None:
+            emb.check(g)
         comm = partition.community_array(g)
-        # each community's members in the graph's canonical order
-        order = [ids[i] for i in np.lexsort((g.key_rank(), comm)).tolist()]
+        # each community's member positions in the graph's canonical order
+        order = np.lexsort((g.key_rank(), comm))
         ends = np.cumsum(np.bincount(comm, minlength=partition.community_count)).tolist()
         best, best_score = None, None
         for idx, (start, end) in enumerate(zip([0] + ends, ends)):
             members, var = order[start:end], 0.0
-            if emb is not None:
-                if not emb.covers(members):
-                    raise ValueError(
-                        f"semantic seed selection needs embeddings for community {idx}")
-                if len(members) > 1:
-                    var = float(emb.matrix(members).var(axis=0).mean())
+            if emb is not None and len(members) > 1:
+                var = float(emb.raw[members].var(axis=0).mean())
             score = len(members) * (1.0 + params.seed_variance_mu * var)
             if best_score is None or score < best_score - 1e-15:
                 best, best_score = (idx, members), score
         idx, members = best
-        return SeedSelection(frozenset(members), f"community:{idx}")
+        return SeedSelection(frozenset(ids[i] for i in members.tolist()), f"community:{idx}")
 
     imbalance = train_imbalance(g)
     if imbalance is None:
@@ -401,12 +399,11 @@ def build_report(
             modularity_contribution=contribution,
         )
 
-    if emb is not None and emb.covers(g.ids()):
-        ids = g.ids()
+    if emb is not None:
+        emb.check(g)
         centroids: dict[int, np.ndarray] = {}
         for lbl in class_stats:
-            members = [ids[i] for i in np.flatnonzero(label_of == lbl)]
-            centroid = emb.unit_matrix(members).mean(axis=0)
+            centroid = emb.unit[label_of == lbl].mean(axis=0)
             norm = float(np.linalg.norm(centroid))
             centroids[lbl] = centroid / norm if norm > 0 else centroid
         labels = sorted(centroids)

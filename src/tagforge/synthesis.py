@@ -252,6 +252,7 @@ def propose_edges(
     neighbors that fall inside the capsule; it is zero when none do. The
     degree feature divides by ``max_deg``, the largest degree in ``g``.
     """
+    emb.check(g)
     targets = [t for t in gen.proposed if g.has_node(t)]
     if not targets:
         return []
@@ -264,7 +265,7 @@ def propose_edges(
     x = x / xn
     scored: dict[str, float] = {}
     for t in targets:
-        sim = float(x @ emb.unit(t))
+        sim = float(x @ emb.unit[g.index_of(t)])
         if capsule_set:
             overlap = sum(1 for w in g.neighbors(t) if w in capsule_set) / len(capsule_set)
         else:
@@ -611,8 +612,7 @@ def run_synthesis(
                             for gen, _ in accepted for target, _ in gen.kept_edges),
                     )
                     g_current = merge_synthesis(g_current, delta)
-                    for gen, vec in accepted:
-                        emb.put(gen.record.node_id, vec)
+                    emb = emb.extended({gen.record.node_id: vec for gen, vec in accepted})
 
                 mean_now = assessment.mean
                 if mean_now is not None:

@@ -18,13 +18,10 @@ from tagforge.analysis import (
     clustering_similarity,
     feature_similarity_report,
     grassmann_objective,
-    human_algorithm_agreement,
     ks_p_value,
     ks_two_sample,
     label_homogeneity_matrix,
     label_homogeneity_similarity,
-    load_ratings_csv,
-    pearson_correlation,
     principal_direction,
 )
 from tagforge.graph import NodeRecord, TextAttributedGraph, local_clustering, node_sort_key
@@ -448,76 +445,3 @@ def test_coherence_report_round_trip():
     d = report.to_dict()
     assert d["sample_size"] == 2
     assert isinstance(report, CoherenceReport)
-
-
-# agreement ---------------------------------------------------------------------------
-
-def test_pearson_hand_values():
-    assert pearson_correlation([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert pearson_correlation([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        pearson_correlation([1, 2, 3], [5, 5, 5])
-    with pytest.raises(ValueError):
-        pearson_correlation([1, 2], [1, 2, 3])
-
-
-def test_agreement_frozen_two_by_two():
-    ratings = np.array([[0.8, 0.9], [1.0, 0.9]])
-    report = human_algorithm_agreement(ratings, [0.5, 0.5])
-    assert report.t_score == pytest.approx(0.9)
-    assert report.degenerate and report.pearson_r is None
-    assert report.reviewers == 2 and report.instances == 2
-
-
-def test_agreement_perfect_correlation():
-    ratings = np.array([[0.6, 0.8], [0.8, 1.0]])
-    report = human_algorithm_agreement(ratings, [0.7, 0.9])
-    assert report.pearson_r == pytest.approx(1.0)
-    assert not report.degenerate
-
-
-def test_agreement_all_ones_is_degenerate():
-    report = human_algorithm_agreement(np.ones((3, 4)), [0.1, 0.2, 0.3, 0.4])
-    assert report.t_score == 1.0
-    assert report.degenerate
-
-
-def test_agreement_validation():
-    with pytest.raises(ValueError):
-        human_algorithm_agreement(np.array([[1.5]]), [0.5])
-    with pytest.raises(ValueError):
-        human_algorithm_agreement(np.array([[0.5, 0.5]]), [0.5])
-
-
-# ratings csv -------------------------------------------------------------------------
-
-def test_load_ratings_skips_header_and_averages(tmp_path):
-    path = tmp_path / "ratings.csv"
-    path.write_text("q1a,q1b,q2a,q2b\n0.8,0.6,1.0,0.4\n0.5,0.5,0.7,0.9\n",
-                    encoding="utf-8")
-    arr = load_ratings_csv(str(path), sub_dimensions=2)
-    assert arr.shape == (2, 2)
-    assert np.allclose(arr, [[0.7, 0.7], [0.5, 0.8]])
-
-
-def test_load_ratings_errors(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("0.5,0.5\n0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_ratings_csv(str(ragged))
-    out_of_range = tmp_path / "range.csv"
-    out_of_range.write_text("0.5,1.5\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_ratings_csv(str(out_of_range))
-    bad_cell = tmp_path / "bad.csv"
-    bad_cell.write_text("0.5,0.5\nxx,0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_ratings_csv(str(bad_cell))
-    indivisible = tmp_path / "odd.csv"
-    indivisible.write_text("0.5,0.5,0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_ratings_csv(str(indivisible), sub_dimensions=2)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("header,only\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_ratings_csv(str(empty))

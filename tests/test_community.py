@@ -64,7 +64,8 @@ def oracle_semantic(g, partition, emb, gamma, term):
         a[pos[u], pos[v]] = a[pos[v], pos[u]] = 1.0
     k = a.sum(axis=1)
     two_m = k.sum()
-    x = emb.unit_matrix(list(ids))
+    emb.check(g)
+    x = emb.unit
     cos = x @ x.T
     s = np.clip(cos, 0.0, None) if term == "similarity" else 1.0 - cos
     s_tot = float(s.sum())
@@ -119,33 +120,33 @@ def test_cosine_errors():
 # embedding table -----------------------------------------------------------------
 
 def test_embedding_table_rejects_zero_and_mismatched():
+    for bad in ({"a": [1.0, 0.0], "b": [0.0, 0.0]}, {"a": [1.0, 0.0], "c": [1.0, 0.0, 0.0]},
+                {"a": [np.nan, 1.0]}, {"a": []}, {"a": [[1.0, 0.0]]}, {"a": ["x", 1.0]}):
+        with pytest.raises(ValueError):
+            EmbeddingTable(bad)
     t = EmbeddingTable({"a": [1.0, 0.0]})
-    with pytest.raises(ValueError):
-        t.put("b", [0.0, 0.0])
-    with pytest.raises(ValueError):
-        t.put("c", [1.0, 0.0, 0.0])
-    t.put("d", [3.0, 4.0])
-    assert np.allclose(t.unit("d"), [0.6, 0.8])
-    assert t.covers(["a", "d"])
-    assert not t.covers(["a", "missing"])
+    for bad in ({"b": [0.0, 0.0]}, {"c": [1.0, 0.0, 0.0]}):
+        with pytest.raises(ValueError):
+            t.extended(bad)
+    t = t.extended({"d": [3.0, 4.0]})
+    assert t.ids == ("a", "d") and t.dim == 2
+    assert np.array_equal(t.unit[1], [0.6, 0.8])
 
 
-def test_embedding_table_rows_bit_identical_after_puts():
+def test_embedding_table_extended_matches_one_build():
     rng = np.random.default_rng(5)
-    vecs = {str(i): rng.normal(size=7) for i in range(5)}
-    t = EmbeddingTable(vecs)
-    for i in range(5, 60):
-        vecs[str(i)] = rng.normal(size=7)
-        t.put(str(i), vecs[str(i)])
-    vecs["3"] = rng.normal(size=7)
-    t.put("3", vecs["3"])  # replacing a vector keeps its position
+    vecs = {str(i): rng.normal(size=7) for i in range(60)}
     ids = list(vecs)
-    assert t.ids() == tuple(ids) and len(t) == 60
-    assert np.array_equal(t.unit_matrix(ids),
+    whole = EmbeddingTable(vecs)
+    grown = EmbeddingTable({v: vecs[v] for v in ids[:5]})
+    for start, stop in ((5, 6), (6, 6), (6, 31), (31, 60)):
+        grown = grown.extended({v: vecs[v] for v in ids[start:stop]})
+    assert grown.ids == whole.ids == tuple(ids) and grown.dim == whole.dim == 7
+    assert np.array_equal(grown.raw, whole.raw)
+    assert np.array_equal(grown.unit, whole.unit)
+    assert np.array_equal(whole.raw, np.stack(list(vecs.values())))
+    assert np.array_equal(whole.unit,
                           np.stack([v / np.linalg.norm(v) for v in vecs.values()]))
-    assert np.array_equal(t.matrix(ids[::-1]), np.stack(list(vecs.values())[::-1]))
-    assert np.array_equal(t.unit("59"), vecs["59"] / np.linalg.norm(vecs["59"]))
-    assert t.unit_matrix([]).shape == (0, 7)
 
 
 # params and partition -------------------------------------------------------------
@@ -223,6 +224,33 @@ def test_gamma_half_matches_double_loop_on_random_graphs(term):
         params = ModularityParams(gamma=0.5, semantic_term=term)
         mine = semantic_modularity(g, part, emb, params)
         assert abs(mine - oracle_semantic(g, part, emb, 0.5, term)) < 1e-12
+
+
+@pytest.mark.parametrize("term", ["similarity", "distance"])
+def test_semantic_modularity_sums_a_large_community_in_row_blocks(term):
+    import tracemalloc
+    n, big = 3000, 2700
+    assert big > _ROW_BLOCK
+    g = path_graph(n)
+    emb = random_embeddings(g, dim=8, seed=13)
+    comm = (np.arange(n) >= big).astype(np.int64)
+    part = Partition.from_assignment(dict(zip(g.ids(), comm.tolist())))
+    params = ModularityParams(gamma=0.5, semantic_term=term)
+    tracemalloc.start()
+    try:
+        got = semantic_modularity(g, part, emb, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big * big * 8
+    # the unblocked sums, with one |C| x |C| array per community
+    x, m = emb.unit, g.num_edges
+    s_tot = float(_pair_term(x @ x.T, term).sum())
+    same = sum(float(_pair_term(xb @ xb.T, term).sum()) for xb in (x[comm == 0], x[comm == 1]))
+    internal, deg_sum = community.block_totals(g, part.community_array(g), 2)
+    topology = int(internal.sum()) / m - 0.5 * float((deg_sum ** 2).sum()) / (4.0 * m * m)
+    want = topology - 0.5 * same / (2.0 * m * s_tot)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_zero_edges_is_an_error():
@@ -312,6 +340,11 @@ def test_detection_beats_singleton_with_semantics():
                 >= semantic_modularity(g, singleton, emb, params) - 1e-12)
 
 
+def reversed_table(emb):
+    """The table of the graph whose node records come in reverse order."""
+    return EmbeddingTable(dict(zip(emb.ids[::-1], emb.raw[::-1])))
+
+
 def test_detection_invariant_to_record_order():
     g = random_graph(16, 0.22, seed=77)
     reordered = TextAttributedGraph.from_records(tuple(reversed(g.nodes)), g.class_count)
@@ -322,7 +355,7 @@ def test_detection_invariant_to_record_order():
     emb = random_embeddings(g, dim=6, seed=77)
     params = ModularityParams(gamma=0.5)
     assert (detect_communities(g, emb, params, 5).assignment
-            == detect_communities(reordered, emb, params, 5).assignment)
+            == detect_communities(reordered, reversed_table(emb), params, 5).assignment)
 
 
 def test_detection_deterministic_for_fixed_seed():
@@ -361,7 +394,7 @@ def planted(n, seed, labels=6, avg_degree=4.0, dim=16):
     g = make_graph(adj, labels={str(i): int(label[i]) for i in range(n)},
                    class_count=labels)
     vecs = rng.normal(size=(labels, dim))[label] + rng.normal(scale=0.8, size=(n, dim))
-    return g, EmbeddingTable({str(i): vecs[i] for i in range(n)})
+    return g, EmbeddingTable({nid: vecs[int(nid)] for nid in g.ids()})
 
 
 def partition_digest(part):
@@ -431,7 +464,8 @@ def test_detection_matches_recorded_partitions(n, gamma, term, monkeypatch):
     if gamma < 1.0:
         reversed_copy = TextAttributedGraph.from_records(
             list(reversed(g.nodes)), g.class_count)
-        assert detect_communities(reversed_copy, emb, params, 11).assignment == part.assignment
+        assert (detect_communities(reversed_copy, reversed_table(emb), params, 11).assignment
+                == part.assignment)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -826,7 +860,7 @@ def test_aggregate_matches_reference_on_every_shape_of_labelling(term):
     assert n % step and n > 2 * step  # several blocks, the last one short
     rng = np.random.default_rng(41)
     g = random_graph(n, 4.0 / n, seed=41)
-    x_unit = random_embeddings(g, dim=12, seed=41).unit_matrix(list(g.ids()))
+    x_unit = random_embeddings(g, dim=12, seed=41).unit
     level = _Level(g.adjacency_csr(), g.degrees().astype(np.float64), None,
                    [[i] for i in range(n)])
     big = rng.integers(0, 400, size=n)

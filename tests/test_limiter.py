@@ -28,12 +28,12 @@ from tagforge.limiter import (
     _REPLACE_CAP,
     LimiterParams,
     _smallest_laplacian_eigenvalues,
+    _utility,
     RepairReport,
     _distortion,
     _first_per_cell,
     connectivity_repair,
     log,
-    node_weights,
     property_tensor,
     sample_limited,
     sample_limited_detailed,
@@ -52,10 +52,16 @@ def _profile_distortion(g_sub, g_full):
 
 # node weights ----------------------------------------------------------------------
 
+def utility_by_id(g, part, weights=(1 / 3, 1 / 3)):
+    """Selection utility per node id."""
+    util = _utility(g, part.community_array(g), part.community_count, weights)
+    return dict(zip(g.ids(), util.tolist()))
+
+
 def test_isolated_node_weight_is_zero():
     g = make_graph({"iso": [], "x": ["y"], "y": []})
     part = Partition.from_assignment({"iso": 0, "x": 1, "y": 1})
-    w = node_weights(g, ["iso"], part, (1 / 3, 1 / 3))
+    w = utility_by_id(g, part, (1 / 3, 1 / 3))
     assert w["iso"] == 0.0
 
 
@@ -63,7 +69,7 @@ def test_max_degree_internal_node_weight_is_the_degree_weight():
     # hub has max degree, all neighbors in its own community
     g = make_graph({"h": ["a", "b", "c"], "a": [], "b": [], "c": []})
     part = Partition.from_assignment({nid: 0 for nid in g.ids()})
-    w = node_weights(g, ["h"], part, (0.5, 0.2))
+    w = utility_by_id(g, part, (0.5, 0.2))
     assert w["h"] == pytest.approx(0.5)
 
 
@@ -71,7 +77,7 @@ def test_pure_bridge_node_with_lambda3_only():
     # lambda3, the bridge weight, is the second of the two lambda_weights
     g = make_graph({"bridge": ["out1", "out2"], "out1": [], "out2": []})
     part = Partition.from_assignment({"bridge": 0, "out1": 1, "out2": 1})
-    w = node_weights(g, ["bridge"], part, (0.0, 1.0))
+    w = utility_by_id(g, part, (0.0, 1.0))
     assert w["bridge"] == pytest.approx(1.0)
 
 
@@ -84,7 +90,7 @@ def test_limiter_params_reject_other_than_two_nonnegative_weights(weights):
 def test_weights_bounded():
     g = random_graph(30, 0.15, seed=3)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
-    w = node_weights(g, list(g.ids()), part)
+    w = utility_by_id(g, part)
     assert all(0.0 <= val <= 1.0 + 1e-12 for val in w.values())
 
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import edges, make_graph, random_embeddings, random_graph
-from tagforge.community import EmbeddingTable, ModularityParams, Partition, detect_communities
+from tagforge.community import (
+    EmbeddingTable,
+    ModularityParams,
+    Partition,
+    detect_communities,
+    semantic_modularity,
+)
 from tagforge.graph import MASKS, NodeRecord, TextAttributedGraph, node_sort_key
 from tagforge.perception import (
     EnhancementMode,
@@ -377,9 +383,11 @@ def test_report_json_matches_recorded_digest(seed, n, p, gamma, empty_classes, d
 # string-keyed copies -----------------------------------------------------------------
 
 # Seed selection and capsule sampling as they were before they moved onto node
-# positions, kept word for word as the oracles of the position versions. They
-# break ties between ids with equal ``node_sort_key`` (such as "1" and "01") by
-# the order of the ppr mapping or of the partition's assignment dict.
+# positions, kept word for word as the oracles of the position versions, except
+# that seed selection reads the embedding table by position, the only way the
+# table can be read. They break ties between ids with equal ``node_sort_key``
+# (such as "1" and "01") by the order of the ppr mapping or of the partition's
+# assignment dict.
 def reference_select_seed(
     g: TextAttributedGraph,
     partition: Partition,
@@ -390,16 +398,15 @@ def reference_select_seed(
     mode = EnhancementMode(mode)
     if mode is EnhancementMode.SEMANTIC:
         partition.validate(g)
+        if emb is not None:
+            emb.check(g)
         members = partition.members_by_community()
         best_idx, best_score = None, None
         for idx, group in enumerate(members):
-            if emb is not None and emb.covers(group) and len(group) > 0:
-                x = emb.matrix(group)
+            if emb is not None and len(group) > 0:
+                x = emb.raw[np.array([g.index_of(v) for v in group])]
                 var = float(x.var(axis=0).mean()) if len(group) > 1 else 0.0
             else:
-                if emb is not None:
-                    raise ValueError(
-                        f"semantic seed selection needs embeddings for community {idx}")
                 var = 0.0
             score = len(group) * (1.0 + params.seed_variance_mu * var)
             if best_score is None or score < best_score - 1e-15:
@@ -548,12 +555,12 @@ def test_emptied_pool_falls_back_to_top_slice_and_still_validates():
         sample_knowledge(g, pi, params, 3, Partition.from_assignment({"0": 0}))
 
 
-class RecordingTable(EmbeddingTable):
-    """Records the ids of every matrix it gathers, in order."""
+class RecordingArray(np.ndarray):
+    """Records the index of every read, in order."""
 
-    def matrix(self, ids):
-        self.gathered.append(list(ids))
-        return super().matrix(ids)
+    def __getitem__(self, index):
+        self.reads.append(np.asarray(index).tolist())
+        return np.asarray(self)[index]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -561,31 +568,54 @@ def test_seed_matches_reference_with_distinct_keys(seed):
     rng = np.random.default_rng([seed, 43])
     g = _distinct_key_graph(rng, int(rng.integers(1, 90)))
     part = _random_partition(rng, g)
-    base = random_embeddings(g, dim=4, seed=seed)
-    emb = RecordingTable({v: base[v] for v in base.ids()})
+    emb = random_embeddings(g, dim=4, seed=seed)
+    emb.raw = emb.raw.view(RecordingArray)
     for mode in EnhancementMode:
         for table in (None, emb):
-            emb.gathered = []
+            emb.raw.reads = []
             try:
                 want = reference_select_seed(g, part, table, mode)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
                     select_seed(g, part, table, mode)
                 continue
-            want_rows, emb.gathered = emb.gathered, []
+            want_rows, emb.raw.reads = emb.raw.reads, []
             assert select_seed(g, part, table, mode) == want
             # the same rows in the same order, so the same variance floats;
-            # a single member's variance is 0 without a gather
-            assert emb.gathered == [rows for rows in want_rows if len(rows) > 1]
+            # a single member's variance is 0 without a read
+            assert emb.raw.reads == [rows for rows in want_rows if len(rows) > 1]
 
 
-def test_seed_needs_embeddings_for_the_first_uncovered_community():
+def _misaligned_tables(g):
+    """A table in another order, one for another graph, one missing a node
+    and one with a node more."""
+    vecs = {v: [1.0, float(i)] for i, v in enumerate(g.ids())}
+    return {
+        "reordered": EmbeddingTable(dict(reversed(vecs.items()))),
+        "other-graph": EmbeddingTable({f"x{v}": vec for v, vec in vecs.items()}),
+        "missing": EmbeddingTable(dict(list(vecs.items())[1:])),
+        "superset": EmbeddingTable({**vecs, "extra": [0.0, 1.0]}),
+    }
+
+
+SEMANTIC_STAGES = {
+    "detect_communities":
+        lambda g, part, emb: detect_communities(g, emb, ModularityParams(gamma=0.5), 0),
+    "semantic_modularity":
+        lambda g, part, emb: semantic_modularity(g, part, emb, ModularityParams(gamma=0.5)),
+    "select_seed": lambda g, part, emb: select_seed(g, part, emb, EnhancementMode.SEMANTIC),
+    "build_report": build_report,
+}
+
+
+@pytest.mark.parametrize("table", ["reordered", "other-graph", "missing", "superset"])
+@pytest.mark.parametrize("stage", sorted(SEMANTIC_STAGES))
+def test_misaligned_table_is_rejected_by_every_stage(stage, table):
     g, part, small, big = _two_community_fixture()
-    emb = EmbeddingTable({v: [1.0, float(i)] for i, v in enumerate(g.ids()) if v != small[1]})
-    with pytest.raises(ValueError, match="community 1") as err:
-        select_seed(g, part, emb, EnhancementMode.SEMANTIC)
-    with pytest.raises(ValueError, match=str(err.value)):
-        reference_select_seed(g, part, emb, EnhancementMode.SEMANTIC)
+    aligned = EmbeddingTable({v: [1.0, float(i)] for i, v in enumerate(g.ids())})
+    SEMANTIC_STAGES[stage](g, part, aligned)
+    with pytest.raises(ValueError, match="node order"):
+        SEMANTIC_STAGES[stage](g, part, _misaligned_tables(g)[table])
 
 
 def _equal_key_leaves_fixture():
