@@ -261,18 +261,37 @@ def principal_direction(vectors) -> PrincipalDirection:
                               iterations=outer, converged=step < 1e-8)
 
 
-def coherence_score(x, direction) -> float:
-    """Closeness of one vector to the principal direction, in [0, 1]."""
-    xv = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("cannot score a vector with non-finite entries")
-    nx = float(np.linalg.norm(xv))
-    if nx == 0.0:
-        raise ValueError("cannot score a zero vector")
+def coherence_scores(x, direction) -> np.ndarray:
+    """Closeness of each row vector to the principal direction, in [0, 1]:
+    1 - (2 / pi) acos(|x . u| / |x|) for the unit direction u.
+
+    Each row is scored on its own, with |x| = sqrt(x . x), so a row's score
+    does not depend on the other rows. Raises on the first row, in order,
+    with a non-finite entry or a zero norm.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape == (0,):
+        x = x.reshape(0, 0)
+    if x.ndim != 2:
+        raise ValueError("need a 2-d array of row vectors")
     u = np.asarray(direction, dtype=np.float64)
     u = u / np.linalg.norm(u)
-    cos = float(np.clip(abs(xv @ u) / nx, 0.0, 1.0))
-    return 1.0 - (2.0 / math.pi) * math.acos(cos)
+    finite = np.isfinite(x).all(axis=1).tolist()
+    out = np.empty(x.shape[0])
+    for k, row in enumerate(x):
+        if not finite[k]:
+            raise ValueError("cannot score a vector with non-finite entries")
+        nx = math.sqrt(row.dot(row))
+        if nx == 0.0:
+            raise ValueError("cannot score a zero vector")
+        cos = min(max(abs(float(row @ u)) / nx, 0.0), 1.0)
+        out[k] = 1.0 - (2.0 / math.pi) * math.acos(cos)
+    return out
+
+
+def coherence_score(x, direction) -> float:
+    """Closeness of one vector to the principal direction, in [0, 1]."""
+    return float(coherence_scores([x], direction)[0])
 
 
 @dataclass(frozen=True)

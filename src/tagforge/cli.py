@@ -11,11 +11,12 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, fields as dc_fields
 
 from . import prompts
 from .analysis import (
-    coherence_score,
+    coherence_scores,
     coherence_statistics,
     feature_similarity_report,
     principal_direction,
@@ -33,9 +34,9 @@ from .graph import (
     GraphSchemaError,
     GraphValidationError,
     atomic_write_text,
-    graph_from_json_obj,
     graph_stats,
     load_graph,
+    node_ids_from_json_obj,
     save_graph,
 )
 from .limiter import LimiterParams, property_tensor, sample_limited_detailed
@@ -241,17 +242,22 @@ def cmd_analyze(args) -> int:
 
 
 def _load_id_list(path: str) -> list[str]:
-    """Accept either a full graph file or a bare JSON array of node ids."""
+    """Accept either a full graph file, checked as ``load_graph`` checks it,
+    or a bare JSON array of distinct node ids."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "nodes" in obj:
-        return list(graph_from_json_obj(obj).ids())
+        return node_ids_from_json_obj(obj)
     if isinstance(obj, list):
         out = []
         for item in obj:
             if isinstance(item, bool) or not isinstance(item, (str, int)):
                 raise ValueError(f"{path}: ids must be strings or integers")
             out.append(str(item))
+        if len(set(out)) < len(out):
+            counts = Counter(out)
+            repeated = [i for i in counts if counts[i] > 1]
+            raise ValueError(f"{path}: repeated ids: {repeated[:10]}")
         return out
     raise ValueError(f"{path}: expected a graph object or an array of node ids")
 
@@ -270,7 +276,8 @@ def cmd_coherence(args) -> int:
         raise ValueError("background set is empty")
 
     direction = principal_direction([table[i] for i in background])
-    scores = {i: coherence_score(table[i], direction.direction) for i in candidates}
+    scores = dict(zip(candidates, coherence_scores(
+        [table[i] for i in candidates], direction.direction).tolist()))
     report = coherence_statistics(scores)
     payload = report.to_dict()
     payload["background_size"] = len(background)

@@ -74,17 +74,72 @@ def _neighbor_key(node_id: str) -> tuple[tuple[int, int, str], str]:
     return (node_sort_key(node_id), node_id)
 
 
-def _check_record(rec: NodeRecord, class_count: int) -> None:
-    """Raise unless the record's label is an int in [0, class_count) and its
-    mask is one of MASKS."""
-    if not isinstance(rec.label, int) or isinstance(rec.label, bool):
-        raise GraphValidationError(f"node {rec.node_id!r}: label must be an integer")
-    if not (0 <= rec.label < class_count):
+def _check_record(node_id: str, label, mask, class_count: int) -> None:
+    """Raise unless the label is an int in [0, class_count) and the mask is
+    one of MASKS."""
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise GraphValidationError(f"node {node_id!r}: label must be an integer")
+    if not (0 <= label < class_count):
         raise GraphValidationError(
-            f"node {rec.node_id!r}: label {rec.label} outside [0, {class_count})")
-    if rec.mask not in MASKS:
+            f"node {node_id!r}: label {label} outside [0, {class_count})")
+    if mask not in MASKS:
         raise GraphValidationError(
-            f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
+            f"node {node_id!r}: mask {mask!r} not in {MASKS}")
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, as ``np.unique``
+    gives them. On numpy 2.4, ``np.unique`` took over ten times as long for
+    a few thousand int64 values."""
+    a = np.sort(a)
+    return a[np.append(True, a[1:] != a[:-1])] if a.size else a
+
+
+def _key_order(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's rank in the ``_neighbor_key`` order of ``ids``, and
+    its ``key_rank``: the rank of its ``node_sort_key`` among the distinct
+    keys. Each key is computed once."""
+    n = len(ids)
+    by_key = sorted(zip(map(node_sort_key, ids), ids, range(n)))
+    perm = [p for _, _, p in by_key]
+    nbr_rank = np.empty(n, dtype=np.int64)
+    nbr_rank[perm] = np.arange(n)
+    new_key = [a[0] != b[0] for a, b in zip(by_key, by_key[1:])]
+    key_rank = np.empty(n, dtype=np.int64)
+    key_rank[perm] = np.cumsum([0, *new_key][:n])
+    return nbr_rank, key_rank
+
+
+def _checked_positions(ids: Sequence[str], labels: Sequence, masks: Sequence,
+                       neighbors: Sequence[Sequence[str]],
+                       class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the fields of records given column by column, and map each
+    neighbour mention to a node position.
+
+    In record order, raises on a duplicate id, then on the record's label and
+    mask (``_check_record``); then on mentions of unknown ids, listing the
+    first ten. Returns, for every mention in record order, the positions of
+    its owner and of the node it names.
+    """
+    pos: dict[str, int] = {}
+    for i, (nid, label, mask) in enumerate(zip(ids, labels, masks)):
+        if nid in pos:
+            raise GraphValidationError(
+                f"duplicate node_id {nid!r} at positions {pos[nid]} and {i}")
+        pos[nid] = i
+        # a valid record passes at once; _check_record names the fault
+        if type(label) is not int or not 0 <= label < class_count or mask not in MASKS:
+            _check_record(nid, label, mask, class_count)
+    get = pos.get
+    dst = np.array([get(nb, -1) for nbs in neighbors for nb in nbs], dtype=np.int64)
+    src = np.repeat(np.arange(len(ids)), [len(nbs) for nbs in neighbors])
+    dangling = np.flatnonzero(dst < 0)
+    if dangling.size:
+        flat = [nb for nbs in neighbors for nb in nbs]
+        shown = ", ".join(f"{ids[src[k]]}->{flat[k]}" for k in dangling[:10].tolist())
+        raise GraphValidationError(
+            f"{dangling.size} neighbor reference(s) to unknown nodes: {shown}")
+    return src, dst
 
 
 class TextAttributedGraph:
@@ -114,56 +169,52 @@ class TextAttributedGraph:
     def from_records(cls, records: Sequence[NodeRecord], class_count: int) -> "TextAttributedGraph":
         if class_count < 0:
             raise GraphValidationError("class_count must be nonnegative")
-        seen: dict[str, int] = {}
-        for i, rec in enumerate(records):
-            if rec.node_id in seen:
-                raise GraphValidationError(
-                    f"duplicate node_id {rec.node_id!r} at positions {seen[rec.node_id]} and {i}")
-            seen[rec.node_id] = i
-            _check_record(rec, class_count)
+        return cls._normalized(
+            [rec.node_id for rec in records], [rec.label for rec in records],
+            [rec.text for rec in records], [rec.neighbors for rec in records],
+            [rec.mask for rec in records], class_count)
 
-        # Normalize adjacency: union-symmetrize, drop self-loops and repeats.
-        # Neighbor lists hold the nodes' own id objects, one copy per id.
-        ids = {rec.node_id: rec.node_id for rec in records}
-        mention: dict[str, set[str]] = {rec.node_id: set() for rec in records}
-        fixes = 0
-        dangling: list[tuple[str, str]] = []
-        for rec in records:
-            for nb in rec.neighbors:
-                if nb not in ids:
-                    dangling.append((rec.node_id, nb))
-                    continue
-                nb = ids[nb]
-                if nb == rec.node_id:
-                    fixes += 1
-                    continue
-                if nb in mention[rec.node_id]:
-                    fixes += 1
-                    continue
-                mention[rec.node_id].add(nb)
-        if dangling:
-            shown = ", ".join(f"{a}->{b}" for a, b in dangling[:10])
-            raise GraphValidationError(
-                f"{len(dangling)} neighbor reference(s) to unknown nodes: {shown}")
-        for u in list(mention):
-            for v in mention[u]:
-                if u not in mention[v]:
-                    mention[v].add(u)
-                    fixes += 1
+    @classmethod
+    def _normalized(cls, ids: Sequence[str], labels: Sequence, texts: Sequence,
+                    neighbors: Sequence[Sequence[str]], masks: Sequence,
+                    class_count: int) -> "TextAttributedGraph":
+        """The graph of records given column by column, validated by
+        ``_checked_positions``.
 
-        normalized = tuple(
-            NodeRecord(
-                node_id=rec.node_id,
-                label=rec.label,
-                text=rec.text,
-                neighbors=tuple(sorted(mention[rec.node_id], key=_neighbor_key)),
-                mask=rec.mask,
-            )
-            for rec in records
-        )
+        Adjacency is normalized on position arrays: self-loops, repeated
+        mentions and one-sided mentions each count one fix, and the union of
+        both directions is kept. Neighbor lists follow ``_neighbor_key`` and
+        hold the nodes' own id objects, one copy per id. The sorted position
+        pairs become the cached ``adjacency_csr()``, and the key order the
+        cached ``key_rank()``.
+        """
+        src, dst = _checked_positions(ids, labels, masks, neighbors, class_count)
+        n = len(ids)
+        loop = src == dst
+        mentioned = src[~loop] * n + dst[~loop]
+        once = _sorted_unique(mentioned)
+        both = _sorted_unique(np.concatenate([once, once % n * n + once // n]))
+        fixes = int(loop.sum()) + (mentioned.size - once.size) + (both.size - once.size)
+        row, col = both // n, both % n
+
+        nbr_rank, key_rank = _key_order(ids)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+        id_of = np.empty(n, dtype=object)
+        id_of[:] = ids
+        nbr_ids = tuple(id_of[col[np.lexsort((nbr_rank[col], row))]].tolist())
+        bounds = indptr.tolist()
+        lists = map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:]))
+        g = cls(tuple(map(NodeRecord, ids, labels, texts, lists, masks)), class_count, fixes)
+        g._csr = sp.csr_matrix((np.ones(col.size), col, indptr), shape=(n, n))
+        g._csr.sort_indices()
+        g._degrees = np.diff(indptr)
+        g._degrees.flags.writeable = False
+        key_rank.flags.writeable = False
+        g._key_rank = key_rank
         if fixes:
             log.info("graph normalization applied %d fixes", fixes)
-        return cls(normalized, class_count, fixes)
+        return g
 
     # basic accessors -----------------------------------------------------
 
@@ -217,9 +268,7 @@ class TextAttributedGraph:
         by position: ids with equal keys, such as "1" and "01", share a rank
         and tie by position."""
         if self._key_rank is None:
-            keys = [node_sort_key(rec.node_id) for rec in self.nodes]
-            rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
-            self._key_rank = np.array([rank_of[k] for k in keys], dtype=np.int64)
+            self._key_rank = _key_order(self.ids())[1]
             self._key_rank.flags.writeable = False
         return self._key_rank
 
@@ -269,7 +318,10 @@ def _coerce_id(raw) -> str:
     raise GraphSchemaError(f"node id must be a nonempty string or integer, got {raw!r}")
 
 
-def graph_from_json_obj(obj) -> TextAttributedGraph:
+def _json_columns(obj) -> tuple[int, Sequence, Sequence, Sequence, Sequence, Sequence]:
+    """The class count and the node fields of a TAG-JSON object, column by
+    column, with ids coerced to strings. Raises ``GraphSchemaError`` on the
+    first record, in record order, whose fields have the wrong shape."""
     if not isinstance(obj, dict):
         raise GraphSchemaError("top level must be a JSON object")
     if "class_count" not in obj or "nodes" not in obj:
@@ -280,7 +332,7 @@ def graph_from_json_obj(obj) -> TextAttributedGraph:
     raw_nodes = obj["nodes"]
     if not isinstance(raw_nodes, list):
         raise GraphSchemaError("'nodes' must be a list")
-    records = []
+    rows = []
     for i, item in enumerate(raw_nodes):
         if not isinstance(item, dict):
             raise GraphSchemaError(f"nodes[{i}] must be an object")
@@ -300,14 +352,24 @@ def graph_from_json_obj(obj) -> TextAttributedGraph:
             raise GraphSchemaError(f"nodes[{i}].label must be an integer")
         if not isinstance(mask, str):
             raise GraphSchemaError(f"nodes[{i}].mask must be a string")
-        records.append(NodeRecord(
-            node_id=node_id,
-            label=label,
-            text=text,
-            neighbors=tuple(_coerce_id(nb) for nb in neighbors),
-            mask=mask,
-        ))
-    return TextAttributedGraph.from_records(records, class_count)
+        # _coerce_id returns a nonempty str as it is; the test skips the call
+        rows.append((node_id, label, text,
+                     [nb if nb.__class__ is str and nb else _coerce_id(nb) for nb in neighbors],
+                     mask))
+    return (class_count, *(zip(*rows) if rows else ((),) * 5))
+
+
+def graph_from_json_obj(obj) -> TextAttributedGraph:
+    class_count, ids, labels, texts, neighbors, masks = _json_columns(obj)
+    return TextAttributedGraph._normalized(ids, labels, texts, neighbors, masks, class_count)
+
+
+def node_ids_from_json_obj(obj) -> list[str]:
+    """The node ids of a TAG-JSON object in record order, after every check
+    ``graph_from_json_obj`` makes, with the same errors; builds no records."""
+    class_count, ids, labels, _, neighbors, masks = _json_columns(obj)
+    _checked_positions(ids, labels, masks, neighbors, class_count)
+    return list(ids)
 
 
 def load_graph(path: str) -> TextAttributedGraph:
@@ -508,7 +570,7 @@ def merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttr
     if len(new_ids) != len(delta.new_nodes):
         raise GraphValidationError("duplicate ids among new nodes")
     for rec in delta.new_nodes:
-        _check_record(rec, g.class_count)
+        _check_record(rec.node_id, rec.label, rec.mask, g.class_count)
 
     new_adj: dict[str, set[str]] = {nid: set() for nid in new_ids}
     base_adj: dict[int, set[str]] = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -473,10 +474,7 @@ def connectivity_repair(
     key_rank = g.key_rank()
     id_rank = np.empty(n_g, dtype=np.int64)
     id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
-    labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
-    # cells numbered in (label, community) order
-    cell = np.unique(labels * partition.community_count + partition.community_array(g),
-                     return_inverse=True)[1].ravel()
+    cell = _cells(g, partition.community_array(g), partition.community_count)[0]
 
     mask = np.zeros(n_g, dtype=bool)
     mask[[g.index_of(v) for v in sub.ids()]] = True
@@ -553,6 +551,53 @@ def connectivity_repair(
     return g.subgraph(ids[i] for i in np.flatnonzero(mask)), report
 
 
+def _cells(g: TextAttributedGraph, comm: np.ndarray,
+           k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Each node's cell, numbered in (label, community) order, and the
+    (label, community) key of each cell, for ``k`` communities."""
+    labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
+    codes, cell = np.unique(labels * k + comm, return_inverse=True)
+    return cell.ravel(), [divmod(c, k) for c in codes.tolist()]
+
+
+def _select(g: TextAttributedGraph, partition: Partition, params: LimiterParams,
+            total: int) -> tuple[np.ndarray, dict]:
+    """The positions selected before repair, and each cell's target count.
+
+    ``total`` nodes are apportioned by largest remainder across classes, then
+    across each class's cells. Within a cell the highest utilities win. Two
+    utilities differ by l1 (d_i - d_j) / D + l2 (o_i / d_i - o_j / d_j), D
+    the largest degree and o the neighbours outside the community: at l1 =
+    l2 = 1/3 by 0 or by at least 1 / (3 D^3), above _GAIN_EPS while D <
+    6,900, and float sums of terms in [0, 1] err by ulps. So utilities within
+    _GAIN_EPS are equal: a tier ends where a cell's utility, in descending
+    order, drops by more, and a tier ranks by key_rank, then position.
+    """
+    comm, k = partition.community_array(g), partition.community_count
+    cell, keys = _cells(g, comm, k)
+    sizes = np.bincount(cell, minlength=len(keys)).tolist()
+    class_counts: dict[int, int] = {}
+    for (lbl, _), size in zip(keys, sizes):
+        class_counts[lbl] = class_counts.get(lbl, 0) + size
+    class_targets = _largest_remainder(
+        [(lbl, params.alpha * count, count) for lbl, count in class_counts.items()], total)
+    cell_targets: dict[tuple, int] = {}
+    for lbl, members in groupby(zip(keys, sizes), key=lambda item: item[0][0]):
+        cell_targets.update(_largest_remainder(
+            [(key, params.alpha * size, size) for key, size in members], class_targets[lbl]))
+
+    utility = _utility(g, comm, k, params.lambda_weights)
+    # tiers count up along each cell's utilities in descending order; only
+    # their order within a cell matters
+    by_utility = np.lexsort((-utility, cell))
+    u = utility[by_utility]
+    tier = np.empty(cell.size, dtype=np.int64)
+    tier[by_utility] = np.cumsum(np.append(0, u[:-1] - u[1:] > _GAIN_EPS))
+    nodes, rank = _first_per_cell(np.arange(cell.size), cell, cell.size, tier, g.key_rank())
+    target = np.array([cell_targets[key] for key in keys], dtype=np.int64)
+    return nodes[rank < target[cell[nodes]]], cell_targets
+
+
 def sample_limited_detailed(
     g: TextAttributedGraph,
     partition: Partition,
@@ -570,49 +615,11 @@ def sample_limited_detailed(
     if total < 1:
         raise ValueError(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
-
+    selected, cell_targets = _select(g, partition, params, total)
     ids = g.ids()
-    key_rank = g.key_rank()
-    k = partition.community_count
-    comm = partition.community_array(g)
-    cells: dict[tuple, list[int]] = {}
-    for i, (rec, c) in enumerate(zip(g.nodes, comm.tolist())):
-        cells.setdefault((rec.label, c), []).append(i)
-    _, class_counts = histograms(g)
-
-    class_targets = _largest_remainder(
-        [(lbl, params.alpha * count, count) for lbl, count in sorted(class_counts.items())],
-        total,
-    )
-    cell_targets: dict[tuple, int] = {}
-    for lbl in sorted(class_counts):
-        lbl_cells = sorted(key for key in cells if key[0] == lbl)
-        shares = _largest_remainder(
-            [(key, params.alpha * len(cells[key]), len(cells[key])) for key in lbl_cells],
-            class_targets[lbl],
-        )
-        cell_targets.update(shares)
-
-    node_utility = _utility(g, comm, k, params.lambda_weights)
-    selected: list[int] = []
-    for key in sorted(cell_targets):
-        # Two utilities differ by l1 (d_i - d_j) / D + l2 (o_i / d_i - o_j /
-        # d_j), D the largest degree and o the neighbours outside the
-        # community: at l1 = l2 = 1/3 by 0 or by at least 1 / (3 D^3), above
-        # _GAIN_EPS while D < 6,900, and float sums of terms in [0, 1] err by
-        # ulps. So utilities within _GAIN_EPS are equal: a tier ends where
-        # utility drops by more, and ranks by key_rank, then position.
-        rows = np.array(cells[key])
-        utility = node_utility[rows]
-        order = np.argsort(-utility)
-        rows, utility = rows[order], utility[order]
-        tier = np.cumsum(np.append(0, utility[:-1] - utility[1:] > _GAIN_EPS))
-        chosen = rows[np.lexsort((rows, key_rank[rows], tier))][:cell_targets[key]].tolist()
-        selected.extend(chosen)
-
-    sub = g.subgraph(ids[i] for i in selected)
+    sub = g.subgraph(ids[i] for i in selected.tolist())
     repaired, report = connectivity_repair(g, sub, partition, params)
-    return LimitResult(graph=repaired, cell_targets=dict(cell_targets), repair=report)
+    return LimitResult(graph=repaired, cell_targets=cell_targets, repair=report)
 
 
 def sample_limited(

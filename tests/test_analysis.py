@@ -14,6 +14,7 @@ from tagforge.analysis import (
     CoherenceReport,
     PrincipalDirection,
     coherence_score,
+    coherence_scores,
     coherence_statistics,
     clustering_similarity,
     feature_similarity_report,
@@ -421,6 +422,49 @@ def test_coherence_score_bounds_and_monotonicity():
         assert b < a + 1e-12
     with pytest.raises(ValueError):
         coherence_score([0.0, 0.0], u)
+
+
+# The score as it was computed one vector at a time, kept as the oracle of
+# the row-wise ``coherence_scores``.
+def reference_coherence_score(x, direction) -> float:
+    """Closeness of one vector to the principal direction, in [0, 1]."""
+    xv = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("cannot score a vector with non-finite entries")
+    nx = float(np.linalg.norm(xv))
+    if nx == 0.0:
+        raise ValueError("cannot score a zero vector")
+    u = np.asarray(direction, dtype=np.float64)
+    u = u / np.linalg.norm(u)
+    cos = float(np.clip(abs(xv @ u) / nx, 0.0, 1.0))
+    return 1.0 - (2.0 / math.pi) * math.acos(cos)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 32, 100])
+@pytest.mark.parametrize("seed", range(4))
+def test_coherence_scores_bit_identical_to_one_vector_at_a_time(dim, seed):
+    rng = np.random.default_rng([seed, dim, 41])
+    u = rng.normal(size=dim)
+    x = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-150, 150, size=(300, 1))
+    # rows along the direction, against it, and at right angles to it
+    w = np.roll(u, 1)
+    x[:4] = [u, -2.5 * u, u * 1e-100, w - (w @ u) / (u @ u) * u if dim > 1 else u]
+    got = coherence_scores(x, u)
+    # each reference row is a fresh list, so its array lies elsewhere in memory
+    want = [reference_coherence_score(row.tolist(), u.tolist()) for row in x]
+    assert got.tolist() == want
+    assert [coherence_score(row.tolist(), u) for row in x[:20]] == want[:20]
+    assert coherence_scores(np.zeros((0, dim)), u).shape == (0,)
+
+
+def test_coherence_scores_raise_on_the_first_bad_row():
+    u = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="zero vector"):
+        coherence_scores([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]], u)
+    with pytest.raises(ValueError, match="non-finite"):
+        coherence_scores([[1.0, 0.0], [np.inf, 1.0], [0.0, 0.0]], u)
+    with pytest.raises(ValueError, match="2-d"):
+        coherence_scores([1.0, 0.0], u)
 
 
 def test_coherence_statistics_frozen_t():

@@ -46,18 +46,30 @@ def _one_round_script(tmp_path, goal=False, score=9.0, name="script.json"):
     return str(path)
 
 
-def test_cli_import_loads_no_scipy_stats_special_or_networkx():
-    # every command pays for what importing the CLI loads; scipy.stats at
-    # module level once added about 1.1 s to each set-up
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter has loaded after importing
+    the CLI."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, tagforge.cli; print(sorted(m for m in "
-            "('scipy.stats', 'scipy.special', 'networkx') if m in sys.modules))")
+    code = (f"import sys, tagforge.cli; print(sorted(m for m in {tuple(modules)!r} "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy_stats_special_or_networkx():
+    # every command pays for what importing the CLI loads; scipy.stats at
+    # module level once added about 1.1 s to each set-up
+    assert _loaded_by_cli_import(("scipy.stats", "scipy.special", "networkx")) == "[]"
+
+
+def test_cli_import_loads_no_requests():
+    # only HttpProvider needs requests; importing it cost every command
+    # about 0.07 s of start-up
+    assert _loaded_by_cli_import(("requests",)) == "[]"
 
 
 # exit codes and argument errors -----------------------------------------------------
@@ -589,6 +601,19 @@ def test_coherence_non_finite_candidate_vector_exits_2(graph_file, tmp_path, cap
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("which", ["background", "candidates"])
+def test_coherence_id_array_with_a_repeated_id_exits_2(graph_file, tmp_path, capsys, which):
+    # a repeated id would be counted, and scored, twice
+    emb = _embeddings_file(tmp_path, [str(i) for i in range(1, 8)])
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(["1", 1, "2", "3", "3", "01"]), encoding="utf-8")
+    files = {"background": graph_file, "candidates": graph_file, which: str(repeated)}
+    assert main(["coherence", "--background", files["background"],
+                 "--candidates", files["candidates"], "--embeddings", emb]) == 2
+    captured = capsys.readouterr()
+    assert "repeated ids: ['1', '3']" in captured.err and captured.out == ""
 
 
 def test_coherence_background_graph_with_dangling_neighbor_exits_2(tmp_path, capsys):

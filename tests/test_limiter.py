@@ -18,6 +18,7 @@ from tagforge.graph import (
     TextAttributedGraph,
     component_labels,
     graph_from_json_obj,
+    histograms,
     largest_component,
     node_sort_key,
 )
@@ -31,6 +32,8 @@ from tagforge.limiter import (
     _utility,
     RepairReport,
     _distortion,
+    _largest_remainder,
+    _select,
     _first_per_cell,
     connectivity_repair,
     log,
@@ -396,6 +399,104 @@ def test_selection_breaks_exact_utility_ties_by_key_rank():
     sample = sample_limited_detailed(g, part, LimiterParams(
         alpha=0.3, repair_epsilon=1e9)).graph
     assert sample.has_node("144") and not sample.has_node("295")
+
+
+# The selection that looped over cells, one numpy sort per cell, kept word
+# for word up to the repair, as the oracle of the single-sort ``_select``.
+# Its utility function is looked up here, so a test can replace it in both.
+def reference_select(g, partition, params):
+    n = g.num_nodes
+    partition.validate(g)
+    total = int(math.floor(params.alpha * n))
+    if total < 1:
+        raise ValueError(
+            f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
+
+    ids = g.ids()
+    key_rank = g.key_rank()
+    k = partition.community_count
+    comm = partition.community_array(g)
+    cells: dict[tuple, list[int]] = {}
+    for i, (rec, c) in enumerate(zip(g.nodes, comm.tolist())):
+        cells.setdefault((rec.label, c), []).append(i)
+    _, class_counts = histograms(g)
+
+    class_targets = _largest_remainder(
+        [(lbl, params.alpha * count, count) for lbl, count in sorted(class_counts.items())],
+        total,
+    )
+    cell_targets: dict[tuple, int] = {}
+    for lbl in sorted(class_counts):
+        lbl_cells = sorted(key for key in cells if key[0] == lbl)
+        shares = _largest_remainder(
+            [(key, params.alpha * len(cells[key]), len(cells[key])) for key in lbl_cells],
+            class_targets[lbl],
+        )
+        cell_targets.update(shares)
+
+    node_utility = _utility(g, comm, k, params.lambda_weights)
+    selected: list[int] = []
+    for key in sorted(cell_targets):
+        rows = np.array(cells[key])
+        utility = node_utility[rows]
+        order = np.argsort(-utility)
+        rows, utility = rows[order], utility[order]
+        tier = np.cumsum(np.append(0, utility[:-1] - utility[1:] > _GAIN_EPS))
+        chosen = rows[np.lexsort((rows, key_rank[rows], tier))][:cell_targets[key]].tolist()
+        selected.extend(chosen)
+    return [ids[i] for i in selected], dict(cell_targets)
+
+
+def _assert_select_matches_reference(g, part, params):
+    want_ids, want_targets = reference_select(g, part, params)
+    got, targets = _select(g, part, params, int(math.floor(params.alpha * g.num_nodes)))
+    ids = g.ids()
+    assert sorted(ids[i] for i in got.tolist()) == sorted(want_ids)
+    assert targets == want_targets
+    assert all(type(key[0]) is int and type(key[1]) is int and type(count) is int
+               for key, count in targets.items())
+
+
+@pytest.mark.parametrize("degree", [1.6, 4])
+@pytest.mark.parametrize("n,seed", [(300, 1), (300, 2), (1500, 3), (4000, 1)])
+def test_selection_matches_per_cell_reference_on_generator_graphs(n, seed, degree):
+    g = _planted_graph(n, degree, seed)
+    part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
+    for alpha in (0.05, 0.3, 0.77, 1.0):
+        _assert_select_matches_reference(g, part, LimiterParams(alpha=alpha))
+    _assert_select_matches_reference(g, part, LimiterParams(alpha=0.3, lambda_weights=(1.0, 0.0)))
+
+
+def _tie_heavy_graph(rng, n):
+    """A cycle with chords every third node, so few distinct degrees and
+    outside fractions, and ids "<k>", "0<k>" (equal key rank) and "a<k>" in
+    shuffled records."""
+    names = list(dict.fromkeys(
+        str(rng.choice([f"{i // 2}", f"0{i // 2}", f"a{i}"])) for i in range(n)))
+    nbrs = {v: [names[(i + 1) % len(names)]] for i, v in enumerate(names)}
+    for i in range(0, len(names) - 3, 3):
+        nbrs[names[i]].append(names[i + 3])
+    recs = [NodeRecord(names[i], int(rng.integers(2)), "t", tuple(nbrs[names[i]]))
+            for i in rng.permutation(len(names)).tolist()]
+    return TextAttributedGraph.from_records(recs, 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_selection_matches_per_cell_reference_on_tie_heavy_graphs(seed, monkeypatch):
+    rng = np.random.default_rng([seed, 53])
+    g = _tie_heavy_graph(rng, int(rng.integers(8, 90)))
+    part = Partition.from_assignment(
+        {v: int(rng.integers(3)) for v in g.ids()})
+    for alpha in (0.1, 0.5, 0.9):
+        _assert_select_matches_reference(g, part, LimiterParams(alpha=alpha))
+    # utilities from a small palette with steps below _GAIN_EPS, so a cell's
+    # tier is a chain of small steps that together exceed it
+    palette = 0.5 + _GAIN_EPS * np.array([0.0, 0.0, 0.6, 1.2, 1.8, 3.0, -0.6, 7.0])
+    drawn = palette[rng.integers(palette.size, size=g.num_nodes)]
+    monkeypatch.setattr("tagforge.limiter._utility", lambda *args: drawn)
+    monkeypatch.setitem(globals(), "_utility", lambda *args: drawn)
+    for alpha in (0.1, 0.5, 0.9):
+        _assert_select_matches_reference(g, part, LimiterParams(alpha=alpha))
 
 
 def test_sample_size_and_class_deviation_invariants():

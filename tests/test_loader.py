@@ -1,0 +1,375 @@
+"""The one-pass graph loader against the loader it replaced.
+
+``reference_graph_from_json_obj`` and ``reference_from_records`` are the
+loader that validated every record, built it, and built it again while
+normalizing, kept word for word (``from_records`` as a function, its ``cls``
+the graph class). ``reference_adjacency_csr`` and ``reference_key_rank`` are
+the lazy caches that walked every neighbour list and sorted every key.
+"""
+import json
+import logging
+from typing import Sequence
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from tagforge.cli import _load_id_list
+from tagforge.graph import (
+    MASKS,
+    GraphSchemaError,
+    GraphValidationError,
+    NodeRecord,
+    TextAttributedGraph,
+    _neighbor_key,
+    graph_from_json_obj,
+    node_ids_from_json_obj,
+    node_sort_key,
+)
+
+log = logging.getLogger("tagforge.graph")
+
+
+def _check_record(rec: NodeRecord, class_count: int) -> None:
+    """Raise unless the record's label is an int in [0, class_count) and its
+    mask is one of MASKS."""
+    if not isinstance(rec.label, int) or isinstance(rec.label, bool):
+        raise GraphValidationError(f"node {rec.node_id!r}: label must be an integer")
+    if not (0 <= rec.label < class_count):
+        raise GraphValidationError(
+            f"node {rec.node_id!r}: label {rec.label} outside [0, {class_count})")
+    if rec.mask not in MASKS:
+        raise GraphValidationError(
+            f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
+
+
+def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> "TextAttributedGraph":
+    cls = TextAttributedGraph
+    if class_count < 0:
+        raise GraphValidationError("class_count must be nonnegative")
+    seen: dict[str, int] = {}
+    for i, rec in enumerate(records):
+        if rec.node_id in seen:
+            raise GraphValidationError(
+                f"duplicate node_id {rec.node_id!r} at positions {seen[rec.node_id]} and {i}")
+        seen[rec.node_id] = i
+        _check_record(rec, class_count)
+
+    # Normalize adjacency: union-symmetrize, drop self-loops and repeats.
+    # Neighbor lists hold the nodes' own id objects, one copy per id.
+    ids = {rec.node_id: rec.node_id for rec in records}
+    mention: dict[str, set[str]] = {rec.node_id: set() for rec in records}
+    fixes = 0
+    dangling: list[tuple[str, str]] = []
+    for rec in records:
+        for nb in rec.neighbors:
+            if nb not in ids:
+                dangling.append((rec.node_id, nb))
+                continue
+            nb = ids[nb]
+            if nb == rec.node_id:
+                fixes += 1
+                continue
+            if nb in mention[rec.node_id]:
+                fixes += 1
+                continue
+            mention[rec.node_id].add(nb)
+    if dangling:
+        shown = ", ".join(f"{a}->{b}" for a, b in dangling[:10])
+        raise GraphValidationError(
+            f"{len(dangling)} neighbor reference(s) to unknown nodes: {shown}")
+    for u in list(mention):
+        for v in mention[u]:
+            if u not in mention[v]:
+                mention[v].add(u)
+                fixes += 1
+
+    normalized = tuple(
+        NodeRecord(
+            node_id=rec.node_id,
+            label=rec.label,
+            text=rec.text,
+            neighbors=tuple(sorted(mention[rec.node_id], key=_neighbor_key)),
+            mask=rec.mask,
+        )
+        for rec in records
+    )
+    if fixes:
+        log.info("graph normalization applied %d fixes", fixes)
+    return cls(normalized, class_count, fixes)
+
+
+def _coerce_id(raw) -> str:
+    if isinstance(raw, bool):
+        raise GraphSchemaError("node ids may not be booleans")
+    if isinstance(raw, int):
+        return str(raw)
+    if isinstance(raw, str) and raw:
+        return raw
+    raise GraphSchemaError(f"node id must be a nonempty string or integer, got {raw!r}")
+
+
+def reference_records(obj):
+    """The first half of ``reference_graph_from_json_obj``: the class count
+    and the records it passed to ``from_records``."""
+    if not isinstance(obj, dict):
+        raise GraphSchemaError("top level must be a JSON object")
+    if "class_count" not in obj or "nodes" not in obj:
+        raise GraphSchemaError("top level requires 'class_count' and 'nodes'")
+    class_count = obj["class_count"]
+    if not isinstance(class_count, int) or isinstance(class_count, bool) or class_count < 0:
+        raise GraphSchemaError("'class_count' must be a nonnegative integer")
+    raw_nodes = obj["nodes"]
+    if not isinstance(raw_nodes, list):
+        raise GraphSchemaError("'nodes' must be a list")
+    records = []
+    for i, item in enumerate(raw_nodes):
+        if not isinstance(item, dict):
+            raise GraphSchemaError(f"nodes[{i}] must be an object")
+        try:
+            node_id = _coerce_id(item["node_id"])
+            label = item["label"]
+            text = item["text"]
+            neighbors = item["neighbors"]
+            mask = item.get("mask", "Train")
+        except KeyError as exc:
+            raise GraphSchemaError(f"nodes[{i}] missing field {exc.args[0]!r}") from exc
+        if not isinstance(text, str):
+            raise GraphSchemaError(f"nodes[{i}].text must be a string")
+        if not isinstance(neighbors, list):
+            raise GraphSchemaError(f"nodes[{i}].neighbors must be a list")
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise GraphSchemaError(f"nodes[{i}].label must be an integer")
+        if not isinstance(mask, str):
+            raise GraphSchemaError(f"nodes[{i}].mask must be a string")
+        records.append(NodeRecord(
+            node_id=node_id,
+            label=label,
+            text=text,
+            neighbors=tuple(_coerce_id(nb) for nb in neighbors),
+            mask=mask,
+        ))
+    return class_count, records
+
+
+def reference_graph_from_json_obj(obj) -> TextAttributedGraph:
+    class_count, records = reference_records(obj)
+    return reference_from_records(records, class_count)
+
+
+def reference_adjacency_csr(g: TextAttributedGraph) -> sp.csr_matrix:
+    n = g.num_nodes
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(g.degrees(), out=indptr[1:])
+    indices = np.fromiter((g.index_of(nb) for rec in g.nodes for nb in rec.neighbors),
+                          dtype=np.int64, count=int(indptr[-1]))
+    csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    csr.sort_indices()
+    return csr
+
+
+def reference_key_rank(g: TextAttributedGraph) -> np.ndarray:
+    keys = [node_sort_key(rec.node_id) for rec in g.nodes]
+    rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return np.array([rank_of[k] for k in keys], dtype=np.int64)
+
+
+# drawing messy TAG-JSON ----------------------------------------------------------
+
+# ints, their string forms, forms with equal node_sort_key ("1", "01", "001")
+# and alphabetic ids; 1 and "1" are the same id once coerced
+ID_POOL = (0, 1, 2, 10, "0", "1", "01", "001", "2", "10", "02", "a", "b", "B", "x1", " 1")
+BAD_IDS = ("", 1.5, None, [], {"1": 1})
+
+# each way of spoiling a draw, and what the loader then says
+MUTATIONS = {
+    "dangling": "unknown nodes",
+    "duplicate": "duplicate node_id",
+    "bool id": "booleans",
+    "bad id": "nonempty string",
+    "bad neighbour": "node id",
+    "label type": ".label must",
+    "label range": "outside [0",
+    "mask type": ".mask must",
+    "mask value": "not in ('Train'",
+    "neighbours type": ".neighbors must",
+    "text": ".text must",
+    "missing field": "missing field",
+    "item type": "must be an object",
+    "class count": "'class_count' must",
+    "top level": "top level",
+    "nodes type": "'nodes' must",
+    "no mask": None,
+}
+
+
+@st.composite
+def tag_json(draw, mutations=st.lists(st.sampled_from(tuple(MUTATIONS)), max_size=3)):
+    class_count = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(ID_POOL), max_size=10, unique_by=str))
+    nodes = []
+    for nid in ids:
+        # mentions name other nodes by either form, themselves, or a node
+        # twice, and need not be mirrored
+        mentions = draw(st.lists(
+            st.sampled_from(ids).flatmap(
+                lambda v: st.sampled_from([v, str(v)] + ([int(v)] if str(v).isdigit() else []))),
+            max_size=6)) if ids else []
+        nodes.append({
+            "node_id": nid,
+            "label": draw(st.integers(0, class_count - 1)),
+            "text": draw(st.sampled_from(["", "a text", "ünïcode ✓"])),
+            "neighbors": mentions,
+            "mask": draw(st.sampled_from(MASKS)),
+        })
+    obj = {"class_count": class_count, "nodes": nodes}
+    for kind in draw(mutations):
+        obj = _mutate(draw, obj, kind)
+    return obj
+
+
+def _mutate(draw, obj, kind):
+    if not isinstance(obj, dict) or not isinstance(obj.get("nodes"), list):
+        return obj
+    nodes = obj["nodes"]
+    if kind == "top level":
+        return draw(st.sampled_from([nodes, {"nodes": nodes}, {"class_count": 1}, 3]))
+    if kind == "nodes type":
+        return {**obj, "nodes": draw(st.sampled_from(["x", {}, None]))}
+    if kind == "class count":
+        return {**obj, "class_count": draw(st.sampled_from([-1, True, "3", 1.5]))}
+    if not nodes:
+        return obj
+    i = draw(st.integers(0, len(nodes) - 1))
+    item = nodes[i]
+    if not isinstance(item, dict):
+        return obj
+    item = dict(item)
+    nodes = nodes[:i] + [item] + nodes[i + 1:]
+    mentions = item.get("neighbors")
+    if kind in ("dangling", "bad neighbour") and not isinstance(mentions, list):
+        return obj
+    if kind == "dangling":
+        item["neighbors"] = mentions + [draw(st.sampled_from(["zz", 99, "011"]))]
+    elif kind == "duplicate":
+        other = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if isinstance(other, dict) and "node_id" in other:
+            item["node_id"] = draw(st.sampled_from(
+                [other["node_id"], str(other["node_id"])]))
+    elif kind == "bool id":
+        item["node_id"] = draw(st.booleans())
+    elif kind == "bad id":
+        item["node_id"] = draw(st.sampled_from(BAD_IDS))
+    elif kind == "bad neighbour":
+        item["neighbors"] = mentions + [draw(st.sampled_from((True, False) + BAD_IDS))]
+    elif kind == "label type":
+        item["label"] = draw(st.sampled_from(["1", True, 1.5, None]))
+    elif kind == "label range":
+        item["label"] = draw(st.sampled_from([-1, 3, 7]))
+    elif kind == "mask type":
+        item["mask"] = draw(st.sampled_from([3, None, ["Test"]]))
+    elif kind == "mask value":
+        item["mask"] = draw(st.sampled_from(["train", "Dev", ""]))
+    elif kind == "neighbours type":
+        item["neighbors"] = draw(st.sampled_from(["1", {"1": 1}, None, 3]))
+    elif kind == "text":
+        item["text"] = draw(st.sampled_from([3, None, ["a"]]))
+    elif kind == "missing field":
+        item.pop(draw(st.sampled_from(["node_id", "label", "text", "neighbors"])), None)
+    elif kind == "no mask":
+        item.pop("mask", None)
+    elif kind == "item type":
+        nodes[i] = draw(st.sampled_from([[], "x", 3, None]))
+    return {**obj, "nodes": nodes}
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args), None
+    except Exception as exc:  # the differential compares every failure
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_graph(got: TextAttributedGraph, want: TextAttributedGraph) -> None:
+    assert got.nodes == want.nodes
+    assert got.class_count == want.class_count
+    assert got.normalization_fixes == want.normalization_fixes
+    assert got.num_edges == want.num_edges
+    for rec in got.nodes:
+        for nb in rec.neighbors:
+            assert nb is got.nodes[got.index_of(nb)].node_id
+    csr, ref_csr = got.adjacency_csr(), reference_adjacency_csr(want)
+    assert csr.shape == ref_csr.shape and csr.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(csr, name), getattr(ref_csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.degrees(), [len(rec.neighbors) for rec in want.nodes])
+    assert not got.degrees().flags.writeable
+    assert got.key_rank().dtype == np.int64 and not got.key_rank().flags.writeable
+    assert np.array_equal(got.key_rank(), reference_key_rank(want))
+
+
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(obj=tag_json())
+def test_loader_matches_reference_on_messy_tag_json(tmp_path_factory, obj):
+    want, want_error = _outcome(reference_graph_from_json_obj, obj)
+    got, got_error = _outcome(graph_from_json_obj, obj)
+    assert got_error == want_error
+    if want_error is None:
+        _assert_same_graph(got, want)
+    want_ids = (list(want.ids()), None) if want_error is None else (None, want_error)
+    assert _outcome(node_ids_from_json_obj, obj) == want_ids
+    if isinstance(obj, dict) and "nodes" in obj:
+        path = tmp_path_factory.getbasetemp() / "loader-example.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert _outcome(_load_id_list, str(path)) == want_ids
+
+    # from_records on the same records, and with a label or mask that the
+    # JSON schema refuses written into the last record
+    parsed, schema_error = _outcome(reference_records, obj)
+    if schema_error is not None:
+        return
+    class_count, records = parsed
+    variants = [records]
+    if records:
+        rec = records[-1]
+        variants += [records[:-1] + [NodeRecord(rec.node_id, True, rec.text, rec.neighbors)],
+                     records[:-1] + [NodeRecord(rec.node_id, 0, rec.text, rec.neighbors, 3)]]
+    for recs in variants:
+        want, want_error = _outcome(reference_from_records, recs, class_count)
+        got, got_error = _outcome(TextAttributedGraph.from_records, recs, class_count)
+        assert got_error == want_error
+        if want_error is None:
+            _assert_same_graph(got, want)
+
+
+@pytest.mark.parametrize("kind", [None, *MUTATIONS])
+def test_every_mutation_is_drawn_with_its_error(kind):
+    """Each way of spoiling a draw can end in the error it is meant to
+    cause; unspoiled draws and a missing mask end with and without fixes."""
+    outcomes = set()
+
+    def reached(obj):
+        got, error = _outcome(reference_graph_from_json_obj, obj)
+        if error is None:
+            outcomes.add("fixes" if got.normalization_fixes else "no fixes")
+            return MUTATIONS.get(kind) is None and outcomes == {"fixes", "no fixes"}
+        return MUTATIONS.get(kind) is not None and MUTATIONS[kind] in error[1]
+
+    find(tag_json(st.just([kind] if kind else [])), reached, settings=settings(
+        max_examples=1000, deadline=None, database=None, derandomize=True,
+        phases=[Phase.generate]))
+
+
+def test_loader_lists_the_first_ten_dangling_mentions():
+    obj = {"class_count": 1, "nodes": [
+        {"node_id": "a", "label": 0, "text": "", "neighbors": [f"x{i}" for i in range(7)] + ["b"]},
+        {"node_id": 2, "label": 0, "text": "", "neighbors": ["a", 5, "y", "y", "02", 2, "2"]},
+        {"node_id": "b", "label": 0, "text": "", "neighbors": []},
+    ]}
+    want = _outcome(reference_graph_from_json_obj, obj)
+    assert want[1][1].startswith("11 neighbor reference(s)")
+    assert _outcome(graph_from_json_obj, obj) == want
+    assert _outcome(node_ids_from_json_obj, obj) == want
