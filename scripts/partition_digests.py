@@ -3,7 +3,7 @@ of a sweep, so two versions of the detection code compare with one ``diff``.
 
 Graphs come from the benchmark's generator (perfbench/gen.py) with its label
 embeddings. Each row is tab-separated: nodes, average degree, seed, gamma,
-semantic term, community count, the sha256 of the sorted assignment, the
+semantic term, community count, the sha256 of the sorted (id, community) pairs, the
 detection seconds, and the tracemalloc peak in MB of a second detection call
 on the same graph. The seconds come from the first call, which runs
 untraced. The first seven columns are deterministic, so
@@ -47,7 +47,7 @@ def rows(args, clock):
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
             tracemalloc.stop()
             yield (n, degree, seed, params.gamma, params.semantic_term, part.community_count,
-                   sweep.sha256(json.dumps(sorted(part.assignment.items()))),
+                   sweep.sha256(json.dumps(sorted(zip(part.ids, part.comm.tolist())))),
                    f"{seconds:.3f}", f"{peak_mb:.1f}")
 
 

@@ -18,11 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (
-    _ROW_BLOCK,
-    TextAttributedGraph,
-    node_sort_key,
-)
+from .graph import _ROW_BLOCK, TextAttributedGraph
 
 log = logging.getLogger("tagforge.community")
 
@@ -121,48 +117,44 @@ class ModularityParams:
             raise ValueError(f"unknown semantic_term {self.semantic_term!r}")
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Assignment of every node id to a community index 0..k-1.
+    """A community index 0..k-1 at every node position of one graph.
 
-    Canonical form orders community indices by their smallest member id.
+    ``comm[i]`` is the community of ``ids[i]``. Communities are numbered by
+    their first node in the graph's canonical order (``key_rank``, then
+    position), whatever labels the constructor is given. A consumer reads
+    ``comm`` by node position of a graph ``g`` after ``check(g)``, which
+    raises unless ``ids`` equals ``g.ids()``.
     """
 
-    assignment: Mapping[str, int]
-    community_count: int
+    def __init__(self, g: TextAttributedGraph, labels: Sequence[int] | np.ndarray):
+        """The partition of ``g`` that puts positions with equal ``labels``
+        together; ``labels`` holds one integer per node position."""
+        labels = np.asarray(labels)
+        if labels.shape != (g.num_nodes,) or (labels.size and labels.dtype.kind not in "iu"):
+            raise ValueError("labels must hold one integer per node of the graph, "
+                             f"got shape {labels.shape} for {g.num_nodes} nodes")
+        order = np.argsort(g.key_rank(), kind="stable")
+        _, first, inverse = np.unique(labels[order], return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        comm = np.empty(g.num_nodes, dtype=np.int64)
+        comm[order] = rank[inverse]
+        comm.flags.writeable = False
+        self.ids = g.ids()
+        self.comm = comm
+        self.community_count = int(first.size)
 
-    @classmethod
-    def from_assignment(cls, assignment: Mapping[str, int]) -> "Partition":
-        """Canonicalize arbitrary community keys into contiguous indices."""
-        groups: dict[int, list[str]] = {}
-        for node_id, c in assignment.items():
-            groups.setdefault(c, []).append(node_id)
-        ordered = sorted(groups.values(), key=lambda members: min(node_sort_key(v) for v in members))
-        canon: dict[str, int] = {}
-        for idx, members in enumerate(ordered):
-            for node_id in members:
-                canon[node_id] = idx
-        return cls(canon, len(ordered))
+    def check(self, g: TextAttributedGraph) -> None:
+        if self.ids != g.ids():
+            raise ValueError("partition ids are not the graph's node ids in node order")
 
-    def validate(self, g: TextAttributedGraph) -> None:
-        if set(self.assignment) != set(g.ids()):
-            raise ValueError("partition does not cover exactly the graph's nodes")
-        seen = set(self.assignment.values())
-        if seen != set(range(self.community_count)):
-            raise ValueError("community indices must be contiguous from zero")
-
-    def members_by_community(self) -> list[list[str]]:
-        out: list[list[str]] = [[] for _ in range(self.community_count)]
-        for node_id, c in self.assignment.items():
-            out[c].append(node_id)
-        for members in out:
-            members.sort(key=node_sort_key)
-        return out
-
-    def community_array(self, g: TextAttributedGraph) -> np.ndarray:
-        """Community index per node position of ``g``."""
-        return np.fromiter((self.assignment[v] for v in g.ids()), dtype=np.int64,
-                           count=g.num_nodes)
+    def positions(self, g: TextAttributedGraph) -> list[np.ndarray]:
+        """Each community's node positions in ``g``'s canonical order, for
+        the graph that ``check`` accepts."""
+        order = np.lexsort((g.key_rank(), self.comm))
+        sizes = np.bincount(self.comm, minlength=self.community_count)
+        return np.split(order, np.cumsum(sizes)[:-1])
 
 
 def indicator(comm: np.ndarray, k: int) -> sp.csr_matrix:
@@ -233,9 +225,8 @@ def semantic_modularity(
     m = g.num_edges
     if m == 0:
         raise ValueError("modularity undefined for a graph with no edges")
-    partition.validate(g)
-    internal, deg_sum = block_totals(
-        g, partition.community_array(g), partition.community_count)
+    partition.check(g)
+    internal, deg_sum = block_totals(g, partition.comm, partition.community_count)
     deg_sum = deg_sum.astype(np.float64)
     q = int(internal.sum()) / m - params.gamma * float((deg_sum ** 2).sum()) / (4.0 * m * m)
 
@@ -246,9 +237,8 @@ def semantic_modularity(
         s_tot = _total_pair_sum(emb.unit, params.semantic_term)
         if s_tot > 0.0:
             same = 0.0
-            for group in partition.members_by_community():
-                rows = emb.unit[[g.index_of(v) for v in group]]
-                same += _total_pair_sum(rows, params.semantic_term)
+            for members in partition.positions(g):
+                same += _total_pair_sum(emb.unit[members], params.semantic_term)
             q -= (1.0 - params.gamma) * same / (2.0 * m * s_tot)
     return q
 
@@ -490,11 +480,9 @@ def detect_communities(
     n = g.num_nodes
     if n == 0:
         raise ValueError("cannot detect communities of an empty graph")
-    ids = g.ids()
-    perm = np.argsort(g.key_rank(), kind="stable")
-    order = [ids[i] for i in perm.tolist()]
     if g.num_edges == 0:
-        return Partition.from_assignment({nid: i for i, nid in enumerate(order)})
+        return Partition(g, np.arange(n))
+    perm = np.argsort(g.key_rank(), kind="stable")
 
     adj0 = g.adjacency_csr()[perm][:, perm]
     strength = g.degrees()[perm].astype(np.float64)
@@ -536,7 +524,8 @@ def detect_communities(
         node_comm, improved = _local_moving(level, two_m, params.gamma, sem_coeff,
                                             None, params.semantic_term)
 
-    assignment = {order[orig]: c
-                  for members, c in zip(level.members, node_comm.tolist())
-                  for orig in members}
-    return Partition.from_assignment(assignment)
+    # level.members holds indices into perm, the canonical order
+    labels = np.empty(n, dtype=np.int64)
+    labels[perm[np.concatenate(level.members)]] = np.repeat(
+        node_comm, [len(ms) for ms in level.members])
+    return Partition(g, labels)

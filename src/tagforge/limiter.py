@@ -21,7 +21,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .community import Partition, indicator
-from .graph import TextAttributedGraph, component_labels, histogram_json, histograms, largest_component
+from .graph import (TextAttributedGraph, _sorted_unique, component_labels, histogram_json,
+                    histograms, largest_component)
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -327,7 +328,7 @@ class _RepairState:
     def refresh(self, outside: np.ndarray) -> None:
         """Recount ``comps_of`` for the given outside nodes."""
         own, nb = self.sampled_neighbors(outside)
-        distinct = np.unique(own * self.cap + self.comp[nb]) // self.cap
+        distinct = _sorted_unique(own * self.cap + self.comp[nb]) // self.cap
         self.comps_of[outside] = np.bincount(distinct, minlength=outside.size)
 
     def rerank(self, cells: np.ndarray) -> None:
@@ -378,7 +379,7 @@ class _RepairState:
         lost = adj & ~kept
         delta = 1 - (induced[r] == 0) - (comps_of[b] - lost)
         self.pairs = _splice(self.pairs, cells, np.stack([cell[b], b, r, kept, lost, delta]))
-        touch = np.unique(own * self.cap + lab)
+        touch = _sorted_unique(own * self.cap + lab)
         owner = pool[touch // self.cap]
         self.touch = _splice(self.touch, cells, np.stack([cell[owner], owner, touch % self.cap]))
 
@@ -407,7 +408,7 @@ class _RepairState:
 
         mask[b] = True
         self.induced[near_b] += 1
-        joined = np.unique(comp[near_b[mask[near_b]]])
+        joined = _sorted_unique(comp[near_b[mask[near_b]]])
         if joined.size == 0:
             top = self.free.pop()
             self.count += 1
@@ -430,9 +431,9 @@ class _RepairState:
 
         # comps_of changes only next to r, b and the relabelled nodes
         near_moved = _gather(self.indptr, self.nbrs, moved)[1]
-        near = np.unique(np.concatenate([near_r, near_b, near_moved, [r]]))
+        near = _sorted_unique(np.concatenate([near_r, near_b, near_moved, [r]]))
         self.refresh(near[~mask[near]])
-        self.rerank(np.unique(self.cell[np.concatenate([[b], near, moved])]))
+        self.rerank(_sorted_unique(self.cell[np.concatenate([[b], near, moved])]))
 
 
 def connectivity_repair(
@@ -466,6 +467,7 @@ def connectivity_repair(
     foreign = [v for v in sub.ids() if not g.has_node(v)]
     if foreign:
         raise ValueError(f"sample holds ids not in the graph: {foreign[:10]}")
+    partition.check(g)
     n_g = g.num_nodes
     ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
@@ -474,7 +476,7 @@ def connectivity_repair(
     key_rank = g.key_rank()
     id_rank = np.empty(n_g, dtype=np.int64)
     id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
-    cell = _cells(g, partition.community_array(g), partition.community_count)[0]
+    cell = _cells(g, partition.comm, partition.community_count)[0]
 
     mask = np.zeros(n_g, dtype=bool)
     mask[[g.index_of(v) for v in sub.ids()]] = True
@@ -573,7 +575,7 @@ def _select(g: TextAttributedGraph, partition: Partition, params: LimiterParams,
     _GAIN_EPS are equal: a tier ends where a cell's utility, in descending
     order, drops by more, and a tier ranks by key_rank, then position.
     """
-    comm, k = partition.community_array(g), partition.community_count
+    comm, k = partition.comm, partition.community_count
     cell, keys = _cells(g, comm, k)
     sizes = np.bincount(cell, minlength=len(keys)).tolist()
     class_counts: dict[int, int] = {}
@@ -610,7 +612,7 @@ def sample_limited_detailed(
     to the earlier position.
     """
     n = g.num_nodes
-    partition.validate(g)
+    partition.check(g)
     total = int(math.floor(params.alpha * n))
     if total < 1:
         raise ValueError(

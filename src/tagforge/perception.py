@@ -110,16 +110,12 @@ def select_seed(
     mode = EnhancementMode(mode)
     ids = g.ids()
     if mode is EnhancementMode.SEMANTIC:
-        partition.validate(g)
+        partition.check(g)
         if emb is not None:
             emb.check(g)
-        comm = partition.community_array(g)
-        # each community's member positions in the graph's canonical order
-        order = np.lexsort((g.key_rank(), comm))
-        ends = np.cumsum(np.bincount(comm, minlength=partition.community_count)).tolist()
         best, best_score = None, None
-        for idx, (start, end) in enumerate(zip([0] + ends, ends)):
-            members, var = order[start:end], 0.0
+        for idx, members in enumerate(partition.positions(g)):
+            var = 0.0
             if emb is not None and len(members) > 1:
                 var = float(emb.raw[members].var(axis=0).mean())
             score = len(members) * (1.0 + params.seed_variance_mu * var)
@@ -251,15 +247,14 @@ def sample_knowledge(
     retained = pool.any()
 
     if partition is not None:
-        partition.validate(g)
-        k = partition.community_count
-        comm = partition.community_array(g)
-        first_key = np.full(k, g.num_nodes, dtype=np.int64)
-        np.minimum.at(first_key, comm, g.key_rank())
+        partition.check(g)
+        k, comm = partition.community_count, partition.comm
         first_place = np.full(k, n, dtype=np.int64)
         np.minimum.at(first_place, comm[pos], np.arange(n))
         quota = min(k, math.ceil(params.capsule_size / 5))
-        largest = np.lexsort((first_key, -np.bincount(comm, minlength=k)))[:quota]
+        # communities are numbered in canonical order, so size ties go to
+        # the community whose first node comes first
+        largest = np.argsort(-np.bincount(comm, minlength=k), kind="stable")[:quota]
         delegates = first_place[largest]
         pool[delegates[delegates < n]] = True
 
@@ -356,12 +351,11 @@ def build_report(
     """Assemble the structured state summary consumed by the agent roles."""
     if g.num_nodes == 0:
         raise ValueError("cannot report on an empty graph")
-    partition.validate(g)
+    partition.check(g)
     stats = graph_stats(g)
     n = g.num_nodes
     m = g.num_edges
-    k = partition.community_count
-    comm = partition.community_array(g)
+    k, comm = partition.community_count, partition.comm
     label_of = np.array([rec.label for rec in g.nodes], dtype=np.int64)
 
     class_internal = block_totals(g, label_of, g.class_count)[0].tolist()

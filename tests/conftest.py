@@ -88,6 +88,11 @@ def random_graph(n, p, seed, class_count=3):
     return make_graph(adj, labels=labels, class_count=class_count, masks=masks)
 
 
+def assignment(part):
+    """A partition's communities as an id -> community index dict."""
+    return dict(zip(part.ids, part.comm.tolist()))
+
+
 def random_embeddings(g, dim=8, seed=0):
     from tagforge.community import EmbeddingTable
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
+from conftest import assignment, make_graph, random_graph
 from test_community import oracle_newman
 from test_graph import oracle_clustering, oracle_components, oracle_path_length
 from test_perception import oracle_ppr
@@ -92,8 +92,7 @@ def test_criterion_03_modularity_reduces_to_newman():
             if g.num_edges == 0:
                 g = make_graph({str(i): [str((i + 1) % n)] for i in range(n)})
             communities = int(rng.integers(1, 5))
-            assignment = {v: int(rng.integers(communities)) for v in g.ids()}
-            part = Partition.from_assignment(assignment)
+            part = Partition(g, [int(rng.integers(communities)) for v in g.ids()])
             got = semantic_modularity(g, part, None, params)
             assert abs(got - oracle_newman(g, part)) < 1e-12
             checked += 1
@@ -185,8 +184,9 @@ def test_criterion_06_limiter_guarantees():
                 assert nxt < prev
 
             cells: dict[tuple, int] = {}
+            comm_of = assignment(part)
             for rec in result.graph.nodes:
-                key = (rec.label, part.assignment[rec.node_id])
+                key = (rec.label, comm_of[rec.node_id])
                 cells[key] = cells.get(key, 0) + 1
             targets = {k: v for k, v in result.cell_targets.items() if v > 0}
             assert cells == targets

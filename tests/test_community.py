@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assignment,
     complete_graph,
     cosine_similarity,
     edges,
@@ -32,7 +33,7 @@ from tagforge.community import (
     indicator,
     semantic_modularity,
 )
-from tagforge.graph import _ROW_BLOCK, TextAttributedGraph
+from tagforge.graph import _ROW_BLOCK, NodeRecord, TextAttributedGraph
 
 # oracles ----------------------------------------------------------------------
 
@@ -49,7 +50,7 @@ def oracle_newman(g, partition):
     q = 0.0
     for i in range(n):
         for j in range(n):
-            if partition.assignment[ids[i]] == partition.assignment[ids[j]]:
+            if partition.comm[i] == partition.comm[j]:
                 q += a[i, j] - k[i] * k[j] / two_m
     return q / two_m
 
@@ -72,7 +73,7 @@ def oracle_semantic(g, partition, emb, gamma, term):
     q = 0.0
     for i in range(n):
         for j in range(n):
-            if partition.assignment[ids[i]] == partition.assignment[ids[j]]:
+            if partition.comm[i] == partition.comm[j]:
                 q += a[i, j] - gamma * k[i] * k[j] / two_m - (1 - gamma) * s[i, j] / s_tot
     return q / two_m
 
@@ -159,32 +160,40 @@ def test_modularity_params_validation():
 
 
 def test_partition_canonicalization_orders_by_smallest_member():
-    p = Partition.from_assignment({"b": 9, "a": 4, "c": 9})
+    g = TextAttributedGraph.from_records(
+        [NodeRecord(v, 0, "t", ()) for v in ("b", "a", "c")], 1)
+    p = Partition(g, [9, 4, 9])
     # community containing "a" gets index 0
-    assert p.assignment["a"] == 0
-    assert p.assignment["b"] == p.assignment["c"] == 1
+    assert assignment(p) == {"a": 0, "b": 1, "c": 1}
     assert p.community_count == 2
+    assert not p.comm.flags.writeable
 
 
-def test_partition_validate_requires_exact_cover():
+def test_partition_check_requires_the_graph_node_order():
     g = make_graph({"a": ["b"], "b": []})
-    with pytest.raises(ValueError):
-        Partition.from_assignment({"a": 0}).validate(g)
+    for labels in ([0], [0, 1, 2], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            Partition(g, labels)
+    part = Partition(g, [0, 1])
+    part.check(g)
+    reordered = TextAttributedGraph.from_records(tuple(reversed(g.nodes)), g.class_count)
+    for other in (reordered, make_graph({"a": ["b"], "b": [], "c": []})):
+        with pytest.raises(ValueError):
+            part.check(other)
 
 
 # semantic modularity ---------------------------------------------------------------
 
 def test_two_k3_gamma_one_is_exactly_half():
     g = two_k3()
-    part = Partition.from_assignment(
-        {nid: (0 if int(nid) < 3 else 1) for nid in g.ids()})
+    part = Partition(g, [0 if int(nid) < 3 else 1 for nid in g.ids()])
     q = semantic_modularity(g, part, None, ModularityParams(gamma=1.0))
     assert q == 0.5
 
 
 def test_all_in_one_community_gamma_one_is_zero():
     g = random_graph(15, 0.25, seed=9)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     q = semantic_modularity(g, part, None, ModularityParams(gamma=1.0))
     assert abs(q) < 1e-12
 
@@ -195,8 +204,7 @@ def test_gamma_one_matches_newman_oracle_on_random_pairs():
         g = random_graph(int(rng.integers(5, 22)), 0.3, seed=trial + 100)
         if g.num_edges == 0:
             continue
-        part = Partition.from_assignment(
-            {nid: int(rng.integers(3)) for nid in g.ids()})
+        part = Partition(g, [int(rng.integers(3)) for nid in g.ids()])
         mine = semantic_modularity(g, part, None, ModularityParams(gamma=1.0))
         assert abs(mine - oracle_newman(g, part)) < 1e-12
 
@@ -205,7 +213,7 @@ def test_gamma_one_matches_newman_oracle_on_random_pairs():
 def test_four_node_path_gamma_half_matches_double_loop(term):
     g = path_graph(4)
     emb = random_embeddings(g, dim=6, seed=11)
-    part = Partition.from_assignment({"0": 0, "1": 0, "2": 1, "3": 1})
+    part = Partition(g, [0, 0, 1, 1])
     params = ModularityParams(gamma=0.5, semantic_term=term)
     mine = semantic_modularity(g, part, emb, params)
     assert abs(mine - oracle_semantic(g, part, emb, 0.5, term)) < 1e-12
@@ -219,8 +227,7 @@ def test_gamma_half_matches_double_loop_on_random_graphs(term):
         if g.num_edges == 0:
             continue
         emb = random_embeddings(g, dim=5, seed=trial)
-        part = Partition.from_assignment(
-            {nid: int(rng.integers(2)) for nid in g.ids()})
+        part = Partition(g, [int(rng.integers(2)) for nid in g.ids()])
         params = ModularityParams(gamma=0.5, semantic_term=term)
         mine = semantic_modularity(g, part, emb, params)
         assert abs(mine - oracle_semantic(g, part, emb, 0.5, term)) < 1e-12
@@ -234,7 +241,7 @@ def test_semantic_modularity_sums_a_large_community_in_row_blocks(term):
     g = path_graph(n)
     emb = random_embeddings(g, dim=8, seed=13)
     comm = (np.arange(n) >= big).astype(np.int64)
-    part = Partition.from_assignment(dict(zip(g.ids(), comm.tolist())))
+    part = Partition(g, comm)
     params = ModularityParams(gamma=0.5, semantic_term=term)
     tracemalloc.start()
     try:
@@ -247,7 +254,7 @@ def test_semantic_modularity_sums_a_large_community_in_row_blocks(term):
     x, m = emb.unit, g.num_edges
     s_tot = float(_pair_term(x @ x.T, term).sum())
     same = sum(float(_pair_term(xb @ xb.T, term).sum()) for xb in (x[comm == 0], x[comm == 1]))
-    internal, deg_sum = community.block_totals(g, part.community_array(g), 2)
+    internal, deg_sum = community.block_totals(g, part.comm, 2)
     topology = int(internal.sum()) / m - 0.5 * float((deg_sum ** 2).sum()) / (4.0 * m * m)
     want = topology - 0.5 * same / (2.0 * m * s_tot)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -255,14 +262,14 @@ def test_semantic_modularity_sums_a_large_community_in_row_blocks(term):
 
 def test_zero_edges_is_an_error():
     g = make_graph({"a": [], "b": []})
-    part = Partition.from_assignment({"a": 0, "b": 1})
+    part = Partition(g, [0, 1])
     with pytest.raises(ValueError):
         semantic_modularity(g, part, None, ModularityParams(gamma=1.0))
 
 
 def test_gamma_below_one_requires_covering_embeddings():
     g = path_graph(3)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     with pytest.raises(ValueError):
         semantic_modularity(g, part, None, ModularityParams(gamma=0.5))
 
@@ -273,7 +280,7 @@ def test_detect_recovers_two_triangles():
     g = two_k3()
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     groups = {}
-    for nid, c in part.assignment.items():
+    for nid, c in assignment(part).items():
         groups.setdefault(c, set()).add(nid)
     assert sorted(groups.values(), key=sorted) == [
         {"0", "1", "2"}, {"3", "4", "5"}]
@@ -287,12 +294,12 @@ def test_two_triangles_is_the_exhaustive_optimum():
     count = 0
     for blocks in set_partitions(list(g.ids())):
         count += 1
-        assignment = {v: i for i, block in enumerate(blocks) for v in block}
-        q = semantic_modularity(g, Partition.from_assignment(assignment), None, params)
+        labels = {v: i for i, block in enumerate(blocks) for v in block}
+        q = semantic_modularity(g, Partition(g, [labels[v] for v in g.ids()]), None, params)
         if q > best_q + 1e-12:
-            best_q, best_parts = q, [assignment]
+            best_q, best_parts = q, [labels]
         elif q > best_q - 1e-12:
-            best_parts.append(assignment)
+            best_parts.append(labels)
     assert count == 203
     detected = detect_communities(g, None, params, 0)
     q_detected = semantic_modularity(g, detected, None, params)
@@ -310,7 +317,7 @@ def test_degenerate_small_graphs_terminate():
         adj = {str(i): ([str(i + 1)] if i + 1 < n else []) for i in range(n)}
         g = make_graph(adj)
         part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
-        part.validate(g)
+        part.check(g)
 
 
 def test_detection_beats_singleton_partition():
@@ -320,8 +327,7 @@ def test_detection_beats_singleton_partition():
         if g.num_edges == 0:
             continue
         detected = detect_communities(g, None, params, 0)
-        singleton = Partition.from_assignment(
-            {nid: i for i, nid in enumerate(g.ids())})
+        singleton = Partition(g, np.arange(g.num_nodes))
         assert (semantic_modularity(g, detected, None, params)
                 >= semantic_modularity(g, singleton, None, params) - 1e-12)
 
@@ -334,8 +340,7 @@ def test_detection_beats_singleton_with_semantics():
             continue
         emb = random_embeddings(g, dim=6, seed=seed)
         detected = detect_communities(g, emb, params, 0)
-        singleton = Partition.from_assignment(
-            {nid: i for i, nid in enumerate(g.ids())})
+        singleton = Partition(g, np.arange(g.num_nodes))
         assert (semantic_modularity(g, detected, emb, params)
                 >= semantic_modularity(g, singleton, emb, params) - 1e-12)
 
@@ -351,11 +356,11 @@ def test_detection_invariant_to_record_order():
     assert reordered.ids() == tuple(reversed(g.ids()))
     part1 = detect_communities(g, None, ModularityParams(gamma=1.0), 5)
     part2 = detect_communities(reordered, None, ModularityParams(gamma=1.0), 5)
-    assert part1.assignment == part2.assignment
+    assert assignment(part1) == assignment(part2)
     emb = random_embeddings(g, dim=6, seed=77)
     params = ModularityParams(gamma=0.5)
-    assert (detect_communities(g, emb, params, 5).assignment
-            == detect_communities(reordered, reversed_table(emb), params, 5).assignment)
+    assert (assignment(detect_communities(g, emb, params, 5))
+            == assignment(detect_communities(reordered, reversed_table(emb), params, 5)))
 
 
 def test_detection_deterministic_for_fixed_seed():
@@ -363,7 +368,7 @@ def test_detection_deterministic_for_fixed_seed():
     emb = random_embeddings(g, dim=4, seed=2)
     p1 = detect_communities(g, emb, ModularityParams(gamma=0.5), 3)
     p2 = detect_communities(g, emb, ModularityParams(gamma=0.5), 3)
-    assert p1.assignment == p2.assignment
+    assert assignment(p1) == assignment(p2)
 
 
 def test_edgeless_graph_yields_singletons():
@@ -398,7 +403,7 @@ def planted(n, seed, labels=6, avg_degree=4.0, dim=16):
 
 
 def partition_digest(part):
-    return hashlib.sha256(json.dumps(sorted(part.assignment.items())).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(sorted(assignment(part).items())).encode()).hexdigest()
 
 
 # sha256 of the sorted assignment, recorded with the detection code that built
@@ -464,8 +469,8 @@ def test_detection_matches_recorded_partitions(n, gamma, term, monkeypatch):
     if gamma < 1.0:
         reversed_copy = TextAttributedGraph.from_records(
             list(reversed(g.nodes)), g.class_count)
-        assert (detect_communities(reversed_copy, reversed_table(emb), params, 11).assignment
-                == part.assignment)
+        assert (assignment(detect_communities(reversed_copy, reversed_table(emb), params, 11))
+                == assignment(part))
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -477,7 +482,7 @@ def test_detected_modularity_matches_networkx(seed):
     graph.add_nodes_from(g.ids())
     graph.add_edges_from(edges(g))
     expected = nx.community.modularity(
-        graph, [set(members) for members in part.members_by_community()])
+        graph, [{g.ids()[i] for i in members} for members in part.positions(g)])
     assert part.community_count > 1
     assert semantic_modularity(g, part) == pytest.approx(expected, rel=0, abs=1e-12)
 

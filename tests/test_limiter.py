@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from conftest import edge_set, make_graph, random_graph
+from conftest import assignment, edge_set, make_graph, random_graph
 from tagforge.community import ModularityParams, Partition, detect_communities
 from tagforge.graph import (
     NodeRecord,
@@ -57,13 +57,13 @@ def _profile_distortion(g_sub, g_full):
 
 def utility_by_id(g, part, weights=(1 / 3, 1 / 3)):
     """Selection utility per node id."""
-    util = _utility(g, part.community_array(g), part.community_count, weights)
+    util = _utility(g, part.comm, part.community_count, weights)
     return dict(zip(g.ids(), util.tolist()))
 
 
 def test_isolated_node_weight_is_zero():
     g = make_graph({"iso": [], "x": ["y"], "y": []})
-    part = Partition.from_assignment({"iso": 0, "x": 1, "y": 1})
+    part = Partition(g, [0 if v == "iso" else 1 for v in g.ids()])
     w = utility_by_id(g, part, (1 / 3, 1 / 3))
     assert w["iso"] == 0.0
 
@@ -71,7 +71,7 @@ def test_isolated_node_weight_is_zero():
 def test_max_degree_internal_node_weight_is_the_degree_weight():
     # hub has max degree, all neighbors in its own community
     g = make_graph({"h": ["a", "b", "c"], "a": [], "b": [], "c": []})
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     w = utility_by_id(g, part, (0.5, 0.2))
     assert w["h"] == pytest.approx(0.5)
 
@@ -79,7 +79,7 @@ def test_max_degree_internal_node_weight_is_the_degree_weight():
 def test_pure_bridge_node_with_lambda3_only():
     # lambda3, the bridge weight, is the second of the two lambda_weights
     g = make_graph({"bridge": ["out1", "out2"], "out1": [], "out2": []})
-    part = Partition.from_assignment({"bridge": 0, "out1": 1, "out2": 1})
+    part = Partition(g, [0 if v == "bridge" else 1 for v in g.ids()])
     w = utility_by_id(g, part, (0.0, 1.0))
     assert w["bridge"] == pytest.approx(1.0)
 
@@ -384,7 +384,7 @@ def test_two_cell_targets_six_four():
     adj["6"] = ["7"]
     labels = {str(i): (0 if i < 6 else 1) for i in range(10)}
     g = make_graph(adj, labels=labels, class_count=2)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     result = sample_limited_detailed(g, part, LimiterParams(alpha=0.5))
     assert result.cell_targets == {(0, 0): 3, (1, 0): 2}
     assert result.graph.num_nodes == 5
@@ -406,7 +406,7 @@ def test_selection_breaks_exact_utility_ties_by_key_rank():
 # Its utility function is looked up here, so a test can replace it in both.
 def reference_select(g, partition, params):
     n = g.num_nodes
-    partition.validate(g)
+    partition.check(g)
     total = int(math.floor(params.alpha * n))
     if total < 1:
         raise ValueError(
@@ -415,7 +415,7 @@ def reference_select(g, partition, params):
     ids = g.ids()
     key_rank = g.key_rank()
     k = partition.community_count
-    comm = partition.community_array(g)
+    comm = partition.comm
     cells: dict[tuple, list[int]] = {}
     for i, (rec, c) in enumerate(zip(g.nodes, comm.tolist())):
         cells.setdefault((rec.label, c), []).append(i)
@@ -485,8 +485,7 @@ def _tie_heavy_graph(rng, n):
 def test_selection_matches_per_cell_reference_on_tie_heavy_graphs(seed, monkeypatch):
     rng = np.random.default_rng([seed, 53])
     g = _tie_heavy_graph(rng, int(rng.integers(8, 90)))
-    part = Partition.from_assignment(
-        {v: int(rng.integers(3)) for v in g.ids()})
+    part = Partition(g, [int(rng.integers(3)) for v in g.ids()])
     for alpha in (0.1, 0.5, 0.9):
         _assert_select_matches_reference(g, part, LimiterParams(alpha=alpha))
     # utilities from a small palette with steps below _GAIN_EPS, so a cell's
@@ -521,15 +520,16 @@ def test_cell_counts_invariant_under_repair():
         part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
         result = sample_limited_detailed(g, part, LimiterParams(alpha=0.5))
         got: dict = {}
+        comm_of = assignment(part)
         for rec in result.graph.nodes:
-            key = (rec.label, part.assignment[rec.node_id])
+            key = (rec.label, comm_of[rec.node_id])
             got[key] = got.get(key, 0) + 1
         assert got == {k: v for k, v in result.cell_targets.items() if v > 0}
 
 
 def test_sampling_error_when_alpha_selects_nothing():
     g = make_graph({"a": []})
-    part = Partition.from_assignment({"a": 0})
+    part = Partition(g, [0])
     with pytest.raises(ValueError):
         sample_limited(g, part, LimiterParams(alpha=0.4))
 
@@ -538,7 +538,7 @@ def test_sampling_error_when_alpha_selects_nothing():
 
 def test_repair_noop_when_within_epsilon():
     g = random_graph(16, 0.4, seed=5)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sub = g.subgraph(list(g.ids()))
     repaired, report = connectivity_repair(g, sub, part, LimiterParams())
     assert report.swaps == 0
@@ -555,7 +555,7 @@ def test_repair_single_swap_fixture():
         "far": [],
     }
     g = make_graph(adj, labels={nid: 0 for nid in adj}, class_count=1)
-    part = Partition.from_assignment({nid: 0 for nid in adj})
+    part = Partition(g, [0] * g.num_nodes)
     # sample: h, a, far (far isolated; swapping far for b merges it away)
     sub = g.subgraph(["h", "a", "far"])
     before = _profile_distortion(sub, g)
@@ -574,7 +574,7 @@ def test_repair_no_candidates_warns():
     adj = {"a": ["b"], "b": [], "c": [], "d": []}
     labels = {"a": 0, "b": 0, "c": 0, "d": 1}
     g = make_graph(adj, labels=labels, class_count=2)
-    part = Partition.from_assignment({nid: 0 for nid in adj})
+    part = Partition(g, [0] * g.num_nodes)
     sub = g.subgraph(["a", "b", "c"])   # d (label 1) outside: no same-cell swap
     repaired, report = connectivity_repair(
         g, sub, part, LimiterParams(repair_epsilon=1e-9))
@@ -584,7 +584,7 @@ def test_repair_no_candidates_warns():
 
 def test_repair_rejects_sample_ids_not_in_graph():
     g = make_graph({"a": ["b"], "b": [], "c": []})
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sub = make_graph({"a": [], "ghost": [], "zz": []})
     with pytest.raises(ValueError, match=r"not in the graph: \['ghost', 'zz'\]"):
         connectivity_repair(g, sub, part)
@@ -688,7 +688,7 @@ def test_long_repairs_match_recorded_digests(
         part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     else:
         groups = {"coarse": 4, "one": 1}.get(partition, n)
-        part = Partition.from_assignment({v: i % groups for i, v in enumerate(g.ids())})
+        part = Partition(g, np.arange(g.num_nodes) % groups)
     result = sample_limited_detailed(
         g, part, LimiterParams(alpha=alpha, repair_epsilon=epsilon))
     assert result.repair.swaps == swaps
@@ -726,7 +726,7 @@ def reference_connectivity_repair(
     id_rank[sorted(range(n_g), key=ids.__getitem__)] = np.arange(n_g)
     labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
     # cells numbered in (label, community) order
-    cell = np.unique(labels * partition.community_count + partition.community_array(g),
+    cell = np.unique(labels * partition.community_count + partition.comm,
                      return_inverse=True)[1].ravel()
     n_cells = int(cell.max()) + 1
     a = g.adjacency_csr()
@@ -870,8 +870,7 @@ def test_repair_matches_reference_on_random_graphs(seed):
         part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
     else:
         groups = (2, 3, 7)[kind - 1]
-        part = Partition.from_assignment(
-            {v: int(c) for v, c in zip(g.ids(), rng.integers(groups, size=n))})
+        part = Partition(g, rng.integers(groups, size=n))
     alpha = float(rng.choice([0.2, 0.3, 0.5, 0.7]))
     params = LimiterParams(
         alpha=alpha, repair_epsilon=float(rng.choice([0.0, 0.01, 0.05])),
@@ -893,7 +892,7 @@ def test_repair_matches_reference_when_largest_components_tie():
            "q3": ["o2"], "o1": ["i1"], "o2": ["i2"], "o3": ["i3", "p1"],
            "i1": [], "i2": [], "i3": [], "i4": [], "o4": ["q1", "i4"]}
     g = make_graph(adj)
-    part = Partition.from_assignment({v: 0 for v in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sub = g.subgraph(["p1", "p2", "p3", "q1", "q2", "q3", "i1", "i2", "i3", "i4"])
     sizes = component_labels(sub)[1]
     assert sorted(sizes)[-2:] == [3, 3]
@@ -907,7 +906,7 @@ def test_repair_matches_reference_when_b_neighbours_r():
     # 1 both connect the sample, and the key tie-break takes 0, which is
     # next to 1
     g = make_graph({"9": ["5"], "5": ["1"], "1": ["0"], "0": []})
-    part = Partition.from_assignment({v: 0 for v in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sub = g.subgraph(["9", "5", "0"])
     ids, trace, swaps, _ = _assert_repairs_match(
         g, sub, part, LimiterParams(repair_epsilon=0.0))

@@ -96,8 +96,7 @@ def _two_community_fixture():
         for i, nid in enumerate(group):
             adj[nid] = [group[(i + 1) % len(group)]]
     g = make_graph(adj)
-    part = Partition.from_assignment(
-        {**{nid: 0 for nid in big}, **{nid: 1 for nid in small}})
+    part = Partition(g, [1 if nid in small else 0 for nid in g.ids()])
     return g, part, small, big
 
 
@@ -116,7 +115,7 @@ def test_semantic_seed_prefers_small_tight_community():
 
 def test_semantic_seed_single_community():
     g = make_graph({"a": ["b"], "b": []})
-    part = Partition.from_assignment({"a": 0, "b": 0})
+    part = Partition(g, [0, 0])
     emb = random_embeddings(g, dim=3, seed=1)
     sel = select_seed(g, part, emb, EnhancementMode.SEMANTIC, PerceptionParams())
     assert sel.nodes == frozenset({"a", "b"})
@@ -127,7 +126,7 @@ def test_topological_seed_picks_minority_train_nodes():
     adj["0"] = ["1"]
     labels = {str(i): (1 if i >= 10 else 0) for i in range(12)}
     g = make_graph(adj, labels=labels, class_count=2)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sel = select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
     assert sel.nodes == frozenset({"10", "11"})
     assert sel.descriptor == "label:1"
@@ -139,7 +138,7 @@ def test_topological_seed_returns_only_train_nodes():
     masks = {str(i): ("Train" if i < 3 else "Test") for i in range(8)}
     # Train counts: label 0 -> {0, 2}, label 1 -> {1}; minority is label 1
     g = make_graph(adj, labels=labels, class_count=2, masks=masks)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     sel = select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
     assert sel.nodes == frozenset({"1"})
     for nid in sel.nodes:
@@ -148,7 +147,7 @@ def test_topological_seed_returns_only_train_nodes():
 
 def test_topological_seed_without_train_nodes_is_error():
     g = make_graph({"a": []}, masks={"a": "Test"})
-    part = Partition.from_assignment({"a": 0})
+    part = Partition(g, [0])
     with pytest.raises(ValueError):
         select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
 
@@ -262,7 +261,7 @@ def test_capsule_is_subset_of_top_slice_plus_delegates():
         ranked = sorted(pi, key=lambda n: (-pi[n], node_sort_key(n)))
         k_count = max(1, math.ceil(len(ranked) * 0.20))
         top = set(ranked[:k_count])
-        members = part.members_by_community()
+        members = members_by_community(part)
         quota = min(len(members), math.ceil(25 / 5))
         order = sorted(range(len(members)),
                        key=lambda c: (-len(members[c]),
@@ -301,7 +300,7 @@ def test_empty_scores_error():
 
 def test_report_single_class_single_community():
     g = make_graph({"a": ["b"], "b": ["c"], "c": []})
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     report = build_report(g, part, None)
     assert report.class_stats[0].fraction == pytest.approx(1.0)
     assert report.community_stats[0].fraction_of_graph == pytest.approx(1.0)
@@ -348,7 +347,7 @@ def test_report_has_case_study_field_names():
 
 def test_report_semantic_placeholder_without_embeddings():
     g = make_graph({"a": ["b"], "b": []})
-    part = Partition.from_assignment({"a": 0, "b": 0})
+    part = Partition(g, [0, 0])
     obj = build_report(g, part, None).to_json_obj()
     assert "placeholder" in obj["SemanticDistribution"]
 
@@ -356,7 +355,7 @@ def test_report_semantic_placeholder_without_embeddings():
 def test_report_label_centroid_matrix_with_embeddings():
     g = make_graph({"a": ["b"], "b": [], "c": []},
                    labels={"a": 0, "b": 0, "c": 1}, class_count=2)
-    part = Partition.from_assignment({nid: 0 for nid in g.ids()})
+    part = Partition(g, [0] * g.num_nodes)
     emb = EmbeddingTable({"a": [1.0, 0.0], "b": [1.0, 0.1], "c": [0.0, 1.0]})
     obj = build_report(g, part, emb).to_json_obj()
     sem = obj["SemanticDistribution"]["label_centroid_similarity"]
@@ -382,12 +381,24 @@ def test_report_json_matches_recorded_digest(seed, n, p, gamma, empty_classes, d
 
 # string-keyed copies -----------------------------------------------------------------
 
+def members_by_community(partition):
+    """Each community's ids sorted by ``node_sort_key``: the string-keyed
+    ``Partition.members_by_community`` that the copies below read, on the
+    position-indexed partition. Ids with equal keys keep position order."""
+    out = [[] for _ in range(partition.community_count)]
+    for node_id, c in zip(partition.ids, partition.comm.tolist()):
+        out[c].append(node_id)
+    for members in out:
+        members.sort(key=node_sort_key)
+    return out
+
+
 # Seed selection and capsule sampling as they were before they moved onto node
 # positions, kept word for word as the oracles of the position versions, except
 # that seed selection reads the embedding table by position, the only way the
-# table can be read. They break ties between ids with equal ``node_sort_key``
-# (such as "1" and "01") by the order of the ppr mapping or of the partition's
-# assignment dict.
+# table can be read, and both check the partition as the position versions do.
+# They break ties between ids with equal ``node_sort_key`` (such as "1" and
+# "01") by the order of the ppr mapping or by graph position.
 def reference_select_seed(
     g: TextAttributedGraph,
     partition: Partition,
@@ -397,10 +408,10 @@ def reference_select_seed(
 ) -> SeedSelection:
     mode = EnhancementMode(mode)
     if mode is EnhancementMode.SEMANTIC:
-        partition.validate(g)
+        partition.check(g)
         if emb is not None:
             emb.check(g)
-        members = partition.members_by_community()
+        members = members_by_community(partition)
         best_idx, best_score = None, None
         for idx, group in enumerate(members):
             if emb is not None and len(group) > 0:
@@ -452,8 +463,8 @@ def reference_sample_knowledge(
 
     delegates: list[str] = []
     if partition is not None:
-        partition.validate(g)
-        members = partition.members_by_community()
+        partition.check(g)
+        members = members_by_community(partition)
         quota = min(len(members), math.ceil(params.capsule_size / 5))
         ordered = sorted(
             range(len(members)),
@@ -506,16 +517,12 @@ def _distinct_key_graph(rng, n):
 
 
 def _random_partition(rng, g):
-    """A partition with a random number of communities, from an assignment
-    dict in shuffled order, numbered in random order rather than by smallest
-    member."""
-    ids = list(g.ids())
-    k = int(rng.integers(1, len(ids) + 1))
-    canon = Partition.from_assignment(
-        {ids[i]: int(rng.integers(k)) for i in rng.permutation(len(ids)).tolist()})
-    relabel = rng.permutation(canon.community_count).tolist()
-    return Partition({v: relabel[c] for v, c in canon.assignment.items()},
-                     canon.community_count)
+    """A partition with a random number of communities, from labels drawn
+    for the positions in shuffled order."""
+    k = int(rng.integers(1, g.num_nodes + 1))
+    labels = np.empty(g.num_nodes, dtype=np.int64)
+    labels[rng.permutation(g.num_nodes)] = rng.integers(k, size=g.num_nodes)
+    return Partition(g, labels)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -552,7 +559,7 @@ def test_emptied_pool_falls_back_to_top_slice_and_still_validates():
     assert capsule == reference_sample_knowledge(g, pi, params, 3, part)
     assert len(capsule) == 6
     with pytest.raises(ValueError):
-        sample_knowledge(g, pi, params, 3, Partition.from_assignment({"0": 0}))
+        sample_knowledge(g, pi, params, 3, Partition(make_graph({"0": []}), [0]))
 
 
 class RecordingArray(np.ndarray):
@@ -626,16 +633,16 @@ def _equal_key_leaves_fixture():
     adj.update({v: [w] for v, w in zip(path, path[1:])})
     adj["t39"] = []
     g = make_graph(adj)
-    rest = {v: 1 for v in ["h", "s", *path]}
-    p1 = Partition.from_assignment({"1": 0, "01": 0, **rest})
-    p2 = Partition.from_assignment({"01": 0, "1": 0, **rest})
+    # one partition from two labellings
+    p1 = Partition(g, [0 if v in ("1", "01") else 1 for v in g.ids()])
+    p2 = Partition(g, [7 if v in ("1", "01") else 3 for v in g.ids()])
     return g, p1, p2
 
 
 def test_equal_partitions_give_equal_capsules_with_equal_keys():
     g, p1, p2 = _equal_key_leaves_fixture()
     pi = personalized_pagerank(g, ["t20"])
-    assert p1 == p2 and pi["1"] == pi["01"]
+    assert np.array_equal(p1.comm, p2.comm) and pi["1"] == pi["01"]
     for rng_seed in range(5):
         got = sample_knowledge(g, pi, PerceptionParams(), rng_seed, p1)
         assert got == sample_knowledge(g, pi, PerceptionParams(), rng_seed, p2)
@@ -645,8 +652,8 @@ def test_equal_partitions_give_equal_capsules_with_equal_keys():
         # the tie goes to the graph's first position of the two
         assert g.ids().index("01") < g.ids().index("1")
         assert "01" in got.node_ids and "1" not in got.node_ids
-        # the string-keyed copy gave each partition's first-built id instead
-        assert "1" in reference_sample_knowledge(g, pi, PerceptionParams(), rng_seed,
-                                                 p1).node_ids
-        assert "01" in reference_sample_knowledge(g, pi, PerceptionParams(), rng_seed,
-                                                  p2).node_ids
+        # so does the string-keyed copy, whose member lists keep position
+        # order between equal keys
+        for scores in (pi, dict(reversed(pi.items()))):
+            assert got == reference_sample_knowledge(
+                g, scores, PerceptionParams(), rng_seed, p1)
