@@ -42,8 +42,9 @@ def rows(args, clock):
         g = graph_from_json_obj(planted_graph(n, degree, seed))
         part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
         for alpha in args.alphas:
-            selected = sample_limited_detailed(
+            unrepaired = sample_limited_detailed(
                 g, part, LimiterParams(alpha=alpha, max_repair_swaps=0)).graph
+            selected = [g.index_of(v) for v in unrepaired.ids()]
             for epsilon in args.epsilons:
                 params = LimiterParams(alpha=alpha, repair_epsilon=epsilon)
                 (sample, report), seconds = clock(connectivity_repair, g, selected, part, params)

@@ -151,7 +151,7 @@ class TextAttributedGraph:
 
     __slots__ = (
         "nodes", "class_count", "normalization_fixes",
-        "_pos", "_num_edges", "_degrees", "_csr", "_key_rank",
+        "_ids", "_pos", "_num_edges", "_degrees", "_csr", "_key_rank",
     )
 
     def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
@@ -159,7 +159,8 @@ class TextAttributedGraph:
         self.nodes = nodes
         self.class_count = class_count
         self.normalization_fixes = normalization_fixes
-        self._pos = {rec.node_id: i for i, rec in enumerate(nodes)}
+        self._ids = tuple(rec.node_id for rec in nodes)
+        self._pos = {node_id: i for i, node_id in enumerate(self._ids)}
         self._num_edges = sum(len(rec.neighbors) for rec in nodes) // 2
         self._degrees = None
         self._csr = None
@@ -227,7 +228,8 @@ class TextAttributedGraph:
         return self._num_edges
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(rec.node_id for rec in self.nodes)
+        """Each position's id, built once per graph."""
+        return self._ids
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._pos
@@ -268,7 +270,7 @@ class TextAttributedGraph:
         by position: ids with equal keys, such as "1" and "01", share a rank
         and tie by position."""
         if self._key_rank is None:
-            self._key_rank = _key_order(self.ids())[1]
+            self._key_rank = _key_order(self._ids)[1]
             self._key_rank.flags.writeable = False
         return self._key_rank
 

@@ -438,12 +438,14 @@ class _RepairState:
 
 def connectivity_repair(
     g: TextAttributedGraph,
-    sub: TextAttributedGraph,
+    selected: Sequence[int] | np.ndarray,
     partition: Partition,
     params: LimiterParams = LimiterParams(),
 ) -> tuple[TextAttributedGraph, RepairReport]:
     """Swap sampled nodes for outside nodes of the same (label, community)
     cell while the swap strictly reduces the component-profile distortion.
+    The sample is given by the node positions ``selected`` (repeats count
+    once), and the repaired sample comes back as a subgraph of ``g``.
 
     Stops once distortion falls within ``repair_epsilon``, no improving
     same-cell swap remains, or the swap budget (default twice the sample
@@ -464,11 +466,13 @@ def connectivity_repair(
     of the moment: its cost follows the number of pairs and what the swap
     touched, plus one pass over a node-length buffer, not the edge count.
     """
-    foreign = [v for v in sub.ids() if not g.has_node(v)]
-    if foreign:
-        raise ValueError(f"sample holds ids not in the graph: {foreign[:10]}")
-    partition.check(g)
     n_g = g.num_nodes
+    picked = np.asarray(selected)
+    if not picked.size:
+        raise ValueError("sample must be nonempty")
+    if picked.dtype.kind not in "iu" or picked.min() < 0 or picked.max() >= n_g:
+        raise ValueError(f"sample must be positions in [0, {n_g}): {picked.tolist()[:10]}")
+    partition.check(g)
     ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
 
@@ -479,10 +483,8 @@ def connectivity_repair(
     cell = _cells(g, partition.comm, partition.community_count)[0]
 
     mask = np.zeros(n_g, dtype=bool)
-    mask[[g.index_of(v) for v in sub.ids()]] = True
+    mask[picked] = True
     n_s = int(mask.sum())
-    if n_s == 0:
-        raise ValueError("sample must be nonempty")
     max_swaps = params.max_repair_swaps if params.max_repair_swaps is not None else 2 * n_s
 
     st = _RepairState(g, mask, cell, key_rank, id_rank)
@@ -618,9 +620,7 @@ def sample_limited_detailed(
         raise ValueError(
             f"alpha * n = {params.alpha * n:.3f} selects no nodes; raise alpha")
     selected, cell_targets = _select(g, partition, params, total)
-    ids = g.ids()
-    sub = g.subgraph(ids[i] for i in selected.tolist())
-    repaired, report = connectivity_repair(g, sub, partition, params)
+    repaired, report = connectivity_repair(g, selected, partition, params)
     return LimitResult(graph=repaired, cell_targets=cell_targets, repair=report)
 
 

@@ -61,7 +61,7 @@ class PerceptionParams:
 
 
 class SeedSelection(NamedTuple):
-    nodes: frozenset
+    nodes: frozenset[int]
     descriptor: str
 
 
@@ -99,7 +99,7 @@ def select_seed(
     mode: EnhancementMode,
     params: PerceptionParams = PerceptionParams(),
 ) -> SeedSelection:
-    """Pick the region the retrieval walk should favor.
+    """Pick the region the retrieval walk should favor, as node positions.
 
     Semantic mode scores each community by size * (1 + mu * Var) with Var the
     mean per-dimension variance of member embeddings, and takes the minimizer:
@@ -108,7 +108,6 @@ def select_seed(
     training label.
     """
     mode = EnhancementMode(mode)
-    ids = g.ids()
     if mode is EnhancementMode.SEMANTIC:
         partition.check(g)
         if emb is not None:
@@ -122,37 +121,37 @@ def select_seed(
             if best_score is None or score < best_score - 1e-15:
                 best, best_score = (idx, members), score
         idx, members = best
-        return SeedSelection(frozenset(ids[i] for i in members.tolist()), f"community:{idx}")
+        return SeedSelection(frozenset(members.tolist()), f"community:{idx}")
 
     imbalance = train_imbalance(g)
     if imbalance is None:
         raise ValueError("topological seed selection requires training nodes")
     target = min(sorted(imbalance), key=lambda lbl: (-imbalance[lbl], lbl))
     train_label = np.array([rec.label if rec.mask == "Train" else -1 for rec in g.nodes])
-    nodes = frozenset(ids[i] for i in np.flatnonzero(train_label == target))
-    return SeedSelection(nodes, f"label:{target}")
+    return SeedSelection(frozenset(np.flatnonzero(train_label == target).tolist()),
+                         f"label:{target}")
 
 
 def personalized_pagerank(
     g: TextAttributedGraph,
-    seed_nodes: Iterable[str],
+    seed_positions: Iterable[int],
     params: PerceptionParams = PerceptionParams(),
-) -> dict[str, float]:
-    """Random-walk-with-restart scores restarting uniformly over the seeds.
+) -> np.ndarray:
+    """Random-walk-with-restart scores of each node position, restarting
+    uniformly over the seed positions (repeats count once).
 
     Dangling nodes hand their probability mass back to the teleport vector.
     Iterates until the L1 change drops below tolerance, else raises
     PprConvergenceError carrying the final residual.
     """
-    seeds = set(seed_nodes)
-    if not seeds:
+    seeds = np.unique(list(seed_positions))
+    if not seeds.size:
         raise ValueError("seed set must be nonempty")
-    unknown = sorted(s for s in seeds if not g.has_node(s))
-    if unknown:
-        raise ValueError(f"seed nodes not in graph: {unknown[:10]}")
+    if seeds.dtype.kind not in "iu" or seeds[0] < 0 or seeds[-1] >= g.num_nodes:
+        raise ValueError(f"seeds must be positions in [0, {g.num_nodes}): {seeds.tolist()[:10]}")
 
     v = np.zeros(g.num_nodes)
-    v[[g.index_of(s) for s in seeds]] = 1.0 / len(seeds)
+    v[seeds] = 1.0 / seeds.size
     deg = g.degrees().astype(np.float64)
     dangling = deg == 0.0
     safe_deg = np.where(dangling, 1.0, deg)
@@ -170,7 +169,7 @@ def personalized_pagerank(
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
         if residual < params.ppr_tolerance:
-            return dict(zip(g.ids(), pi.tolist()))
+            return pi
     raise PprConvergenceError(
         f"personalized pagerank did not converge within {params.ppr_max_iters} "
         f"iterations (residual {residual:.3e})", residual)
@@ -208,12 +207,13 @@ class KnowledgeCapsule:
 
 def sample_knowledge(
     g: TextAttributedGraph,
-    ppr: Mapping[str, float],
+    pi: np.ndarray,
     params: PerceptionParams = PerceptionParams(),
     rng_seed: int = 0,
     partition: Partition | None = None,
 ) -> KnowledgeCapsule:
-    """Draw the knowledge capsule from PageRank scores.
+    """Draw the knowledge capsule from the PageRank score of each node
+    position.
 
     Nodes rank by descending score, then in the graph's canonical order, so
     ids with equal keys such as "1" and "01" tie by graph position. The top
@@ -225,18 +225,14 @@ def sample_knowledge(
     top-slice plus delegates. If every retention draw fails, the top slice is
     used outright.
     """
-    if not ppr:
-        raise ValueError("ppr scores must be nonempty")
-    missing = [nid for nid in ppr if not g.has_node(nid)]
-    if missing:
-        raise ValueError(f"ppr scores reference unknown nodes: {missing[:10]}")
-
-    n = len(ppr)
-    pos = np.fromiter(map(g.index_of, ppr), dtype=np.int64, count=n)
-    score = np.fromiter(ppr.values(), dtype=np.float64, count=n)
-    # place j holds the j-th scored node in rank order
-    ranked = np.lexsort((pos, g.key_rank()[pos], -score))
-    pos, score = pos[ranked], score[ranked]
+    n = g.num_nodes
+    pi = np.asarray(pi, dtype=np.float64)
+    if pi.shape != (n,) or not n:
+        raise ValueError(f"ppr scores must be a nonempty array of shape ({n},), got {pi.shape}")
+    # place j holds the j-th node in rank order; lexsort is stable, so equal
+    # scores and keys keep position order
+    pos = np.lexsort((g.key_rank(), -pi))
+    score = pi[pos]
     k_count = max(1, math.ceil(n * params.top_k_percent / 100.0))
     if score[0] <= 0.0:
         raise ValueError("ppr scores must contain a positive maximum")
@@ -255,8 +251,7 @@ def sample_knowledge(
         # communities are numbered in canonical order, so size ties go to
         # the community whose first node comes first
         largest = np.argsort(-np.bincount(comm, minlength=k), kind="stable")[:quota]
-        delegates = first_place[largest]
-        pool[delegates[delegates < n]] = True
+        pool[first_place[largest]] = True
 
     target = min(params.capsule_size, n)
     if not retained:
@@ -265,12 +260,10 @@ def sample_knowledge(
     short = target - int(pool.sum())
     if short > 0:
         pool[np.flatnonzero(~pool[:k_count])[:short]] = True
-    records = tuple(g.nodes[i] for i in pos[np.flatnonzero(pool)[:target]].tolist())
-    return KnowledgeCapsule(
-        node_ids=tuple(rec.node_id for rec in records),
-        records=records,
-        ppr_scores={rec.node_id: float(ppr[rec.node_id]) for rec in records},
-    )
+    chosen = pos[np.flatnonzero(pool)[:target]]
+    records = tuple(g.nodes[i] for i in chosen.tolist())
+    node_ids = tuple(rec.node_id for rec in records)
+    return KnowledgeCapsule(node_ids, records, dict(zip(node_ids, pi[chosen].tolist())))
 
 
 # environment report -------------------------------------------------------

@@ -200,6 +200,18 @@ def test_round_trip_preserves_everything(tmp_path):
         assert g2.node(nid) == g.node(nid)
 
 
+def test_ids_are_built_once_and_follow_the_records(tmp_path):
+    g = random_graph(20, 0.2, seed=3)
+    path = tmp_path / "g.json"
+    save_graph(g, str(path))
+    delta = SynthesizedDelta((NodeRecord("new", 0, "synthesized node text body", ()),),
+                             (("new", "4"),))
+    for h in (load_graph(str(path)), TextAttributedGraph.from_records(g.nodes[::-1], 3),
+              merge_synthesis(g, delta), g.subgraph(["7", "2", "11"]), make_graph({})):
+        assert h.ids() is h.ids()
+        assert h.ids() == tuple(rec.node_id for rec in h.nodes)
+
+
 def test_unicode_text_survives_round_trip(tmp_path):
     g = make_graph({"a": []}, texts={"a": "analyse sémantique — graphen 日本語"})
     path = tmp_path / "u.json"

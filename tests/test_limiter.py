@@ -539,10 +539,9 @@ def test_sampling_error_when_alpha_selects_nothing():
 def test_repair_noop_when_within_epsilon():
     g = random_graph(16, 0.4, seed=5)
     part = Partition(g, [0] * g.num_nodes)
-    sub = g.subgraph(list(g.ids()))
-    repaired, report = connectivity_repair(g, sub, part, LimiterParams())
+    repaired, report = connectivity_repair(g, range(g.num_nodes), part, LimiterParams())
     assert report.swaps == 0
-    assert edge_set(repaired) == edge_set(sub)
+    assert edge_set(repaired) == edge_set(g)
 
 
 def test_repair_single_swap_fixture():
@@ -559,7 +558,8 @@ def test_repair_single_swap_fixture():
     # sample: h, a, far (far isolated; swapping far for b merges it away)
     sub = g.subgraph(["h", "a", "far"])
     before = _profile_distortion(sub, g)
-    repaired, report = connectivity_repair(g, sub, part, LimiterParams(repair_epsilon=0.01))
+    repaired, report = connectivity_repair(
+        g, positions(g, sub), part, LimiterParams(repair_epsilon=0.01))
     after = _profile_distortion(repaired, g)
     assert report.swaps >= 1
     assert after < before
@@ -577,17 +577,22 @@ def test_repair_no_candidates_warns():
     part = Partition(g, [0] * g.num_nodes)
     sub = g.subgraph(["a", "b", "c"])   # d (label 1) outside: no same-cell swap
     repaired, report = connectivity_repair(
-        g, sub, part, LimiterParams(repair_epsilon=1e-9))
+        g, positions(g, sub), part, LimiterParams(repair_epsilon=1e-9))
     assert report.swaps == 0
     assert report.warning is not None
 
 
-def test_repair_rejects_sample_ids_not_in_graph():
+@pytest.mark.parametrize("selected, message", [
+    ([], "nonempty"), (np.zeros(0, dtype=np.int64), "nonempty"),
+    ([-1, 0], r"positions in \[0, 3\)"), ([0, 3], r"positions in \[0, 3\)"),
+    (["a"], "positions"), ([0.0, 1.0], "positions"), ([True], "positions"),
+], ids=["empty", "empty-array", "minus-one", "n", "id", "float", "bool"])
+def test_repair_rejects_selections_that_are_not_positions(selected, message):
     g = make_graph({"a": ["b"], "b": [], "c": []})
     part = Partition(g, [0] * g.num_nodes)
-    sub = make_graph({"a": [], "ghost": [], "zz": []})
-    with pytest.raises(ValueError, match=r"not in the graph: \['ghost', 'zz'\]"):
-        connectivity_repair(g, sub, part)
+    connectivity_repair(g, [0, 2, 2], part)
+    with pytest.raises(ValueError, match=message):
+        connectivity_repair(g, selected, part)
 
 
 def test_repair_preserves_node_count_and_cells():
@@ -851,8 +856,13 @@ def _repair_outcome(result):
             report.swaps, report.warning)
 
 
+def positions(g, sub):
+    """The positions in ``g`` of the nodes of its subgraph ``sub``."""
+    return [g.index_of(v) for v in sub.ids()]
+
+
 def _assert_repairs_match(g, sub, part, params):
-    got = _repair_outcome(connectivity_repair(g, sub, part, params))
+    got = _repair_outcome(connectivity_repair(g, positions(g, sub), part, params))
     want = _repair_outcome(reference_connectivity_repair(g, sub, part, params))
     assert got == want
     return got

@@ -233,12 +233,12 @@ CONSUMERS = {
     "semantic_modularity": lambda g, part: semantic_modularity(g, part),
     "select_seed": lambda g, part: select_seed(g, part, None, EnhancementMode.SEMANTIC),
     "sample_knowledge": lambda g, part: sample_knowledge(
-        g, personalized_pagerank(g, [g.ids()[0]]), partition=part),
+        g, personalized_pagerank(g, [0]), partition=part),
     "build_report": lambda g, part: build_report(g, part),
     "sample_limited_detailed": lambda g, part: sample_limited_detailed(
         g, part, LimiterParams(alpha=0.5)),
     "connectivity_repair": lambda g, part: connectivity_repair(
-        g, g.subgraph(g.ids()[:3]), part, LimiterParams(alpha=0.5)),
+        g, [0, 1, 2], part, LimiterParams(alpha=0.5)),
 }
 
 

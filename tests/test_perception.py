@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from tagforge.perception import (
     build_report,
     class_imbalance,
     fallback_mode,
+    log,
     personalized_pagerank,
     report_to_json,
     sample_knowledge,
@@ -36,13 +37,15 @@ from tagforge.perception import (
 
 def oracle_ppr(g, seeds, alpha):
     """Dense direct solve of pi = alpha v + (1-alpha) M pi, where column j of
-    M is A[:,j]/deg_j for non-dangling j and the teleport vector otherwise."""
+    M is A[:,j]/deg_j for non-dangling j and the teleport vector otherwise.
+    ``seeds`` are distinct node positions; the result holds each position's
+    score."""
     ids = g.ids()
     pos = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     v = np.zeros(n)
     for s in seeds:
-        v[pos[s]] = 1.0 / len(seeds)
+        v[s] = 1.0 / len(seeds)
     a = np.zeros((n, n))
     for x, y in edges(g):
         a[pos[x], pos[y]] = a[pos[y], pos[x]] = 1.0
@@ -53,8 +56,16 @@ def oracle_ppr(g, seeds, alpha):
             m[:, j] = a[:, j] / deg[j]
         else:
             m[:, j] = v
-    pi = np.linalg.solve(np.eye(n) - (1 - alpha) * m, alpha * v)
-    return {ids[i]: pi[i] for i in range(n)}
+    return np.linalg.solve(np.eye(n) - (1 - alpha) * m, alpha * v)
+
+
+def by_id(g, pi):
+    """Each id's score, from the score of each position."""
+    return dict(zip(g.ids(), pi.tolist()))
+
+
+def seed_ids(g, sel):
+    return frozenset(g.ids()[i] for i in sel.nodes)
 
 
 # class imbalance ------------------------------------------------------------------
@@ -109,7 +120,7 @@ def test_semantic_seed_prefers_small_tight_community():
         vecs[nid] = base + rng.normal(scale=0.01, size=4)
     emb = EmbeddingTable(vecs)
     sel = select_seed(g, part, emb, EnhancementMode.SEMANTIC, PerceptionParams())
-    assert sel.nodes == frozenset(small)
+    assert seed_ids(g, sel) == frozenset(small)
     assert sel.descriptor.startswith("community:")
 
 
@@ -118,7 +129,7 @@ def test_semantic_seed_single_community():
     part = Partition(g, [0, 0])
     emb = random_embeddings(g, dim=3, seed=1)
     sel = select_seed(g, part, emb, EnhancementMode.SEMANTIC, PerceptionParams())
-    assert sel.nodes == frozenset({"a", "b"})
+    assert sel.nodes == frozenset({0, 1})
 
 
 def test_topological_seed_picks_minority_train_nodes():
@@ -128,7 +139,7 @@ def test_topological_seed_picks_minority_train_nodes():
     g = make_graph(adj, labels=labels, class_count=2)
     part = Partition(g, [0] * g.num_nodes)
     sel = select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
-    assert sel.nodes == frozenset({"10", "11"})
+    assert seed_ids(g, sel) == frozenset({"10", "11"})
     assert sel.descriptor == "label:1"
 
 
@@ -140,9 +151,9 @@ def test_topological_seed_returns_only_train_nodes():
     g = make_graph(adj, labels=labels, class_count=2, masks=masks)
     part = Partition(g, [0] * g.num_nodes)
     sel = select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
-    assert sel.nodes == frozenset({"1"})
-    for nid in sel.nodes:
-        assert g.node(nid).mask == "Train"
+    assert seed_ids(g, sel) == frozenset({"1"})
+    for i in sel.nodes:
+        assert g.nodes[i].mask == "Train"
 
 
 def test_topological_seed_without_train_nodes_is_error():
@@ -156,25 +167,24 @@ def test_topological_seed_without_train_nodes_is_error():
 
 def test_single_node_ppr():
     g = make_graph({"only": []})
-    pi = personalized_pagerank(g, ["only"], PerceptionParams())
-    assert pi == {"only": pytest.approx(1.0)}
+    pi = personalized_pagerank(g, [0], PerceptionParams())
+    assert pi.tolist() == [pytest.approx(1.0)]
 
 
 def test_two_node_path_analytic():
     g = make_graph({"A": ["B"], "B": []})
-    pi = personalized_pagerank(g, ["A"], PerceptionParams())
-    assert pi["A"] == pytest.approx(0.540541, abs=1e-6)
-    assert pi["B"] == pytest.approx(0.459459, abs=1e-6)
+    pi = personalized_pagerank(g, [g.index_of("A")], PerceptionParams())
+    assert pi[g.index_of("A")] == pytest.approx(0.540541, abs=1e-6)
+    assert pi[g.index_of("B")] == pytest.approx(0.459459, abs=1e-6)
 
 
 def test_teleport_dominance():
     g = random_graph(20, 0.2, seed=1)
-    seeds = list(g.ids())[:4]
     params = PerceptionParams(teleport_alpha=0.999)
-    pi = personalized_pagerank(g, seeds, params)
-    v = {nid: (1 / len(seeds) if nid in seeds else 0.0) for nid in g.ids()}
-    l1 = sum(abs(pi[nid] - v[nid]) for nid in g.ids())
-    assert l1 < 0.01
+    pi = personalized_pagerank(g, range(4), params)
+    v = np.zeros(g.num_nodes)
+    v[:4] = 1 / 4
+    assert np.abs(pi - v).sum() < 0.01
 
 
 def test_ppr_matches_dense_solve():
@@ -183,35 +193,40 @@ def test_ppr_matches_dense_solve():
         n = int(rng.integers(3, 50))
         g = random_graph(n, 0.15, seed=trial + 500)
         k = int(rng.integers(1, min(4, n) + 1))
-        seeds = list(rng.choice(g.ids(), size=k, replace=False))
+        seeds = rng.choice(n, size=k, replace=False)
         pi = personalized_pagerank(g, seeds, PerceptionParams())
-        want = oracle_ppr(g, set(seeds), 0.15)
-        l1 = sum(abs(pi[nid] - want[nid]) for nid in g.ids())
-        assert l1 < 1e-8
+        assert np.abs(pi - oracle_ppr(g, seeds, 0.15)).sum() < 1e-8
 
 
 def test_ppr_is_a_distribution():
     for seed in range(6):
         g = random_graph(30, 0.1, seed=seed + 900)
-        pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
-        assert all(p >= 0 for p in pi.values())
-        assert abs(sum(pi.values()) - 1.0) < 1e-9
+        pi = personalized_pagerank(g, [0], PerceptionParams())
+        assert pi.dtype == np.float64 and pi.shape == (g.num_nodes,)
+        assert (pi >= 0).all()
+        assert abs(pi.sum() - 1.0) < 1e-9
 
 
 def test_ppr_nonconvergence_raises_with_residual():
     g = random_graph(25, 0.2, seed=3)
     params = PerceptionParams(ppr_tolerance=1e-10, ppr_max_iters=1)
     with pytest.raises(PprConvergenceError) as err:
-        personalized_pagerank(g, [g.ids()[0]], params)
+        personalized_pagerank(g, [0], params)
     assert err.value.residual > 0
 
 
+def test_ppr_repeated_seeds_count_once():
+    g = random_graph(20, 0.2, seed=1)
+    assert np.array_equal(personalized_pagerank(g, [3, 5, 3, 3]),
+                          personalized_pagerank(g, {5, 3}))
+
+
 def test_ppr_validates_seeds():
-    g = make_graph({"a": []})
-    with pytest.raises(ValueError):
-        personalized_pagerank(g, [], PerceptionParams())
-    with pytest.raises(ValueError):
-        personalized_pagerank(g, ["ghost"], PerceptionParams())
+    g = make_graph({"a": ["b"], "b": [], "c": []})
+    # no seed, a position outside [0, n), an id, a bool
+    for seeds in ([], [-1], [3], [0, 3], ["0"], [True]):
+        with pytest.raises(ValueError, match="seed"):
+            personalized_pagerank(g, seeds, PerceptionParams())
 
 
 # capsule ------------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def test_ppr_validates_seeds():
 def _hundred_node_fixture():
     g = random_graph(100, 0.06, seed=42)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
-    pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
+    pi = personalized_pagerank(g, [0], PerceptionParams())
     return g, part, pi
 
 
@@ -227,10 +242,10 @@ def test_large_beta_gives_top_n_by_score():
     g, part, pi = _hundred_node_fixture()
     params = PerceptionParams(retention_beta=1e6, top_k_percent=50.0, capsule_size=30)
     capsule = sample_knowledge(g, pi, params, rng_seed=0, partition=None)
-    ranked = sorted(pi, key=lambda nid: (-pi[nid], nid))
-    from tagforge.graph import node_sort_key
-    ranked = sorted(pi, key=lambda nid: (-pi[nid], node_sort_key(nid)))
+    score = by_id(g, pi)
+    ranked = sorted(score, key=lambda nid: (-score[nid], node_sort_key(nid)))
     assert list(capsule.node_ids) == ranked[:30]
+    assert capsule.ppr_scores == {nid: score[nid] for nid in ranked[:30]}
 
 
 def test_fixed_seed_capsule_reproducible():
@@ -243,7 +258,7 @@ def test_fixed_seed_capsule_reproducible():
 
 def test_whole_graph_when_capacity_allows():
     g = random_graph(12, 0.3, seed=5)
-    pi = personalized_pagerank(g, [g.ids()[0]], PerceptionParams())
+    pi = personalized_pagerank(g, [0], PerceptionParams())
     params = PerceptionParams(top_k_percent=100.0, retention_beta=1e6,
                               capsule_size=50)
     capsule = sample_knowledge(g, pi, params, rng_seed=0)
@@ -252,13 +267,13 @@ def test_whole_graph_when_capacity_allows():
 
 def test_capsule_is_subset_of_top_slice_plus_delegates():
     g, part, pi = _hundred_node_fixture()
-    from tagforge.graph import node_sort_key
+    score = by_id(g, pi)
     for seed in range(10):
         params = PerceptionParams(top_k_percent=20.0, retention_beta=0.8,
                                   capsule_size=25)
         capsule = sample_knowledge(g, pi, params, rng_seed=seed, partition=part)
         assert len(capsule) <= 25
-        ranked = sorted(pi, key=lambda n: (-pi[n], node_sort_key(n)))
+        ranked = sorted(score, key=lambda n: (-score[n], node_sort_key(n)))
         k_count = max(1, math.ceil(len(ranked) * 0.20))
         top = set(ranked[:k_count])
         members = members_by_community(part)
@@ -266,34 +281,38 @@ def test_capsule_is_subset_of_top_slice_plus_delegates():
         order = sorted(range(len(members)),
                        key=lambda c: (-len(members[c]),
                                       min(node_sort_key(v) for v in members[c])))
-        delegates = set()
-        for c in order[:quota]:
-            group = [v for v in members[c] if v in pi]
-            if group:
-                delegates.add(min(group, key=lambda n: (-pi[n], node_sort_key(n))))
+        delegates = {min(members[c], key=lambda n: (-score[n], node_sort_key(n)))
+                     for c in order[:quota]}
         assert set(capsule.node_ids) <= top | delegates
 
 
 def test_raising_beta_never_shrinks_retention():
     g, part, pi = _hundred_node_fixture()
-    from tagforge.graph import node_sort_key
-    ranked = sorted(pi, key=lambda n: (-pi[n], node_sort_key(n)))
+    score = by_id(g, pi)
+    ranked = sorted(score, key=lambda n: (-score[n], node_sort_key(n)))
     k_count = max(1, math.ceil(len(ranked) * 0.20))
     top = ranked[:k_count]
-    peak = pi[ranked[0]]
+    peak = score[ranked[0]]
     prev = set()
     for beta in (0.2, 0.5, 1.0, 2.0, 8.0, 1e6):
         draws = np.random.default_rng(7).random(len(top))
         kept = {nid for nid, r in zip(top, draws)
-                if r < min(1.0, beta * pi[nid] / peak)}
+                if r < min(1.0, beta * score[nid] / peak)}
         assert prev <= kept
         prev = kept
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 3), (4,)], ids=str)
+def test_capsule_rejects_scores_not_one_per_position(shape):
+    g = make_graph({"a": ["b"], "b": [], "c": []})
+    sample_knowledge(g, np.ones(3), PerceptionParams(), rng_seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        sample_knowledge(g, np.ones(shape), PerceptionParams(), rng_seed=0)
+
+
 def test_empty_scores_error():
-    g = make_graph({"a": []})
-    with pytest.raises(ValueError):
-        sample_knowledge(g, {}, PerceptionParams(), rng_seed=0)
+    with pytest.raises(ValueError, match="nonempty"):
+        sample_knowledge(make_graph({}), np.ones(0), PerceptionParams(), rng_seed=0)
 
 
 # environment report ---------------------------------------------------------------------
@@ -393,12 +412,13 @@ def members_by_community(partition):
     return out
 
 
-# Seed selection and capsule sampling as they were before they moved onto node
-# positions, kept word for word as the oracles of the position versions, except
-# that seed selection reads the embedding table by position, the only way the
-# table can be read, and both check the partition as the position versions do.
-# They break ties between ids with equal ``node_sort_key`` (such as "1" and
-# "01") by the order of the ppr mapping or by graph position.
+# Seed selection, PageRank and capsule sampling as they were when they handed
+# each other ids, kept word for word as the oracles of the position versions,
+# except that seed selection reads the embedding table by position, the only
+# way the table can be read, and seed selection and capsule sampling check the
+# partition as the position versions do. They break ties between ids with
+# equal ``node_sort_key`` (such as "1" and "01") by the order of the ppr
+# mapping or by graph position.
 def reference_select_seed(
     g: TextAttributedGraph,
     partition: Partition,
@@ -431,6 +451,49 @@ def reference_select_seed(
     nodes = frozenset(
         rec.node_id for rec in g.nodes if rec.mask == "Train" and rec.label == target)
     return SeedSelection(nodes, f"label:{target}")
+
+
+def reference_personalized_pagerank(
+    g: TextAttributedGraph,
+    seed_nodes: Iterable[str],
+    params: PerceptionParams = PerceptionParams(),
+) -> dict[str, float]:
+    """Random-walk-with-restart scores restarting uniformly over the seeds.
+
+    Dangling nodes hand their probability mass back to the teleport vector.
+    Iterates until the L1 change drops below tolerance, else raises
+    PprConvergenceError carrying the final residual.
+    """
+    seeds = set(seed_nodes)
+    if not seeds:
+        raise ValueError("seed set must be nonempty")
+    unknown = sorted(s for s in seeds if not g.has_node(s))
+    if unknown:
+        raise ValueError(f"seed nodes not in graph: {unknown[:10]}")
+
+    v = np.zeros(g.num_nodes)
+    v[[g.index_of(s) for s in seeds]] = 1.0 / len(seeds)
+    deg = g.degrees().astype(np.float64)
+    dangling = deg == 0.0
+    safe_deg = np.where(dangling, 1.0, deg)
+    a = g.adjacency_csr()
+    alpha = params.teleport_alpha
+
+    pi = v.copy()
+    residual = math.inf
+    for _ in range(params.ppr_max_iters):
+        weighted = pi / safe_deg
+        weighted[dangling] = 0.0
+        spread = a @ weighted
+        loose_mass = float(pi[dangling].sum())
+        nxt = alpha * v + (1.0 - alpha) * (spread + loose_mass * v)
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual < params.ppr_tolerance:
+            return dict(zip(g.ids(), pi.tolist()))
+    raise PprConvergenceError(
+        f"personalized pagerank did not converge within {params.ppr_max_iters} "
+        f"iterations (residual {residual:.3e})", residual)
 
 
 def reference_sample_knowledge(
@@ -501,6 +564,79 @@ def reference_sample_knowledge(
     )
 
 
+# Capsule sampling as it was when PageRank handed it an id -> score mapping,
+# kept word for word. It ranks the scored positions in one lexsort, as the
+# position version does. The older copy above orders its candidate pool by
+# insertion between ids with equal score and equal key, so where the later
+# position of two such ids is retained and the earlier one joins only as a
+# community delegate, it keeps the later one and this copy the earlier.
+def reference_ranked_sample_knowledge(
+    g: TextAttributedGraph,
+    ppr: Mapping[str, float],
+    params: PerceptionParams = PerceptionParams(),
+    rng_seed: int = 0,
+    partition: Partition | None = None,
+) -> KnowledgeCapsule:
+    """Draw the knowledge capsule from PageRank scores.
+
+    Nodes rank by descending score, then in the graph's canonical order, so
+    ids with equal keys such as "1" and "01" tie by graph position. The top
+    ``top_k_percent`` pass a stochastic retention filter (node i survives when
+    r_i < min(1, beta * pi_i / max pi)); the survivors are unioned with the
+    first-ranked node of each of the largest communities, then cut back or
+    padded in rank order to min(capsule_size, candidate pool). The pad pool
+    is the top slice itself, so capsule membership always stays inside
+    top-slice plus delegates. If every retention draw fails, the top slice is
+    used outright.
+    """
+    if not ppr:
+        raise ValueError("ppr scores must be nonempty")
+    missing = [nid for nid in ppr if not g.has_node(nid)]
+    if missing:
+        raise ValueError(f"ppr scores reference unknown nodes: {missing[:10]}")
+
+    n = len(ppr)
+    pos = np.fromiter(map(g.index_of, ppr), dtype=np.int64, count=n)
+    score = np.fromiter(ppr.values(), dtype=np.float64, count=n)
+    # place j holds the j-th scored node in rank order
+    ranked = np.lexsort((pos, g.key_rank()[pos], -score))
+    pos, score = pos[ranked], score[ranked]
+    k_count = max(1, math.ceil(n * params.top_k_percent / 100.0))
+    if score[0] <= 0.0:
+        raise ValueError("ppr scores must contain a positive maximum")
+
+    draws = np.random.default_rng(rng_seed).random(k_count)
+    pool = np.zeros(n, dtype=bool)
+    pool[:k_count] = draws < np.minimum(1.0, params.retention_beta * score[:k_count] / score[0])
+    retained = pool.any()
+
+    if partition is not None:
+        partition.check(g)
+        k, comm = partition.community_count, partition.comm
+        first_place = np.full(k, n, dtype=np.int64)
+        np.minimum.at(first_place, comm[pos], np.arange(n))
+        quota = min(k, math.ceil(params.capsule_size / 5))
+        # communities are numbered in canonical order, so size ties go to
+        # the community whose first node comes first
+        largest = np.argsort(-np.bincount(comm, minlength=k), kind="stable")[:quota]
+        delegates = first_place[largest]
+        pool[delegates[delegates < n]] = True
+
+    target = min(params.capsule_size, n)
+    if not retained:
+        log.info("capsule retention emptied the pool; falling back to top slice")
+        pool = np.arange(n) < k_count
+    short = target - int(pool.sum())
+    if short > 0:
+        pool[np.flatnonzero(~pool[:k_count])[:short]] = True
+    records = tuple(g.nodes[i] for i in pos[np.flatnonzero(pool)[:target]].tolist())
+    return KnowledgeCapsule(
+        node_ids=tuple(rec.node_id for rec in records),
+        records=records,
+        ppr_scores={rec.node_id: float(ppr[rec.node_id]) for rec in records},
+    )
+
+
 def _distinct_key_graph(rng, n):
     """A random graph with numeric and alphabetic ids whose ``node_sort_key``s
     are all distinct, with records in shuffled order, so position order is
@@ -531,12 +667,10 @@ def test_capsule_matches_reference_with_distinct_keys(seed):
     g = _distinct_key_graph(rng, int(rng.integers(1, 120)))
     ids = g.ids()
     part = _random_partition(rng, g)
-    seed_node = ids[int(rng.integers(len(ids)))]
-    pi = personalized_pagerank(g, [seed_node])
+    pi = personalized_pagerank(g, [int(rng.integers(len(ids)))])
     # scores from a few values tie often, so ties are broken by key
-    coarse = {v: float(rng.integers(1, 4)) / 8 for v in rng.permutation(ids).tolist()}
-    partial = {v: pi[v] for v in ids if v == seed_node or rng.random() < 0.5}
-    for scores in (pi, coarse, partial):
+    coarse = rng.integers(1, 4, size=len(ids)) / 8
+    for scores in (pi, coarse):
         for beta, size, top in ((1e-9, 30, 20.0), (0.05, 7, 20.0), (0.5, 30, 20.0),
                                 (2.0, 30, 20.0), (2.0, 1, 100.0), (8.0, 200, 50.0),
                                 (1e6, 12, 5.0)):
@@ -545,18 +679,18 @@ def test_capsule_matches_reference_with_distinct_keys(seed):
             for partition in (None, part):
                 rng_seed = int(rng.integers(1000))
                 got = sample_knowledge(g, scores, params, rng_seed, partition)
-                assert got == reference_sample_knowledge(g, scores, params, rng_seed,
-                                                         partition)
+                assert got == reference_sample_knowledge(g, by_id(g, scores), params,
+                                                         rng_seed, partition)
 
 
 def test_emptied_pool_falls_back_to_top_slice_and_still_validates():
     g = random_graph(60, 0.08, seed=4)
-    pi = personalized_pagerank(g, [g.ids()[0]])
+    pi = personalized_pagerank(g, [0])
     params = PerceptionParams(retention_beta=1e-12, top_k_percent=10.0, capsule_size=30)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     capsule = sample_knowledge(g, pi, params, 3, part)
     # the top slice is 6 nodes, shorter than capsule_size, and no delegate joins
-    assert capsule == reference_sample_knowledge(g, pi, params, 3, part)
+    assert capsule == reference_sample_knowledge(g, by_id(g, pi), params, 3, part)
     assert len(capsule) == 6
     with pytest.raises(ValueError):
         sample_knowledge(g, pi, params, 3, Partition(make_graph({"0": []}), [0]))
@@ -587,7 +721,8 @@ def test_seed_matches_reference_with_distinct_keys(seed):
                     select_seed(g, part, table, mode)
                 continue
             want_rows, emb.raw.reads = emb.raw.reads, []
-            assert select_seed(g, part, table, mode) == want
+            got = select_seed(g, part, table, mode)
+            assert (seed_ids(g, got), got.descriptor) == want
             # the same rows in the same order, so the same variance floats;
             # a single member's variance is 0 without a read
             assert emb.raw.reads == [rows for rows in want_rows if len(rows) > 1]
@@ -641,19 +776,81 @@ def _equal_key_leaves_fixture():
 
 def test_equal_partitions_give_equal_capsules_with_equal_keys():
     g, p1, p2 = _equal_key_leaves_fixture()
-    pi = personalized_pagerank(g, ["t20"])
-    assert np.array_equal(p1.comm, p2.comm) and pi["1"] == pi["01"]
+    pi = personalized_pagerank(g, [g.index_of("t20")])
+    assert np.array_equal(p1.comm, p2.comm) and pi[g.index_of("1")] == pi[g.index_of("01")]
     for rng_seed in range(5):
         got = sample_knowledge(g, pi, PerceptionParams(), rng_seed, p1)
         assert got == sample_knowledge(g, pi, PerceptionParams(), rng_seed, p2)
-        # nor does the order of the scores
-        assert got == sample_knowledge(g, dict(reversed(pi.items())), PerceptionParams(),
-                                       rng_seed, p1)
         # the tie goes to the graph's first position of the two
         assert g.ids().index("01") < g.ids().index("1")
         assert "01" in got.node_ids and "1" not in got.node_ids
         # so does the string-keyed copy, whose member lists keep position
         # order between equal keys
-        for scores in (pi, dict(reversed(pi.items()))):
-            assert got == reference_sample_knowledge(
-                g, scores, PerceptionParams(), rng_seed, p1)
+        assert got == reference_sample_knowledge(
+            g, by_id(g, pi), PerceptionParams(), rng_seed, p1)
+
+
+@st.composite
+def retrieval_graphs(draw):
+    """A graph of up to 30 nodes whose ids are numbers, words, and numbers
+    written with one or two leading zeros, which share ``node_sort_key`` with
+    the plain number ("1", "01" and "001"). Some nodes are kept isolated,
+    labels and masks are drawn, and records come in shuffled order."""
+    kinds = draw(st.lists(st.sampled_from(["number", "twin", "word"]), min_size=1, max_size=30))
+    names = []
+    for i, kind in enumerate(kinds):
+        if kind == "twin":
+            name = "0" * draw(st.integers(1, 2)) + str(draw(st.integers(0, i)))
+        else:
+            name = f"n{i}" if kind == "word" else str(i)
+        if name not in names:
+            names.append(name)
+    n = len(names)
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    nbrs = {v: [] for v in names}
+    for a, b in pairs:
+        if a != b and a not in isolated and b not in isolated:
+            nbrs[names[a]].append(names[b])
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    masks = draw(st.lists(st.sampled_from(MASKS), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return TextAttributedGraph.from_records(
+        [NodeRecord(names[i], labels[i], f"document {i}", tuple(nbrs[names[i]]), masks[i])
+         for i in order], 3)
+
+
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(retrieval_graphs(), st.integers(0, 2 ** 16), st.data())
+def test_retrieval_matches_id_keyed_reference(g, seed, data):
+    """Seed selection, PageRank and capsule sampling on positions give the
+    id-keyed chain's seeds, scores bit for bit, and capsules. The older
+    capsule copy agrees too when no two ids share a key."""
+    ids = g.ids()
+    distinct_keys = len(set(map(node_sort_key, ids))) == len(ids)
+    emb = random_embeddings(g, dim=3, seed=seed)
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=g.num_nodes, max_size=g.num_nodes))
+    part = Partition(g, labels)
+    params = PerceptionParams(
+        capsule_size=data.draw(st.integers(1, 12)),
+        top_k_percent=data.draw(st.sampled_from([5.0, 20.0, 100.0])),
+        retention_beta=data.draw(st.sampled_from([0.05, 2.0, 1e6])))
+    for mode in EnhancementMode:
+        try:
+            want = reference_select_seed(g, part, emb, mode)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                select_seed(g, part, emb, mode)
+            continue
+        sel = select_seed(g, part, emb, mode)
+        assert (seed_ids(g, sel), sel.descriptor) == want
+        pi = personalized_pagerank(g, sel.nodes, params)
+        ref = reference_personalized_pagerank(g, want.nodes, params)
+        assert [x.hex() for x in pi.tolist()] == [ref[v].hex() for v in ids]
+        for partition in (None, part):
+            got = sample_knowledge(g, pi, params, seed, partition)
+            assert got == reference_ranked_sample_knowledge(g, ref, params, seed, partition)
+            if distinct_keys:
+                assert got == reference_sample_knowledge(g, ref, params, seed, partition)
