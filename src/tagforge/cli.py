@@ -129,10 +129,10 @@ def cmd_limit(args) -> int:
     cfg = _load_config_file(args.config)
     _apply_log_level(args, cfg)
     seed = _resolve_seed(args, cfg)
-    params = _build_dataclass(LimiterParams, cfg.get("limiter", {}), "limiter")
+    section = cfg.get("limiter", {})
     if args.alpha is not None:
-        params = _build_dataclass(
-            LimiterParams, {**cfg.get("limiter", {}), "alpha": args.alpha}, "limiter")
+        section = {**section, "alpha": args.alpha}
+    params = _build_dataclass(LimiterParams, section, "limiter")
 
     g = load_graph(args.input)
     partition = detect_communities(

@@ -170,7 +170,7 @@ def block_totals(
     p = indicator(comm, k)
     a = g.adjacency_csr()
     internal = (p.T @ a @ p).diagonal() // 2
-    return internal.astype(np.int64), (p.T @ a.getnnz(axis=1)).astype(np.int64)
+    return internal.astype(np.int64), (p.T @ g.degrees()).astype(np.int64)
 
 
 def _pair_term(sim_block: np.ndarray, semantic_term: str,

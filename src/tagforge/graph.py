@@ -95,6 +95,16 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.append(True, a[1:] != a[:-1])] if a.size else a
 
 
+def _adjacency(row: np.ndarray, col: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n 0/1 matrix with an entry at each distinct position pair
+    (row, col), given sorted by row, then col."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    csr = sp.csr_matrix((np.ones(col.size), col, indptr), shape=(n, n))
+    csr.sort_indices()
+    return csr
+
+
 def _key_order(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Each position's rank in the ``_neighbor_key`` order of ``ids``, and
     its ``key_rank``: the rank of its ``node_sort_key`` among the distinct
@@ -147,23 +157,26 @@ class TextAttributedGraph:
 
     Build instances through :meth:`from_records` or :func:`load_graph`; both
     normalize adjacency and validate labels, masks, and neighbor references.
+    Each of these, :meth:`subgraph` and :func:`merge_synthesis` hands the
+    constructor the ``adjacency_csr()`` it built from position arrays.
     """
 
     __slots__ = (
         "nodes", "class_count", "normalization_fixes",
-        "_ids", "_pos", "_num_edges", "_degrees", "_csr", "_key_rank",
+        "_ids", "_pos", "_degrees", "_csr", "_key_rank",
     )
 
     def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
-                 normalization_fixes: int = 0):
+                 csr: sp.csr_matrix, normalization_fixes: int = 0):
         self.nodes = nodes
         self.class_count = class_count
         self.normalization_fixes = normalization_fixes
         self._ids = tuple(rec.node_id for rec in nodes)
         self._pos = {node_id: i for i, node_id in enumerate(self._ids)}
-        self._num_edges = sum(len(rec.neighbors) for rec in nodes) // 2
-        self._degrees = None
-        self._csr = None
+        self._csr = csr
+        # scipy keeps indptr as int32 while the entries fit
+        self._degrees = np.diff(csr.indptr).astype(np.int64)
+        self._degrees.flags.writeable = False
         self._key_rank = None
 
     @classmethod
@@ -186,8 +199,8 @@ class TextAttributedGraph:
         mentions and one-sided mentions each count one fix, and the union of
         both directions is kept. Neighbor lists follow ``_neighbor_key`` and
         hold the nodes' own id objects, one copy per id. The sorted position
-        pairs become the cached ``adjacency_csr()``, and the key order the
-        cached ``key_rank()``.
+        pairs become ``adjacency_csr()``, and the key order the cached
+        ``key_rank()``.
         """
         src, dst = _checked_positions(ids, labels, masks, neighbors, class_count)
         n = len(ids)
@@ -199,18 +212,13 @@ class TextAttributedGraph:
         row, col = both // n, both % n
 
         nbr_rank, key_rank = _key_order(ids)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+        csr = _adjacency(row, col, n)
         id_of = np.empty(n, dtype=object)
         id_of[:] = ids
         nbr_ids = tuple(id_of[col[np.lexsort((nbr_rank[col], row))]].tolist())
-        bounds = indptr.tolist()
+        bounds = csr.indptr.tolist()
         lists = map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:]))
-        g = cls(tuple(map(NodeRecord, ids, labels, texts, lists, masks)), class_count, fixes)
-        g._csr = sp.csr_matrix((np.ones(col.size), col, indptr), shape=(n, n))
-        g._csr.sort_indices()
-        g._degrees = np.diff(indptr)
-        g._degrees.flags.writeable = False
+        g = cls(tuple(map(NodeRecord, ids, labels, texts, lists, masks)), class_count, csr, fixes)
         key_rank.flags.writeable = False
         g._key_rank = key_rank
         if fixes:
@@ -225,7 +233,7 @@ class TextAttributedGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return self._csr.nnz // 2
 
     def ids(self) -> tuple[str, ...]:
         """Each position's id, built once per graph."""
@@ -243,25 +251,12 @@ class TextAttributedGraph:
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self.nodes[self._pos[node_id]].neighbors
 
-    def degree(self, node_id: str) -> int:
-        return len(self.nodes[self._pos[node_id]].neighbors)
-
     def degrees(self) -> np.ndarray:
-        """Read-only degree of each position."""
-        if self._degrees is None:
-            self._degrees = np.array([len(rec.neighbors) for rec in self.nodes], dtype=np.int64)
-            self._degrees.flags.writeable = False
+        """Read-only int64 degree of each position."""
         return self._degrees
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            n = self.num_nodes
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(self.degrees(), out=indptr[1:])
-            indices = np.fromiter((self._pos[nb] for rec in self.nodes for nb in rec.neighbors),
-                                  dtype=np.int64, count=int(indptr[-1]))
-            self._csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-            self._csr.sort_indices()
+        """The 0/1 adjacency matrix on node positions, with sorted indices."""
         return self._csr
 
     def key_rank(self) -> np.ndarray:
@@ -274,23 +269,27 @@ class TextAttributedGraph:
             self._key_rank.flags.writeable = False
         return self._key_rank
 
-    def subgraph(self, keep_ids: Iterable[str]) -> "TextAttributedGraph":
-        """Induced subgraph, preserving node order and all attributes."""
-        keep = set(keep_ids)
-        missing = keep - set(self._pos)
-        if missing:
-            raise GraphValidationError(f"subgraph ids not in graph: {sorted(missing)[:10]}")
+    def distinct_positions(self, positions: Iterable[int], what: str) -> np.ndarray:
+        """The distinct positions in ``positions``, ascending, as int64. Raises
+        ``ValueError``, naming them ``what``, unless each is an integer in
+        ``[0, num_nodes)``."""
+        idx, n = np.asarray(list(positions)), self.num_nodes
+        if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0
+                         or idx.max() >= n):
+            raise ValueError(f"{what} must be positions in [0, {n}): {idx.tolist()[:10]}")
+        return _sorted_unique(idx.astype(np.int64))
+
+    def subgraph(self, positions: Iterable[int]) -> "TextAttributedGraph":
+        """Induced subgraph on node positions (``distinct_positions``), in the
+        graph's node order, with all attributes and the CSR sliced from this
+        graph's."""
+        idx = self.distinct_positions(positions, "subgraph nodes")
+        keep = set(map(self._ids.__getitem__, idx.tolist()))
         records = tuple(
-            NodeRecord(
-                node_id=rec.node_id,
-                label=rec.label,
-                text=rec.text,
-                neighbors=tuple(nb for nb in rec.neighbors if nb in keep),
-                mask=rec.mask,
-            )
-            for rec in self.nodes if rec.node_id in keep
-        )
-        return TextAttributedGraph(records, self.class_count)
+            NodeRecord(rec.node_id, rec.label, rec.text,
+                       tuple(nb for nb in rec.neighbors if nb in keep), rec.mask)
+            for rec in map(self.nodes.__getitem__, idx.tolist()))
+        return TextAttributedGraph(records, self.class_count, self._csr[idx][:, idx])
 
     def to_json_obj(self) -> dict:
         return {
@@ -561,38 +560,40 @@ def merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttr
     Only the delta is validated: new ids are unique and not in ``g``, each
     new record passes the label and mask rule of ``from_records``, and each
     bridge joins a new node to a base node. The new records are appended to
-    ``g``'s. Only the records of bridge targets are rebuilt; every other
-    record is shared with ``g``. Neighbor lists hold the graph's own id
-    objects, and a new node's neighbors are its bridge targets.
+    ``g``'s, so the new nodes take positions ``n .. n+k-1`` in delta order.
+    Only the records of bridge targets are rebuilt; every other record is
+    shared with ``g``. Neighbor lists hold the graph's own id objects, and a
+    new node's neighbors are its bridge targets. The CSR is ``g``'s with
+    both directions of each distinct bridge added.
     """
-    new_ids = {rec.node_id: rec.node_id for rec in delta.new_nodes}
-    dup = [nid for nid in new_ids if g.has_node(nid)]
+    n = g.num_nodes
+    new_pos = {rec.node_id: n + i for i, rec in enumerate(delta.new_nodes)}
+    dup = [nid for nid in new_pos if g.has_node(nid)]
     if dup:
         raise GraphValidationError(f"new node ids collide with base graph: {dup[:10]}")
-    if len(new_ids) != len(delta.new_nodes):
+    if len(new_pos) != len(delta.new_nodes):
         raise GraphValidationError("duplicate ids among new nodes")
     for rec in delta.new_nodes:
         _check_record(rec.node_id, rec.label, rec.mask, g.class_count)
 
-    new_adj: dict[str, set[str]] = {nid: set() for nid in new_ids}
-    base_adj: dict[int, set[str]] = {}
+    records = [*g.nodes, *delta.new_nodes]
+    # far ends per bridge end; each new node has an entry, so its incoming list is dropped
+    added: dict[int, set[int]] = {p: set() for p in new_pos.values()}
     for new_id, orig_id in delta.bridge_edges:
-        if new_id not in new_ids:
+        if new_id not in new_pos:
             raise GraphValidationError(f"bridge edge references unknown new node {new_id!r}")
         if not g.has_node(orig_id):
             raise GraphValidationError(f"bridge edge references unknown base node {orig_id!r}")
-        pos = g.index_of(orig_id)
-        new_adj[new_id].add(g.nodes[pos].node_id)
-        base_adj.setdefault(pos, set()).add(new_ids[new_id])
-
-    records = list(g.nodes)
-    for pos, added in base_adj.items():
-        rec = records[pos]
-        records[pos] = NodeRecord(
-            rec.node_id, rec.label, rec.text,
-            tuple(sorted(added.union(rec.neighbors), key=_neighbor_key)), rec.mask)
-    records.extend(
-        NodeRecord(rec.node_id, rec.label, rec.text,
-                   tuple(sorted(new_adj[rec.node_id], key=_neighbor_key)), rec.mask)
-        for rec in delta.new_nodes)
-    return TextAttributedGraph(tuple(records), g.class_count)
+        u, v = new_pos[new_id], g.index_of(orig_id)
+        added[u].add(v)
+        added.setdefault(v, set()).add(u)
+    for p, near in added.items():
+        rec = records[p]
+        records[p] = NodeRecord(rec.node_id, rec.label, rec.text, tuple(sorted(
+            {*(rec.neighbors if p < n else ()), *(records[q].node_id for q in near)},
+            key=_neighbor_key)), rec.mask)
+    m = len(records)
+    bridges = np.array([p * m + q for p, near in added.items() for q in near], dtype=np.int64)
+    pairs = np.sort(np.concatenate([
+        np.repeat(np.arange(n), g.degrees()) * m + g.adjacency_csr().indices, bridges]))
+    return TextAttributedGraph(tuple(records), g.class_count, _adjacency(pairs // m, pairs % m, m))

@@ -189,7 +189,7 @@ def _utility(g: TextAttributedGraph, comm: np.ndarray, k: int,
     l_degree, l_bridge = lambda_weights
     a = g.adjacency_csr()
     p = indicator(comm, k)
-    deg = a.getnnz(axis=1)
+    deg = g.degrees()
     max_deg = int(deg.max(initial=0))
     degree_term = deg / max_deg if max_deg > 0 else np.zeros(len(deg))
     outside = deg - np.asarray((a @ p).multiply(p).sum(axis=1)).ravel()
@@ -467,11 +467,9 @@ def connectivity_repair(
     touched, plus one pass over a node-length buffer, not the edge count.
     """
     n_g = g.num_nodes
-    picked = np.asarray(selected)
+    picked = g.distinct_positions(selected, "sample")
     if not picked.size:
         raise ValueError("sample must be nonempty")
-    if picked.dtype.kind not in "iu" or picked.min() < 0 or picked.max() >= n_g:
-        raise ValueError(f"sample must be positions in [0, {n_g}): {picked.tolist()[:10]}")
     partition.check(g)
     ref_sizes = component_labels(g)[1].tolist()
     kappa_ref = (len(ref_sizes) / n_g, max(ref_sizes) / n_g)
@@ -552,7 +550,7 @@ def connectivity_repair(
         distortion_trace=tuple(trace),
         warning=warning,
     )
-    return g.subgraph(ids[i] for i in np.flatnonzero(mask)), report
+    return g.subgraph(np.flatnonzero(mask)), report
 
 
 def _cells(g: TextAttributedGraph, comm: np.ndarray,

@@ -144,11 +144,9 @@ def personalized_pagerank(
     Iterates until the L1 change drops below tolerance, else raises
     PprConvergenceError carrying the final residual.
     """
-    seeds = np.unique(list(seed_positions))
+    seeds = g.distinct_positions(seed_positions, "seeds")
     if not seeds.size:
         raise ValueError("seed set must be nonempty")
-    if seeds.dtype.kind not in "iu" or seeds[0] < 0 or seeds[-1] >= g.num_nodes:
-        raise ValueError(f"seeds must be positions in [0, {g.num_nodes}): {seeds.tolist()[:10]}")
 
     v = np.zeros(g.num_nodes)
     v[seeds] = 1.0 / seeds.size

@@ -265,12 +265,13 @@ def propose_edges(
     x = x / xn
     scored: dict[str, float] = {}
     for t in targets:
-        sim = float(x @ emb.unit[g.index_of(t)])
+        i = g.index_of(t)
+        sim = float(x @ emb.unit[i])
         if capsule_set:
             overlap = sum(1 for w in g.neighbors(t) if w in capsule_set) / len(capsule_set)
         else:
             overlap = 0.0
-        deg_ratio = g.degree(t) / max_deg if max_deg > 0 else 0.0
+        deg_ratio = int(g.degrees()[i]) / max_deg if max_deg > 0 else 0.0
         scored[t] = edge_probability(sim, overlap, deg_ratio, theta)
     return select_edges(scored, threshold)
 
@@ -356,12 +357,13 @@ def generate_nodes(
         out.append(GeneratedNode(
             record=record,
             proposed=tuple(dict.fromkeys(item["neighbors"]))))
+    for gen in out[budget:]:
+        dropped[gen.record.node_id] = "over budget"
+    out = out[:budget]
     if audit is not None:
         audit.record(
             "generation", requested=budget, returned=len(raw),
             kept=len(out), dropped=dropped)
-    if len(out) > budget:
-        out = out[:budget]
     return out
 
 
@@ -573,7 +575,7 @@ def run_synthesis(
                 if candidates:
                     new_vectors = embed_texts(
                         provider, [gen.record.text for gen in candidates], emb.dim)
-                    max_deg = int(np.diff(g_current.adjacency_csr().indptr).max(initial=0))
+                    max_deg = int(g_current.degrees().max(initial=0))
                     for gen, vec in zip(candidates, new_vectors):
                         kept = propose_edges(
                             g_current, gen, vec, emb, capsule_ids,

@@ -170,6 +170,16 @@ def test_limit_alpha_flag_overrides_config(graph_file, tmp_path):
     assert load_graph(str(out)).num_nodes == 3
 
 
+def test_limit_alpha_flag_replaces_an_invalid_config_alpha(graph_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"limiter": {"alpha": 2.0}}), encoding="utf-8")
+    out = tmp_path / "s.json"
+    assert main(["limit", graph_file, str(out), "--config", str(cfg),
+                 "--alpha", "0.5"]) == 0
+    sidecar = json.loads((tmp_path / "s.json.limits.json").read_text(encoding="utf-8"))
+    assert sidecar["config"]["alpha"] == 0.5
+
+
 def test_limit_config_alpha_used_without_flag(graph_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"limiter": {"alpha": 1.0}}), encoding="utf-8")

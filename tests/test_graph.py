@@ -116,7 +116,7 @@ def test_neighbor_lists_share_the_node_id_objects():
         {"node_id": 7, "label": 0, "text": "t", "neighbors": []},
     ]}))
     g = graph_from_json_obj(obj)
-    for h in (g, g.subgraph(["alpha", "7"])):
+    for h in (g, g.subgraph([g.index_of("alpha"), g.index_of("7")])):
         own = {rec.node_id: rec.node_id for rec in h.nodes}
         assert all(nb is own[nb] for rec in h.nodes for nb in rec.neighbors)
         assert sum(len(rec.neighbors) for rec in h.nodes) == 2 * h.num_edges > 0
@@ -207,7 +207,8 @@ def test_ids_are_built_once_and_follow_the_records(tmp_path):
     delta = SynthesizedDelta((NodeRecord("new", 0, "synthesized node text body", ()),),
                              (("new", "4"),))
     for h in (load_graph(str(path)), TextAttributedGraph.from_records(g.nodes[::-1], 3),
-              merge_synthesis(g, delta), g.subgraph(["7", "2", "11"]), make_graph({})):
+              merge_synthesis(g, delta), g.subgraph([g.index_of(v) for v in ("7", "2", "11")]),
+              make_graph({})):
         assert h.ids() is h.ids()
         assert h.ids() == tuple(rec.node_id for rec in h.nodes)
 
@@ -632,13 +633,29 @@ def test_subgraph_edges_are_induced(n, seed):
     g = random_graph(n, 0.3, seed)
     rng = np.random.default_rng(seed + 1)
     keep = [v for v in g.ids() if rng.random() < 0.6] or [g.ids()[0]]
-    sub = g.subgraph(keep)
+    sub = g.subgraph([g.index_of(v) for v in keep])
     kept = set(keep)
     expected = {(u, v) for u, v in edges(g) if u in kept and v in kept}
     assert edge_set(sub) == expected
     for nid in sub.ids():
         assert sub.node(nid).text == g.node(nid).text
         assert sub.node(nid).label == g.node(nid).label
+
+
+@pytest.mark.parametrize("positions", [
+    [-1], [3], [0, 3], ["a"], [1.0], [True], np.array([[0, 1]]),
+], ids=["minus-one", "n", "inside-and-n", "id", "float", "bool", "two-d"])
+def test_subgraph_rejects_what_is_not_a_position(positions):
+    g = make_graph({"a": ["b"], "b": [], "c": []})
+    with pytest.raises(ValueError, match=r"positions in \[0, 3\)"):
+        g.subgraph(positions)
+
+
+def test_subgraph_counts_repeats_once_in_node_order():
+    g = make_graph({"a": ["b"], "b": ["c"], "c": []})
+    sub = g.subgraph(np.array([2, 0, 1, 2, 1]))
+    assert sub.ids() == ("a", "b", "c") and sub.num_edges == 2
+    assert g.subgraph([]).num_nodes == 0 and g.subgraph(iter([1, 1])).ids() == ("b",)
 
 
 def oracle_induced_components(g, kept):

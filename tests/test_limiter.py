@@ -556,7 +556,7 @@ def test_repair_single_swap_fixture():
     g = make_graph(adj, labels={nid: 0 for nid in adj}, class_count=1)
     part = Partition(g, [0] * g.num_nodes)
     # sample: h, a, far (far isolated; swapping far for b merges it away)
-    sub = g.subgraph(["h", "a", "far"])
+    sub = g.subgraph(at(g, "h", "a", "far"))
     before = _profile_distortion(sub, g)
     repaired, report = connectivity_repair(
         g, positions(g, sub), part, LimiterParams(repair_epsilon=0.01))
@@ -575,7 +575,7 @@ def test_repair_no_candidates_warns():
     labels = {"a": 0, "b": 0, "c": 0, "d": 1}
     g = make_graph(adj, labels=labels, class_count=2)
     part = Partition(g, [0] * g.num_nodes)
-    sub = g.subgraph(["a", "b", "c"])   # d (label 1) outside: no same-cell swap
+    sub = g.subgraph(at(g, "a", "b", "c"))   # d (label 1) outside: no same-cell swap
     repaired, report = connectivity_repair(
         g, positions(g, sub), part, LimiterParams(repair_epsilon=1e-9))
     assert report.swaps == 0
@@ -847,7 +847,7 @@ def reference_connectivity_repair(
         distortion_trace=tuple(trace),
         warning=warning,
     )
-    return g.subgraph(ids[i] for i in np.flatnonzero(mask)), report
+    return g.subgraph(np.flatnonzero(mask)), report
 
 
 def _repair_outcome(result):
@@ -859,6 +859,11 @@ def _repair_outcome(result):
 def positions(g, sub):
     """The positions in ``g`` of the nodes of its subgraph ``sub``."""
     return [g.index_of(v) for v in sub.ids()]
+
+
+def at(g, *ids):
+    """The positions in ``g`` of the given ids."""
+    return [g.index_of(v) for v in ids]
 
 
 def _assert_repairs_match(g, sub, part, params):
@@ -887,8 +892,7 @@ def test_repair_matches_reference_on_random_graphs(seed):
         max_repair_swaps=int(rng.integers(1, 8)) if seed % 5 == 0 else None)
     if seed % 3 == 0:
         # a uniform random sample instead of the selection
-        ids = list(g.ids())
-        sub = g.subgraph(ids[i] for i in rng.permutation(n)[:max(1, int(alpha * n))])
+        sub = g.subgraph(rng.permutation(n)[:max(1, int(alpha * n))])
     else:
         sub = sample_limited_detailed(
             g, part, LimiterParams(alpha=alpha, max_repair_swaps=0)).graph
@@ -903,7 +907,7 @@ def test_repair_matches_reference_when_largest_components_tie():
            "i1": [], "i2": [], "i3": [], "i4": [], "o4": ["q1", "i4"]}
     g = make_graph(adj)
     part = Partition(g, [0] * g.num_nodes)
-    sub = g.subgraph(["p1", "p2", "p3", "q1", "q2", "q3", "i1", "i2", "i3", "i4"])
+    sub = g.subgraph(at(g, "p1", "p2", "p3", "q1", "q2", "q3", "i1", "i2", "i3", "i4"))
     sizes = component_labels(sub)[1]
     assert sorted(sizes)[-2:] == [3, 3]
     ids, trace, swaps, _ = _assert_repairs_match(
@@ -917,7 +921,7 @@ def test_repair_matches_reference_when_b_neighbours_r():
     # next to 1
     g = make_graph({"9": ["5"], "5": ["1"], "1": ["0"], "0": []})
     part = Partition(g, [0] * g.num_nodes)
-    sub = g.subgraph(["9", "5", "0"])
+    sub = g.subgraph(at(g, "9", "5", "0"))
     ids, trace, swaps, _ = _assert_repairs_match(
         g, sub, part, LimiterParams(repair_epsilon=0.0))
     assert swaps == 1 and sorted(ids) == ["1", "5", "9"]

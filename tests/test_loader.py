@@ -3,12 +3,14 @@
 ``reference_graph_from_json_obj`` and ``reference_from_records`` are the
 loader that validated every record, built it, and built it again while
 normalizing, kept word for word (``from_records`` as a function, its ``cls``
-the graph class). ``reference_adjacency_csr`` and ``reference_key_rank`` are
-the lazy caches that walked every neighbour list and sorted every key.
+the graph class), except that it hands the constructor the CSR of
+``reference_adjacency_csr``. That function and ``reference_key_rank`` are the
+lazy caches that walked every neighbour list through an id map and sorted
+every key.
 """
 import json
 import logging
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -21,12 +23,15 @@ from tagforge.graph import (
     GraphSchemaError,
     GraphValidationError,
     NodeRecord,
+    SynthesizedDelta,
     TextAttributedGraph,
     _neighbor_key,
     graph_from_json_obj,
+    merge_synthesis,
     node_ids_from_json_obj,
     node_sort_key,
 )
+from test_graph import _copy_id, reference_merge_synthesis
 
 log = logging.getLogger("tagforge.graph")
 
@@ -97,7 +102,7 @@ def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> "
     )
     if fixes:
         log.info("graph normalization applied %d fixes", fixes)
-    return cls(normalized, class_count, fixes)
+    return cls(normalized, class_count, reference_adjacency_csr(normalized), fixes)
 
 
 def _coerce_id(raw) -> str:
@@ -158,11 +163,13 @@ def reference_graph_from_json_obj(obj) -> TextAttributedGraph:
     return reference_from_records(records, class_count)
 
 
-def reference_adjacency_csr(g: TextAttributedGraph) -> sp.csr_matrix:
-    n = g.num_nodes
+def reference_adjacency_csr(records: Sequence[NodeRecord]) -> sp.csr_matrix:
+    n = len(records)
+    pos = {rec.node_id: i for i, rec in enumerate(records)}
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(g.degrees(), out=indptr[1:])
-    indices = np.fromiter((g.index_of(nb) for rec in g.nodes for nb in rec.neighbors),
+    np.cumsum(np.fromiter((len(rec.neighbors) for rec in records), dtype=np.int64, count=n),
+              out=indptr[1:])
+    indices = np.fromiter((pos[nb] for rec in records for nb in rec.neighbors),
                           dtype=np.int64, count=int(indptr[-1]))
     csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     csr.sort_indices()
@@ -299,13 +306,13 @@ def _assert_same_graph(got: TextAttributedGraph, want: TextAttributedGraph) -> N
     for rec in got.nodes:
         for nb in rec.neighbors:
             assert nb is got.nodes[got.index_of(nb)].node_id
-    csr, ref_csr = got.adjacency_csr(), reference_adjacency_csr(want)
+    csr, ref_csr = got.adjacency_csr(), reference_adjacency_csr(want.nodes)
     assert csr.shape == ref_csr.shape and csr.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         a, b = getattr(csr, name), getattr(ref_csr, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(got.degrees(), [len(rec.neighbors) for rec in want.nodes])
-    assert not got.degrees().flags.writeable
+    assert got.degrees().dtype == np.int64 and not got.degrees().flags.writeable
     assert got.key_rank().dtype == np.int64 and not got.key_rank().flags.writeable
     assert np.array_equal(got.key_rank(), reference_key_rank(want))
 
@@ -373,3 +380,102 @@ def test_loader_lists_the_first_ten_dangling_mentions():
     assert want[1][1].startswith("11 neighbor reference(s)")
     assert _outcome(graph_from_json_obj, obj) == want
     assert _outcome(node_ids_from_json_obj, obj) == want
+
+
+# every constructor -----------------------------------------------------------------
+
+def reference_subgraph(self: TextAttributedGraph, keep_ids: Iterable[str]) -> TextAttributedGraph:
+    """The id-keyed ``subgraph`` it replaced, kept word for word as a
+    function, except that it hands the constructor the CSR of
+    ``reference_adjacency_csr``."""
+    keep = set(keep_ids)
+    missing = keep - set(self._pos)
+    if missing:
+        raise GraphValidationError(f"subgraph ids not in graph: {sorted(missing)[:10]}")
+    records = tuple(
+        NodeRecord(
+            node_id=rec.node_id,
+            label=rec.label,
+            text=rec.text,
+            neighbors=tuple(nb for nb in rec.neighbors if nb in keep),
+            mask=rec.mask,
+        )
+        for rec in self.nodes if rec.node_id in keep
+    )
+    return TextAttributedGraph(records, self.class_count, reference_adjacency_csr(records))
+
+
+# new ids, some with the node_sort_key of an ID_POOL id or of each other
+NEW_IDS = ("3", "03", "001", "010", "s1", "s2")
+
+
+@st.composite
+def grown_graphs(draw):
+    """A valid TAG-JSON object with isolated nodes appended, a delta for the
+    graph it loads to, and positions of the merged graph, in any order and
+    with repeats. Each new node bridges to none or several base nodes, drawn
+    with repeats, and a bridge names its ends by equal copies of their ids."""
+    obj = draw(tag_json(st.just([])))
+    isolated = draw(st.lists(st.sampled_from(["7", "007", "iso"]), unique=True))
+    nodes = obj["nodes"] + [
+        {"node_id": v, "label": 0, "text": "", "neighbors": []} for v in isolated]
+    ids = [str(item["node_id"]) for item in nodes]
+    # a mention of "02" drawn as 2 names no node
+    obj = {**obj, "nodes": [
+        {**item, "neighbors": [nb for nb in item["neighbors"] if str(nb) in ids]}
+        for item in nodes]}
+    new_ids = draw(st.lists(st.sampled_from([v for v in NEW_IDS if v not in ids]),
+                            unique=True, max_size=4))
+    new = tuple(NodeRecord(v, draw(st.integers(0, obj["class_count"] - 1)), "new",
+                           ("ignored",), draw(st.sampled_from(MASKS))) for v in new_ids)
+    bridges = [(_copy_id(v), _copy_id(ids[t])) for v in new_ids
+               for t in (draw(st.lists(st.integers(0, len(ids) - 1), max_size=3)) if ids else ())]
+    delta = SynthesizedDelta(new, tuple(draw(st.permutations(bridges))))
+    size = len(ids) + len(new_ids)
+    picks = draw(st.lists(st.integers(0, size - 1), max_size=12)) if size else []
+    return obj, delta, picks
+
+
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(case=grown_graphs())
+def test_every_constructor_matches_id_keyed_reference(case):
+    """Load, ``from_records``, ``merge_synthesis`` and ``subgraph`` (of the
+    loaded and of the merged graph) give the reference's records, and the
+    CSR that walking those records through an id map gives."""
+    obj, delta, picks = case
+    g, want = graph_from_json_obj(obj), reference_graph_from_json_obj(obj)
+    _assert_same_graph(g, want)
+    class_count, records = reference_records(obj)
+    _assert_same_graph(TextAttributedGraph.from_records(records[::-1], class_count),
+                       reference_from_records(records[::-1], class_count))
+    merged, want_merged = merge_synthesis(g, delta), reference_merge_synthesis(want, delta)
+    _assert_same_graph(merged, want_merged)
+    for parent, ref in ((g, want), (merged, want_merged)):
+        inside = [p for p in picks if p < parent.num_nodes]
+        _assert_same_graph(parent.subgraph(inside),
+                           reference_subgraph(ref, [ref.ids()[p] for p in inside]))
+
+
+def _all_ids(case):
+    obj, delta, _ = case
+    return [str(item["node_id"]) for item in obj["nodes"]] + [r.node_id for r in delta.new_nodes]
+
+
+DRAWN_CASES = {
+    "equal keys": lambda case: len(set(map(node_sort_key, _all_ids(case)))) < len(_all_ids(case)),
+    "isolated node": lambda case: graph_from_json_obj(case[0]).degrees().min(initial=1) == 0,
+    "new node without bridge": lambda case: bool(
+        {r.node_id for r in case[1].new_nodes} - {v for v, _ in case[1].bridge_edges}),
+    "target of several new nodes": lambda case: any(
+        len({v for v, t in case[1].bridge_edges if t == target}) > 1
+        for _, target in case[1].bridge_edges),
+    "empty delta": lambda case: not case[1].new_nodes,
+}
+
+
+@pytest.mark.parametrize("kind", DRAWN_CASES)
+def test_every_constructor_case_is_drawn(kind):
+    find(grown_graphs(), DRAWN_CASES[kind], settings=settings(
+        max_examples=1000, deadline=None, database=None, derandomize=True,
+        phases=[Phase.generate]))

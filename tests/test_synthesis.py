@@ -292,8 +292,13 @@ def test_generate_nodes_truncates_to_budget():
     batch = [{"node_id": f"n{i}", "label": 0, "text": "c" * 25, "neighbors": ["1"]}
              for i in range(4)]
     provider = MockProvider({"0": json.dumps(batch)})
-    out = generate_nodes(provider, g, _capsule(g), "s", EnhancementMode.SEMANTIC, 2)
+    audit = AuditLog()
+    out = generate_nodes(provider, g, _capsule(g), "s", EnhancementMode.SEMANTIC, 2,
+                         audit=audit)
     assert [gen.record.node_id for gen in out] == ["n0", "n1"]
+    gen_record = next(e for e in audit.entries if e["kind"] == "generation")
+    assert gen_record["kept"] == 2 and gen_record["returned"] == 4
+    assert gen_record["dropped"] == {"n2": "over budget", "n3": "over budget"}
 
 
 def _gen(nid, text="x" * 30, proposed=("1",)):
