@@ -120,10 +120,9 @@ def label_homogeneity_matrix(g: TextAttributedGraph) -> np.ndarray:
     c = g.class_count
     h = np.zeros((c, c))
     m = g.num_edges
-    label = np.array([rec.label for rec in g.nodes], dtype=np.int64)
     adj = g.adjacency_csr().tocoo()
     upper = adj.row < adj.col
-    a, b = label[adj.row[upper]], label[adj.col[upper]]
+    a, b = g.labels()[adj.row[upper]], g.labels()[adj.col[upper]]
     # each cell only ever receives one constant, 1/m on the diagonal and 0.5/m
     # off it, so the sums do not depend on the order of the increments
     step = np.where(a == b, 1.0 / m, 0.5 / m)
@@ -287,11 +286,6 @@ def coherence_scores(x, direction) -> np.ndarray:
         cos = min(max(abs(float(row @ u)) / nx, 0.0), 1.0)
         out[k] = 1.0 - (2.0 / math.pi) * math.acos(cos)
     return out
-
-
-def coherence_score(x, direction) -> float:
-    """Closeness of one vector to the principal direction, in [0, 1]."""
-    return float(coherence_scores([x], direction)[0])
 
 
 @dataclass(frozen=True)

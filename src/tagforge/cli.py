@@ -36,7 +36,7 @@ from .graph import (
     atomic_write_text,
     graph_stats,
     load_graph,
-    node_ids_from_json_obj,
+    graph_from_json_obj,
     save_graph,
 )
 from .limiter import LimiterParams, property_tensor, sample_limited_detailed
@@ -247,7 +247,7 @@ def _load_id_list(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "nodes" in obj:
-        return node_ids_from_json_obj(obj)
+        return list(graph_from_json_obj(obj).ids())
     if isinstance(obj, list):
         out = []
         for item in obj:

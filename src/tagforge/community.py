@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _ROW_BLOCK, TextAttributedGraph
+from .graph import _ROW_BLOCK, TextAttributedGraph, _read_only
 
 log = logging.getLogger("tagforge.community")
 
@@ -140,9 +140,8 @@ class Partition:
         rank[np.argsort(first)] = np.arange(first.size)
         comm = np.empty(g.num_nodes, dtype=np.int64)
         comm[order] = rank[inverse]
-        comm.flags.writeable = False
         self.ids = g.ids()
-        self.comm = comm
+        self.comm = _read_only(comm)
         self.community_count = int(first.size)
 
     def check(self, g: TextAttributedGraph) -> None:

@@ -1,9 +1,10 @@
 """Text-attributed graph data model.
 
-A graph here is an ordered collection of node records, each carrying a text
-payload, an integer class label, a split mask, and a neighbor list. Graphs are
-undirected and simple: construction symmetrizes neighbor lists, drops
-self-loops, and deduplicates repeated mentions, counting every such fix.
+A graph here is columns over node positions (ids, texts, class labels, split
+masks) and a CSR adjacency matrix. Node records with neighbor lists are only
+its input and output, built on demand. Graphs are undirected and simple:
+construction symmetrizes neighbor lists, drops self-loops, and deduplicates
+repeated mentions, counting every such fix.
 """
 from __future__ import annotations
 
@@ -55,6 +56,11 @@ class NodeRecord:
     neighbors: tuple[str, ...]
     mask: str = "Train"
 
+    def to_json_obj(self) -> dict:
+        """The record as graph files and prompts write it."""
+        return {"node_id": self.node_id, "label": self.label, "text": self.text,
+                "neighbors": list(self.neighbors), "mask": self.mask}
+
 
 @dataclass(frozen=True)
 class SynthesizedDelta:
@@ -68,12 +74,6 @@ class SynthesizedDelta:
     bridge_edges: tuple[tuple[str, str], ...] = ()
 
 
-def _neighbor_key(node_id: str) -> tuple[tuple[int, int, str], str]:
-    """Neighbor list order: ``node_sort_key``, then the id itself, so ids
-    with equal keys such as "1" and "01" keep one order in every process."""
-    return (node_sort_key(node_id), node_id)
-
-
 def _check_record(node_id: str, label, mask, class_count: int) -> None:
     """Raise unless the label is an int in [0, class_count) and the mask is
     one of MASKS."""
@@ -85,6 +85,11 @@ def _check_record(node_id: str, label, mask, class_count: int) -> None:
     if mask not in MASKS:
         raise GraphValidationError(
             f"node {node_id!r}: mask {mask!r} not in {MASKS}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -106,7 +111,9 @@ def _adjacency(row: np.ndarray, col: np.ndarray, n: int) -> sp.csr_matrix:
 
 
 def _key_order(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each position's rank in the ``_neighbor_key`` order of ``ids``, and
+    """Each position's rank in the neighbor list order of ``ids`` (by
+    ``node_sort_key``, then by the id itself, so ids with equal keys such as
+    "1" and "01" keep one order in every process), and
     its ``key_rank``: the rank of its ``node_sort_key`` among the distinct
     keys. Each key is computed once."""
     n = len(ids)
@@ -117,7 +124,7 @@ def _key_order(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     new_key = [a[0] != b[0] for a, b in zip(by_key, by_key[1:])]
     key_rank = np.empty(n, dtype=np.int64)
     key_rank[perm] = np.cumsum([0, *new_key][:n])
-    return nbr_rank, key_rank
+    return _read_only(nbr_rank), _read_only(key_rank)
 
 
 def _checked_positions(ids: Sequence[str], labels: Sequence, masks: Sequence,
@@ -155,52 +162,55 @@ def _checked_positions(ids: Sequence[str], labels: Sequence, masks: Sequence,
 class TextAttributedGraph:
     """Immutable undirected simple graph over text-attributed nodes.
 
+    The graph is its columns (``ids()``, ``texts()``, ``labels()``,
+    ``masks()``) and ``adjacency_csr()``. :meth:`records` builds the
+    ``NodeRecord`` of given positions, the form nodes take in and out.
+
     Build instances through :meth:`from_records` or :func:`load_graph`; both
     normalize adjacency and validate labels, masks, and neighbor references.
     Each of these, :meth:`subgraph` and :func:`merge_synthesis` hands the
-    constructor the ``adjacency_csr()`` it built from position arrays.
+    constructor its columns and the CSR it built from position arrays.
     """
 
     __slots__ = (
-        "nodes", "class_count", "normalization_fixes",
-        "_ids", "_pos", "_degrees", "_csr", "_key_rank",
+        "class_count", "normalization_fixes",
+        "_ids", "_texts", "_labels", "_masks", "_pos", "_degrees", "_csr", "_key_order",
     )
 
-    def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
-                 csr: sp.csr_matrix, normalization_fixes: int = 0):
-        self.nodes = nodes
+    def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[int],
+                 masks: Sequence[int], class_count: int, csr: sp.csr_matrix,
+                 normalization_fixes: int = 0):
         self.class_count = class_count
         self.normalization_fixes = normalization_fixes
-        self._ids = tuple(rec.node_id for rec in nodes)
+        self._ids = tuple(ids)
+        self._texts = tuple(texts)
+        self._labels = _read_only(np.asarray(labels, dtype=np.int64))
+        self._masks = _read_only(np.asarray(masks, dtype=np.int8))
         self._pos = {node_id: i for i, node_id in enumerate(self._ids)}
         self._csr = csr
         # scipy keeps indptr as int32 while the entries fit
-        self._degrees = np.diff(csr.indptr).astype(np.int64)
-        self._degrees.flags.writeable = False
-        self._key_rank = None
+        self._degrees = _read_only(np.diff(csr.indptr).astype(np.int64))
+        self._key_order = None
 
     @classmethod
     def from_records(cls, records: Sequence[NodeRecord], class_count: int) -> "TextAttributedGraph":
         if class_count < 0:
             raise GraphValidationError("class_count must be nonnegative")
         return cls._normalized(
-            [rec.node_id for rec in records], [rec.label for rec in records],
+            class_count, [rec.node_id for rec in records], [rec.label for rec in records],
             [rec.text for rec in records], [rec.neighbors for rec in records],
-            [rec.mask for rec in records], class_count)
+            [rec.mask for rec in records])
 
     @classmethod
-    def _normalized(cls, ids: Sequence[str], labels: Sequence, texts: Sequence,
-                    neighbors: Sequence[Sequence[str]], masks: Sequence,
-                    class_count: int) -> "TextAttributedGraph":
+    def _normalized(cls, class_count: int, ids: Sequence[str], labels: Sequence,
+                    texts: Sequence, neighbors: Sequence[Sequence[str]],
+                    masks: Sequence) -> "TextAttributedGraph":
         """The graph of records given column by column, validated by
         ``_checked_positions``.
 
         Adjacency is normalized on position arrays: self-loops, repeated
         mentions and one-sided mentions each count one fix, and the union of
-        both directions is kept. Neighbor lists follow ``_neighbor_key`` and
-        hold the nodes' own id objects, one copy per id. The sorted position
-        pairs become ``adjacency_csr()``, and the key order the cached
-        ``key_rank()``.
+        both directions is kept as ``adjacency_csr()``.
         """
         src, dst = _checked_positions(ids, labels, masks, neighbors, class_count)
         n = len(ids)
@@ -209,47 +219,53 @@ class TextAttributedGraph:
         once = _sorted_unique(mentioned)
         both = _sorted_unique(np.concatenate([once, once % n * n + once // n]))
         fixes = int(loop.sum()) + (mentioned.size - once.size) + (both.size - once.size)
-        row, col = both // n, both % n
-
-        nbr_rank, key_rank = _key_order(ids)
-        csr = _adjacency(row, col, n)
-        id_of = np.empty(n, dtype=object)
-        id_of[:] = ids
-        nbr_ids = tuple(id_of[col[np.lexsort((nbr_rank[col], row))]].tolist())
-        bounds = csr.indptr.tolist()
-        lists = map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:]))
-        g = cls(tuple(map(NodeRecord, ids, labels, texts, lists, masks)), class_count, csr, fixes)
-        key_rank.flags.writeable = False
-        g._key_rank = key_rank
         if fixes:
             log.info("graph normalization applied %d fixes", fixes)
-        return g
+        return cls(ids, texts, labels, np.fromiter(map(MASKS.index, masks), np.int8, n),
+                   class_count, _adjacency(both // n, both % n, n), fixes)
 
     # basic accessors -----------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._ids)
 
     @property
     def num_edges(self) -> int:
         return self._csr.nnz // 2
 
+    @property
+    def nodes(self) -> tuple[NodeRecord, ...]:
+        """Every node's record, in position order, built on each access."""
+        return self.records(np.arange(self.num_nodes))
+
     def ids(self) -> tuple[str, ...]:
-        """Each position's id, built once per graph."""
+        """Each position's id."""
         return self._ids
+
+    def texts(self) -> tuple[str, ...]:
+        """Each position's text."""
+        return self._texts
+
+    def labels(self) -> np.ndarray:
+        """Read-only int64 class label of each position."""
+        return self._labels
+
+    def masks(self) -> np.ndarray:
+        """Read-only int8 split of each position, as an index into ``MASKS``."""
+        return self._masks
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._pos
 
     def node(self, node_id: str) -> NodeRecord:
-        return self.nodes[self._pos[node_id]]
+        return self.records([self._pos[node_id]])[0]
 
     def index_of(self, node_id: str) -> int:
         return self._pos[node_id]
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self.nodes[self._pos[node_id]].neighbors
+        return self.node(node_id).neighbors
 
     def degrees(self) -> np.ndarray:
         """Read-only int64 degree of each position."""
@@ -259,52 +275,67 @@ class TextAttributedGraph:
         """The 0/1 adjacency matrix on node positions, with sorted indices."""
         return self._csr
 
+    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._key_order is None:
+            self._key_order = _key_order(self._ids)
+        return self._key_order
+
     def key_rank(self) -> np.ndarray:
         """Read-only rank of each position's ``node_sort_key`` among the
         graph's distinct keys. The canonical node order is by this rank, then
         by position: ids with equal keys, such as "1" and "01", share a rank
         and tie by position."""
-        if self._key_rank is None:
-            self._key_rank = _key_order(self._ids)[1]
-            self._key_rank.flags.writeable = False
-        return self._key_rank
+        return self._order()[1]
+
+    def records(self, positions: Sequence[int]) -> tuple[NodeRecord, ...]:
+        """The records of ``positions`` (checked as in ``distinct_positions``),
+        in the order given and with repeats.
+
+        Each neighbour list holds the graph's own id objects, from the
+        position's CSR row, ordered by id (``node_sort_key``, then the id
+        itself): one sort of those rows' entries by row, then neighbour rank.
+        """
+        idx = self._positions(positions, "record positions")
+        ids, at, count = self._ids, idx.tolist(), self._degrees[idx]
+        ends = np.cumsum(count)
+        row = np.repeat(np.arange(idx.size), count)
+        # the CSR entry behind each place of the gathered rows
+        entry = np.arange(row.size) + np.repeat(self._csr.indptr[idx] - ends + count, count)
+        col = self._csr.indices[entry]
+        col = col[np.argsort(row * len(ids) + self._order()[0][col])]
+        nbr_ids = tuple(map(ids.__getitem__, col.tolist()))
+        bounds = [0, *ends.tolist()]
+        return tuple(map(NodeRecord, map(ids.__getitem__, at), self._labels[idx].tolist(),
+                         map(self._texts.__getitem__, at),
+                         map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:])),
+                         map(MASKS.__getitem__, self._masks[idx].tolist())))
+
+    def _positions(self, positions: Sequence[int], what: str) -> np.ndarray:
+        idx, n = np.asarray(positions), self.num_nodes
+        if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0
+                         or idx.max() >= n):
+            raise ValueError(f"{what} must be positions in [0, {n}): {idx.tolist()[:10]}")
+        return idx.astype(np.int64, copy=False)
 
     def distinct_positions(self, positions: Iterable[int], what: str) -> np.ndarray:
         """The distinct positions in ``positions``, ascending, as int64. Raises
         ``ValueError``, naming them ``what``, unless each is an integer in
         ``[0, num_nodes)``."""
-        idx, n = np.asarray(list(positions)), self.num_nodes
-        if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0
-                         or idx.max() >= n):
-            raise ValueError(f"{what} must be positions in [0, {n}): {idx.tolist()[:10]}")
-        return _sorted_unique(idx.astype(np.int64))
+        return _sorted_unique(self._positions(list(positions), what))
 
     def subgraph(self, positions: Iterable[int]) -> "TextAttributedGraph":
         """Induced subgraph on node positions (``distinct_positions``), in the
-        graph's node order, with all attributes and the CSR sliced from this
+        graph's node order, with every column and the CSR sliced from this
         graph's."""
         idx = self.distinct_positions(positions, "subgraph nodes")
-        keep = set(map(self._ids.__getitem__, idx.tolist()))
-        records = tuple(
-            NodeRecord(rec.node_id, rec.label, rec.text,
-                       tuple(nb for nb in rec.neighbors if nb in keep), rec.mask)
-            for rec in map(self.nodes.__getitem__, idx.tolist()))
-        return TextAttributedGraph(records, self.class_count, self._csr[idx][:, idx])
+        keep = idx.tolist()
+        return TextAttributedGraph(
+            map(self._ids.__getitem__, keep), map(self._texts.__getitem__, keep),
+            self._labels[idx], self._masks[idx], self.class_count, self._csr[idx][:, idx])
 
     def to_json_obj(self) -> dict:
-        return {
-            "class_count": self.class_count,
-            "nodes": [
-                {
-                    "node_id": rec.node_id,
-                    "label": rec.label,
-                    "text": rec.text,
-                    "neighbors": list(rec.neighbors),
-                    "mask": rec.mask,
-                }
-                for rec in self.nodes
-            ],
-        }
+        return {"class_count": self.class_count,
+                "nodes": [rec.to_json_obj() for rec in self.nodes]}
 
 
 # serialization -----------------------------------------------------------
@@ -361,16 +392,7 @@ def _json_columns(obj) -> tuple[int, Sequence, Sequence, Sequence, Sequence, Seq
 
 
 def graph_from_json_obj(obj) -> TextAttributedGraph:
-    class_count, ids, labels, texts, neighbors, masks = _json_columns(obj)
-    return TextAttributedGraph._normalized(ids, labels, texts, neighbors, masks, class_count)
-
-
-def node_ids_from_json_obj(obj) -> list[str]:
-    """The node ids of a TAG-JSON object in record order, after every check
-    ``graph_from_json_obj`` makes, with the same errors; builds no records."""
-    class_count, ids, labels, _, neighbors, masks = _json_columns(obj)
-    _checked_positions(ids, labels, masks, neighbors, class_count)
-    return list(ids)
+    return TextAttributedGraph._normalized(*_json_columns(obj))
 
 
 def load_graph(path: str) -> TextAttributedGraph:
@@ -478,8 +500,7 @@ def largest_component(g: TextAttributedGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def histograms(g: TextAttributedGraph) -> tuple[dict[int, int], dict[int, int]]:
     """Node count per degree and node count per label, keyed in node order."""
-    return (dict(Counter(len(rec.neighbors) for rec in g.nodes)),
-            dict(Counter(rec.label for rec in g.nodes)))
+    return dict(Counter(g.degrees().tolist())), dict(Counter(g.labels().tolist()))
 
 
 def local_clustering(g: TextAttributedGraph) -> np.ndarray:
@@ -561,10 +582,9 @@ def merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttr
     new record passes the label and mask rule of ``from_records``, and each
     bridge joins a new node to a base node. The new records are appended to
     ``g``'s, so the new nodes take positions ``n .. n+k-1`` in delta order.
-    Only the records of bridge targets are rebuilt; every other record is
-    shared with ``g``. Neighbor lists hold the graph's own id objects, and a
-    new node's neighbors are its bridge targets. The CSR is ``g``'s with
-    both directions of each distinct bridge added.
+    The columns are ``g``'s with the delta's appended, and the CSR is
+    ``g``'s with both directions of each distinct bridge added: a new node's
+    neighbors are its bridge targets.
     """
     n = g.num_nodes
     new_pos = {rec.node_id: n + i for i, rec in enumerate(delta.new_nodes)}
@@ -576,24 +596,20 @@ def merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttr
     for rec in delta.new_nodes:
         _check_record(rec.node_id, rec.label, rec.mask, g.class_count)
 
-    records = [*g.nodes, *delta.new_nodes]
-    # far ends per bridge end; each new node has an entry, so its incoming list is dropped
-    added: dict[int, set[int]] = {p: set() for p in new_pos.values()}
     for new_id, orig_id in delta.bridge_edges:
         if new_id not in new_pos:
             raise GraphValidationError(f"bridge edge references unknown new node {new_id!r}")
         if not g.has_node(orig_id):
             raise GraphValidationError(f"bridge edge references unknown base node {orig_id!r}")
-        u, v = new_pos[new_id], g.index_of(orig_id)
-        added[u].add(v)
-        added.setdefault(v, set()).add(u)
-    for p, near in added.items():
-        rec = records[p]
-        records[p] = NodeRecord(rec.node_id, rec.label, rec.text, tuple(sorted(
-            {*(rec.neighbors if p < n else ()), *(records[q].node_id for q in near)},
-            key=_neighbor_key)), rec.mask)
-    m = len(records)
-    bridges = np.array([p * m + q for p, near in added.items() for q in near], dtype=np.int64)
-    pairs = np.sort(np.concatenate([
-        np.repeat(np.arange(n), g.degrees()) * m + g.adjacency_csr().indices, bridges]))
-    return TextAttributedGraph(tuple(records), g.class_count, _adjacency(pairs // m, pairs % m, m))
+    u, v = np.array([(new_pos[a], g.index_of(b)) for a, b in delta.bridge_edges],
+                    dtype=np.int64).reshape(-1, 2).T
+    m = n + len(new_pos)
+    pairs = _sorted_unique(np.concatenate([
+        np.repeat(np.arange(n), g.degrees()) * m + g.adjacency_csr().indices,
+        u * m + v, v * m + u]))
+    new = delta.new_nodes
+    return TextAttributedGraph(
+        (*g.ids(), *new_pos), (*g.texts(), *(rec.text for rec in new)),
+        np.concatenate([g.labels(), np.fromiter((rec.label for rec in new), np.int64)]),
+        np.concatenate([g.masks(), np.fromiter((MASKS.index(rec.mask) for rec in new), np.int8)]),
+        g.class_count, _adjacency(pairs // m, pairs % m, m))

@@ -557,8 +557,7 @@ def _cells(g: TextAttributedGraph, comm: np.ndarray,
            k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Each node's cell, numbered in (label, community) order, and the
     (label, community) key of each cell, for ``k`` communities."""
-    labels = np.array([rec.label for rec in g.nodes], dtype=np.int64)
-    codes, cell = np.unique(labels * k + comm, return_inverse=True)
+    codes, cell = np.unique(g.labels() * k + comm, return_inverse=True)
     return cell.ravel(), [divmod(c, k) for c in codes.tolist()]
 
 
@@ -578,11 +577,10 @@ def _select(g: TextAttributedGraph, partition: Partition, params: LimiterParams,
     comm, k = partition.comm, partition.community_count
     cell, keys = _cells(g, comm, k)
     sizes = np.bincount(cell, minlength=len(keys)).tolist()
-    class_counts: dict[int, int] = {}
-    for (lbl, _), size in zip(keys, sizes):
-        class_counts[lbl] = class_counts.get(lbl, 0) + size
+    class_counts = np.bincount(g.labels()).tolist()
     class_targets = _largest_remainder(
-        [(lbl, params.alpha * count, count) for lbl, count in class_counts.items()], total)
+        [(lbl, params.alpha * count, count) for lbl, count in enumerate(class_counts) if count],
+        total)
     cell_targets: dict[tuple, int] = {}
     for lbl, members in groupby(zip(keys, sizes), key=lambda item: item[0][0]):
         cell_targets.update(_largest_remainder(

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .community import EmbeddingTable, Partition, block_totals, indicator
-from .graph import GraphStats, TextAttributedGraph, NodeRecord, graph_stats, histogram_json
+from .graph import MASKS, GraphStats, TextAttributedGraph, NodeRecord, graph_stats, histogram_json
 
 log = logging.getLogger("tagforge.perception")
 
@@ -77,7 +77,7 @@ def class_imbalance(label_counts: Mapping[int, int]) -> dict[int, float]:
 
 def train_imbalance(g: TextAttributedGraph) -> dict[int, float] | None:
     """Imbalance factor per training label; None when no node is in Train."""
-    counts = Counter(rec.label for rec in g.nodes if rec.mask == "Train")
+    counts = Counter(g.labels()[g.masks() == MASKS.index("Train")].tolist())
     return class_imbalance(counts) if counts else None
 
 
@@ -127,8 +127,8 @@ def select_seed(
     if imbalance is None:
         raise ValueError("topological seed selection requires training nodes")
     target = min(sorted(imbalance), key=lambda lbl: (-imbalance[lbl], lbl))
-    train_label = np.array([rec.label if rec.mask == "Train" else -1 for rec in g.nodes])
-    return SeedSelection(frozenset(np.flatnonzero(train_label == target).tolist()),
+    train = (g.labels() == target) & (g.masks() == MASKS.index("Train"))
+    return SeedSelection(frozenset(np.flatnonzero(train).tolist()),
                          f"label:{target}")
 
 
@@ -190,17 +190,9 @@ class KnowledgeCapsule:
 
     def to_json(self) -> str:
         """The members as the generation prompt shows them."""
-        return json.dumps([
-            {
-                "node_id": rec.node_id,
-                "label": rec.label,
-                "text": rec.text,
-                "neighbors": list(rec.neighbors),
-                "mask": rec.mask,
-                "relevance": self.ppr_scores[rec.node_id],
-            }
-            for rec in self.records
-        ], ensure_ascii=False, indent=1)
+        return json.dumps(
+            [{**rec.to_json_obj(), "relevance": self.ppr_scores[rec.node_id]}
+             for rec in self.records], ensure_ascii=False, indent=1)
 
 
 def sample_knowledge(
@@ -259,7 +251,7 @@ def sample_knowledge(
     if short > 0:
         pool[np.flatnonzero(~pool[:k_count])[:short]] = True
     chosen = pos[np.flatnonzero(pool)[:target]]
-    records = tuple(g.nodes[i] for i in chosen.tolist())
+    records = g.records(chosen)
     node_ids = tuple(rec.node_id for rec in records)
     return KnowledgeCapsule(node_ids, records, dict(zip(node_ids, pi[chosen].tolist())))
 
@@ -347,11 +339,10 @@ def build_report(
     n = g.num_nodes
     m = g.num_edges
     k, comm = partition.community_count, partition.comm
-    label_of = np.array([rec.label for rec in g.nodes], dtype=np.int64)
 
-    class_internal = block_totals(g, label_of, g.class_count)[0].tolist()
+    class_internal = block_totals(g, g.labels(), g.class_count)[0].tolist()
     # node count per (label, community)
-    spread = (indicator(label_of, g.class_count).T @ indicator(comm, k)).toarray()
+    spread = (indicator(g.labels(), g.class_count).T @ indicator(comm, k)).toarray()
     class_stats: dict[int, ClassStat] = {}
     for lbl, row in enumerate(spread.astype(np.int64).tolist()):
         count = sum(row)
@@ -388,7 +379,7 @@ def build_report(
         emb.check(g)
         centroids: dict[int, np.ndarray] = {}
         for lbl in class_stats:
-            centroid = emb.unit[label_of == lbl].mean(axis=0)
+            centroid = emb.unit[g.labels() == lbl].mean(axis=0)
             norm = float(np.linalg.norm(centroid))
             centroids[lbl] = centroid / norm if norm > 0 else centroid
         labels = sorted(centroids)

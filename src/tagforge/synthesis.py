@@ -256,8 +256,11 @@ def propose_edges(
     targets = [t for t in gen.proposed if g.has_node(t)]
     if not targets:
         return []
-    in_capsule = [t for t in targets if t in capsule_ids]
-    capsule_set = set(in_capsule)
+    # the proposed neighbors inside the capsule, by position
+    near = np.zeros(g.num_nodes, dtype=bool)
+    near[[g.index_of(t) for t in targets if t in capsule_ids]] = True
+    near_count = int(near.sum())
+    a = g.adjacency_csr()
     x = np.asarray(new_embedding, dtype=np.float64)
     xn = float(np.linalg.norm(x))
     if xn == 0.0:
@@ -267,10 +270,8 @@ def propose_edges(
     for t in targets:
         i = g.index_of(t)
         sim = float(x @ emb.unit[i])
-        if capsule_set:
-            overlap = sum(1 for w in g.neighbors(t) if w in capsule_set) / len(capsule_set)
-        else:
-            overlap = 0.0
+        row = a.indices[a.indptr[i]:a.indptr[i + 1]]
+        overlap = int(near[row].sum()) / near_count if near_count else 0.0
         deg_ratio = int(g.degrees()[i]) / max_deg if max_deg > 0 else 0.0
         scored[t] = edge_probability(sim, overlap, deg_ratio, theta)
     return select_edges(scored, threshold)
@@ -331,9 +332,11 @@ def generate_nodes(
     dropped: dict[str, str] = {}
     for item in raw:
         nid = item["node_id"]
+        # an id's first item decides what happens to it
         if g.has_node(nid) or nid in seen:
-            dropped[nid] = "duplicate id"
+            dropped.setdefault(nid, "duplicate id")
             continue
+        seen.add(nid)
         if not item["text"]:
             dropped[nid] = "empty text"
             continue
@@ -350,7 +353,6 @@ def generate_nodes(
         if not item["neighbors"]:
             dropped[nid] = "no neighbor proposals"
             continue
-        seen.add(nid)
         record = NodeRecord(
             node_id=nid, label=item["label"], text=item["text"],
             neighbors=(), mask=item["mask"])
@@ -536,9 +538,8 @@ def run_synthesis(
     failure: str | None = None
 
     try:
-        texts = [rec.text for rec in g.nodes]
-        vectors = embed_texts(provider, texts)
-        emb = EmbeddingTable({rec.node_id: vec for rec, vec in zip(g.nodes, vectors)})
+        vectors = embed_texts(provider, list(g.texts()))
+        emb = EmbeddingTable(dict(zip(g.ids(), vectors)))
 
         partition, report, report_json = perceive(g, emb, config, rng_seed)
         report0_json = report_json

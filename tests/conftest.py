@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tagforge.graph import NodeRecord, TextAttributedGraph, _neighbor_key
+from tagforge.graph import NodeRecord, TextAttributedGraph, node_sort_key
+
+
+def _neighbor_key(node_id: str) -> tuple[tuple[int, int, str], str]:
+    """Neighbor list order: ``node_sort_key``, then the id itself, so ids
+    with equal keys such as "1" and "01" keep one order in every process."""
+    return (node_sort_key(node_id), node_id)
 
 
 def cosine_similarity(a, b):

@@ -17,7 +17,7 @@ from test_community import oracle_newman
 from test_graph import oracle_clustering, oracle_components, oracle_path_length
 from test_perception import oracle_ppr
 from tagforge.analysis import (
-    coherence_score,
+    coherence_scores,
     grassmann_objective,
     ks_p_value,
     ks_two_sample,
@@ -110,9 +110,9 @@ def test_criterion_04_grassmann_suite():
         u = rng.normal(size=dim)
         u /= np.linalg.norm(u)
         vectors = rng.normal(size=(10_000, dim))
-        scores = np.array([coherence_score(x, u) for x in vectors])
+        scores = coherence_scores(vectors, u)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
-        flipped = np.array([coherence_score(-x, u) for x in vectors[:2000]])
+        flipped = coherence_scores(-vectors[:2000], u)
         assert np.allclose(flipped, scores[:2000], atol=1e-12)
         cosines = np.abs(vectors @ u) / np.linalg.norm(vectors, axis=1)
         angles = np.arccos(np.clip(cosines, 0.0, 1.0))

@@ -13,7 +13,6 @@ from tagforge.analysis import (
     _unit_rows,
     CoherenceReport,
     PrincipalDirection,
-    coherence_score,
     coherence_scores,
     coherence_statistics,
     clustering_similarity,
@@ -407,21 +406,21 @@ def test_principal_direction_matches_reference_bit_for_bit(dim, n, spread):
 
 def test_coherence_score_frozen_angles():
     u = np.array([1.0, 0.0])
-    assert coherence_score([2.0, 0.0], u) == pytest.approx(1.0)
-    assert coherence_score([0.0, 5.0], u) == pytest.approx(0.0, abs=1e-12)
-    assert coherence_score([1.0, 1.0], u) == pytest.approx(0.5)
-    assert coherence_score([-3.0, 0.0], u) == pytest.approx(1.0)
+    assert coherence_scores([[2.0, 0.0]], u)[0] == pytest.approx(1.0)
+    assert coherence_scores([[0.0, 5.0]], u)[0] == pytest.approx(0.0, abs=1e-12)
+    assert coherence_scores([[1.0, 1.0]], u)[0] == pytest.approx(0.5)
+    assert coherence_scores([[-3.0, 0.0]], u)[0] == pytest.approx(1.0)
 
 
 def test_coherence_score_bounds_and_monotonicity():
     u = np.array([1.0, 0.0])
     angles = np.linspace(0.0, math.pi / 2, 20)
-    scores = [coherence_score([math.cos(t), math.sin(t)], u) for t in angles]
+    scores = coherence_scores([[math.cos(t), math.sin(t)] for t in angles], u).tolist()
     assert all(0.0 <= s <= 1.0 for s in scores)
     for a, b in zip(scores, scores[1:]):
         assert b < a + 1e-12
     with pytest.raises(ValueError):
-        coherence_score([0.0, 0.0], u)
+        coherence_scores([[0.0, 0.0]], u)
 
 
 # The score as it was computed one vector at a time, kept as the oracle of
@@ -453,7 +452,6 @@ def test_coherence_scores_bit_identical_to_one_vector_at_a_time(dim, seed):
     # each reference row is a fresh list, so its array lies elsewhere in memory
     want = [reference_coherence_score(row.tolist(), u.tolist()) for row in x]
     assert got.tolist() == want
-    assert [coherence_score(row.tolist(), u) for row in x[:20]] == want[:20]
     assert coherence_scores(np.zeros((0, dim)), u).shape == (0,)
 
 

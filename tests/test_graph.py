@@ -453,11 +453,13 @@ def test_merge_rejects_dangling_bridge():
 # The merge that sent every record back through from_records, kept word for
 # word, apart from its loop over internal edges, as the oracle of the append
 # merge.
-def reference_merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -> TextAttributedGraph:
+def reference_merge_synthesis(g, delta: SynthesizedDelta,
+                              build=TextAttributedGraph.from_records):
     """Graft accepted nodes onto a base graph without mutating it.
 
     Original records survive byte for byte except for neighbor lists extended
     by bridge edges. New node adjacency comes solely from the delta edge sets.
+    The merged records go through ``build``.
     """
     new_ids = [rec.node_id for rec in delta.new_nodes]
     dup = [nid for nid in new_ids if g.has_node(nid)]
@@ -493,7 +495,7 @@ def reference_merge_synthesis(g: TextAttributedGraph, delta: SynthesizedDelta) -
             neighbors=tuple(sorted(extra[rec.node_id], key=node_sort_key)),
             mask=rec.mask,
         ))
-    merged = TextAttributedGraph.from_records(tuple(records), g.class_count)
+    merged = build(tuple(records), g.class_count)
     if merged.normalization_fixes:
         raise GraphValidationError(
             f"merge produced {merged.normalization_fixes} unexpected adjacency fixes")
@@ -552,7 +554,7 @@ def test_merge_matches_reference_on_mixed_ids(seed):
             rec.neighbors, key=lambda v: (node_sort_key(v), v))
     hit = {t for _, t in bridges}
     for old, rec in zip(g.nodes, merged.nodes):
-        assert (rec is old) == (old.node_id not in hit)
+        assert (rec == old) == (old.node_id not in hit)
 
 
 def coo_adjacency(g):
@@ -649,6 +651,8 @@ def test_subgraph_rejects_what_is_not_a_position(positions):
     g = make_graph({"a": ["b"], "b": [], "c": []})
     with pytest.raises(ValueError, match=r"positions in \[0, 3\)"):
         g.subgraph(positions)
+    with pytest.raises(ValueError, match=r"record positions must be positions in \[0, 3\)"):
+        g.records(positions)
 
 
 def test_subgraph_counts_repeats_once_in_node_order():

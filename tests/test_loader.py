@@ -1,12 +1,13 @@
-"""The one-pass graph loader against the loader it replaced.
+"""The one-pass columnar graph loader against the loader it replaced.
 
 ``reference_graph_from_json_obj`` and ``reference_from_records`` are the
 loader that validated every record, built it, and built it again while
-normalizing, kept word for word (``from_records`` as a function, its ``cls``
-the graph class), except that it hands the constructor the CSR of
-``reference_adjacency_csr``. That function and ``reference_key_rank`` are the
-lazy caches that walked every neighbour list through an id map and sorted
-every key.
+normalizing, kept word for word (``from_records`` as a function), except that
+its ``cls`` is ``ReferenceGraph``: the graph as it was when it stored its
+records. ``reference_adjacency_csr`` and ``reference_key_rank`` are the lazy
+caches that walked every neighbour list through an id map and sorted every
+key, and ``reference_json_obj`` the ``to_json_obj`` that wrote the stored
+records.
 """
 import json
 import logging
@@ -25,12 +26,11 @@ from tagforge.graph import (
     NodeRecord,
     SynthesizedDelta,
     TextAttributedGraph,
-    _neighbor_key,
     graph_from_json_obj,
     merge_synthesis,
-    node_ids_from_json_obj,
     node_sort_key,
 )
+from conftest import _neighbor_key
 from test_graph import _copy_id, reference_merge_synthesis
 
 log = logging.getLogger("tagforge.graph")
@@ -49,8 +49,26 @@ def _check_record(rec: NodeRecord, class_count: int) -> None:
             f"node {rec.node_id!r}: mask {rec.mask!r} not in {MASKS}")
 
 
-def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> "TextAttributedGraph":
-    cls = TextAttributedGraph
+class ReferenceGraph:
+    """The records a reference builds, with the graph's id map and the
+    accessors the references read."""
+
+    def __init__(self, nodes: tuple[NodeRecord, ...], class_count: int,
+                 normalization_fixes: int = 0):
+        self.nodes = nodes
+        self.class_count = class_count
+        self.normalization_fixes = normalization_fixes
+        self._pos = {rec.node_id: i for i, rec in enumerate(nodes)}
+
+    def ids(self) -> tuple[str, ...]:
+        return tuple(rec.node_id for rec in self.nodes)
+
+    def has_node(self, node_id: str) -> bool:
+        return node_id in self._pos
+
+
+def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> ReferenceGraph:
+    cls = ReferenceGraph
     if class_count < 0:
         raise GraphValidationError("class_count must be nonnegative")
     seen: dict[str, int] = {}
@@ -102,7 +120,7 @@ def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> "
     )
     if fixes:
         log.info("graph normalization applied %d fixes", fixes)
-    return cls(normalized, class_count, reference_adjacency_csr(normalized), fixes)
+    return cls(normalized, class_count, fixes)
 
 
 def _coerce_id(raw) -> str:
@@ -158,7 +176,7 @@ def reference_records(obj):
     return class_count, records
 
 
-def reference_graph_from_json_obj(obj) -> TextAttributedGraph:
+def reference_graph_from_json_obj(obj) -> ReferenceGraph:
     class_count, records = reference_records(obj)
     return reference_from_records(records, class_count)
 
@@ -176,10 +194,26 @@ def reference_adjacency_csr(records: Sequence[NodeRecord]) -> sp.csr_matrix:
     return csr
 
 
-def reference_key_rank(g: TextAttributedGraph) -> np.ndarray:
+def reference_key_rank(g: ReferenceGraph) -> np.ndarray:
     keys = [node_sort_key(rec.node_id) for rec in g.nodes]
     rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
     return np.array([rank_of[k] for k in keys], dtype=np.int64)
+
+
+def reference_json_obj(self: ReferenceGraph) -> dict:
+    return {
+        "class_count": self.class_count,
+        "nodes": [
+            {
+                "node_id": rec.node_id,
+                "label": rec.label,
+                "text": rec.text,
+                "neighbors": list(rec.neighbors),
+                "mask": rec.mask,
+            }
+            for rec in self.nodes
+        ],
+    }
 
 
 # drawing messy TAG-JSON ----------------------------------------------------------
@@ -298,14 +332,28 @@ def _outcome(build, *args):
         return None, (type(exc), str(exc))
 
 
-def _assert_same_graph(got: TextAttributedGraph, want: TextAttributedGraph) -> None:
-    assert got.nodes == want.nodes
+def _assert_same_graph(got: TextAttributedGraph, want: ReferenceGraph,
+                       picks: Sequence[int] | None = None) -> None:
+    """``got`` holds the reference's records, CSR, key ranks and JSON, and
+    builds the records of ``picks`` (by default every position backwards,
+    then every position again)."""
+    nodes = got.nodes
+    assert nodes == want.nodes
     assert got.class_count == want.class_count
     assert got.normalization_fixes == want.normalization_fixes
-    assert got.num_edges == want.num_edges
-    for rec in got.nodes:
+    assert 2 * got.num_edges == sum(len(rec.neighbors) for rec in want.nodes)
+    for rec in nodes:
         for nb in rec.neighbors:
-            assert nb is got.nodes[got.index_of(nb)].node_id
+            assert nb is got.ids()[got.index_of(nb)]
+    if picks is None:
+        picks = [*reversed(range(got.num_nodes)), *range(got.num_nodes)]
+    assert got.records(picks) == tuple(want.nodes[p] for p in picks)
+    assert got.to_json_obj() == reference_json_obj(want)
+    labels, masks = got.labels(), got.masks()
+    assert labels.dtype == np.int64 and not labels.flags.writeable
+    assert masks.dtype == np.int8 and not masks.flags.writeable
+    assert labels.tolist() == [rec.label for rec in want.nodes]
+    assert [MASKS[m] for m in masks.tolist()] == [rec.mask for rec in want.nodes]
     csr, ref_csr = got.adjacency_csr(), reference_adjacency_csr(want.nodes)
     assert csr.shape == ref_csr.shape and csr.has_sorted_indices
     for name in ("indptr", "indices", "data"):
@@ -327,7 +375,6 @@ def test_loader_matches_reference_on_messy_tag_json(tmp_path_factory, obj):
     if want_error is None:
         _assert_same_graph(got, want)
     want_ids = (list(want.ids()), None) if want_error is None else (None, want_error)
-    assert _outcome(node_ids_from_json_obj, obj) == want_ids
     if isinstance(obj, dict) and "nodes" in obj:
         path = tmp_path_factory.getbasetemp() / "loader-example.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
@@ -379,15 +426,13 @@ def test_loader_lists_the_first_ten_dangling_mentions():
     want = _outcome(reference_graph_from_json_obj, obj)
     assert want[1][1].startswith("11 neighbor reference(s)")
     assert _outcome(graph_from_json_obj, obj) == want
-    assert _outcome(node_ids_from_json_obj, obj) == want
 
 
 # every constructor -----------------------------------------------------------------
 
-def reference_subgraph(self: TextAttributedGraph, keep_ids: Iterable[str]) -> TextAttributedGraph:
+def reference_subgraph(self: ReferenceGraph, keep_ids: Iterable[str]) -> ReferenceGraph:
     """The id-keyed ``subgraph`` it replaced, kept word for word as a
-    function, except that it hands the constructor the CSR of
-    ``reference_adjacency_csr``."""
+    function, except that it builds a ``ReferenceGraph``."""
     keep = set(keep_ids)
     missing = keep - set(self._pos)
     if missing:
@@ -402,7 +447,7 @@ def reference_subgraph(self: TextAttributedGraph, keep_ids: Iterable[str]) -> Te
         )
         for rec in self.nodes if rec.node_id in keep
     )
-    return TextAttributedGraph(records, self.class_count, reference_adjacency_csr(records))
+    return ReferenceGraph(records, self.class_count)
 
 
 # new ids, some with the node_sort_key of an ID_POOL id or of each other
@@ -441,18 +486,19 @@ def grown_graphs(draw):
 @given(case=grown_graphs())
 def test_every_constructor_matches_id_keyed_reference(case):
     """Load, ``from_records``, ``merge_synthesis`` and ``subgraph`` (of the
-    loaded and of the merged graph) give the reference's records, and the
-    CSR that walking those records through an id map gives."""
+    loaded and of the merged graph) give the reference's records and JSON,
+    and the CSR that walking those records through an id map gives; the
+    loaded and the merged graph build the records of the drawn positions."""
     obj, delta, picks = case
     g, want = graph_from_json_obj(obj), reference_graph_from_json_obj(obj)
-    _assert_same_graph(g, want)
     class_count, records = reference_records(obj)
     _assert_same_graph(TextAttributedGraph.from_records(records[::-1], class_count),
                        reference_from_records(records[::-1], class_count))
-    merged, want_merged = merge_synthesis(g, delta), reference_merge_synthesis(want, delta)
-    _assert_same_graph(merged, want_merged)
+    merged = merge_synthesis(g, delta)
+    want_merged = reference_merge_synthesis(want, delta, reference_from_records)
     for parent, ref in ((g, want), (merged, want_merged)):
         inside = [p for p in picks if p < parent.num_nodes]
+        _assert_same_graph(parent, ref, inside)
         _assert_same_graph(parent.subgraph(inside),
                            reference_subgraph(ref, [ref.ids()[p] for p in inside]))
 

@@ -152,8 +152,9 @@ def test_topological_seed_returns_only_train_nodes():
     part = Partition(g, [0] * g.num_nodes)
     sel = select_seed(g, part, None, EnhancementMode.TOPOLOGICAL, PerceptionParams())
     assert seed_ids(g, sel) == frozenset({"1"})
+    nodes = g.nodes
     for i in sel.nodes:
-        assert g.nodes[i].mask == "Train"
+        assert nodes[i].mask == "Train"
 
 
 def test_topological_seed_without_train_nodes_is_error():
@@ -629,7 +630,8 @@ def reference_ranked_sample_knowledge(
     short = target - int(pool.sum())
     if short > 0:
         pool[np.flatnonzero(~pool[:k_count])[:short]] = True
-    records = tuple(g.nodes[i] for i in pos[np.flatnonzero(pool)[:target]].tolist())
+    nodes = g.nodes
+    records = tuple(nodes[i] for i in pos[np.flatnonzero(pool)[:target]].tolist())
     return KnowledgeCapsule(
         node_ids=tuple(rec.node_id for rec in records),
         records=records,

@@ -30,7 +30,7 @@ from tagforge.synthesis import (
     update_threshold,
     update_weights,
 )
-from tagforge.graph import NodeRecord
+from tagforge.graph import MASKS, NodeRecord
 
 
 def _vertex_optimality(v, p):
@@ -299,6 +299,54 @@ def test_generate_nodes_truncates_to_budget():
     gen_record = next(e for e in audit.entries if e["kind"] == "generation")
     assert gen_record["kept"] == 2 and gen_record["returned"] == 4
     assert gen_record["dropped"] == {"n2": "over budget", "n3": "over budget"}
+
+
+def _generate(g, batch, budget):
+    """The nodes ``generate_nodes`` keeps from one reply, and its audit entry."""
+    audit = AuditLog()
+    out = generate_nodes(MockProvider({"0": json.dumps(batch)}), g, _capsule(g), "s",
+                         EnhancementMode.SEMANTIC, budget, audit=audit)
+    return out, next(e for e in audit.entries if e["kind"] == "generation")
+
+
+def test_generate_nodes_lets_an_ids_first_item_decide():
+    g = make_graph({"1": []})
+    batch = [{"node_id": "x", "label": 0, "text": "", "neighbors": ["1"]},
+             {"node_id": "x", "label": 0, "text": "c" * 25, "neighbors": ["1"]}]
+    out, entry = _generate(g, batch, 2)
+    assert out == []
+    assert entry["kept"] == 0 and entry["dropped"] == {"x": "empty text"}
+
+
+GEN_POOL = ("1", "2", "x", "y", "z")
+
+
+@st.composite
+def generation_replies(draw):
+    """A reply of items from a small id pool, some naming graph nodes or each
+    other's ids, with empty texts, labels and masks out of range, dangling
+    and missing neighbour proposals, and a budget."""
+    items = draw(st.lists(st.fixed_dictionaries({
+        "node_id": st.sampled_from(GEN_POOL),
+        "label": st.integers(-1, 2),
+        "text": st.sampled_from(["", "c" * 25]),
+        "neighbors": st.lists(st.sampled_from(["1", "2", "404"]), max_size=2),
+        "mask": st.sampled_from([*MASKS, "train"]),
+    }), max_size=8))
+    return items, draw(st.integers(1, 4))
+
+
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(case=generation_replies())
+def test_generate_nodes_audit_accounts_for_every_id(case):
+    batch, budget = case
+    out, entry = _generate(make_graph({"1": ["2"], "2": []}, class_count=2), batch, budget)
+    kept = {gen.record.node_id for gen in out}
+    dropped = entry["dropped"]
+    assert all(dropped.get(nid, "duplicate id") == "duplicate id" for nid in kept)
+    assert {item["node_id"] for item in batch} <= kept | set(dropped)
+    assert entry["kept"] == len(out) <= budget
 
 
 def _gen(nid, text="x" * 30, proposed=("1",)):
