@@ -8,15 +8,18 @@ communities from detection with gamma 1, as in ``tagforge limit``. Only
 degree, seed, graph (original or sample), the largest component's size, the
 sha256 of ``top_spectral`` (as float.hex), the largest |difference| between
 ``top_spectral`` and numpy's dense ``eigvalsh`` of the same component
-(``-`` above 4,000 nodes, where the dense solve is not run), and the
-seconds. Every column but the last is deterministic, so
+(``-`` above 4,000 nodes, where the dense solve is not run), the
+component's cycle rank (edges - nodes + 1, which chooses the eigensolver:
+``limiter._CYCLE_RANK_BUDGET``), and the seconds. Every column but the last
+is deterministic, so
 
-    diff <(python3 scripts/spectrum_digests.py | cut -f1-7) \\
-         <(python3 other/scripts/spectrum_digests.py | cut -f1-7)
+    diff <(python3 scripts/spectrum_digests.py | cut -f1-8) \\
+         <(python3 other/scripts/spectrum_digests.py | cut -f1-8)
 
 is empty when the two give the same spectra, bit for bit. When they do not,
-the seventh column shows how far each is from the dense solve. The default
-sweep runs 3 x 2 x 2 graphs; it takes about a minute.
+the seventh column shows how far each is from the dense solve, and the
+eighth which solver made the row. The default sweep runs 3 x 2 x 2 graphs;
+it takes about a minute.
 
 Usage:
     python3 scripts/spectrum_digests.py [--sizes 1000,4000,10000]
@@ -37,15 +40,16 @@ ALPHA = 0.3
 DENSE_LIMIT = 4000
 
 
-def dense_gap(graph, spectrum) -> str:
+def dense_gap_and_cycle_rank(graph, spectrum) -> tuple[str, int]:
     """Largest |difference| from the dense spectrum of the component whose
-    spectrum ``property_tensor`` took."""
+    spectrum ``property_tensor`` took, and that component's cycle rank."""
     members, _ = largest_component(graph)
+    a = graph.adjacency_csr()[members][:, members]
+    rank = a.nnz // 2 - members.size + 1
     if members.size > DENSE_LIMIT:
-        return "-"
-    dense = dense_laplacian_eigenvalues(
-        graph.adjacency_csr()[members][:, members], len(spectrum))
-    return f"{np.abs(np.subtract(spectrum, dense)).max():.1e}"
+        return "-", rank
+    dense = dense_laplacian_eigenvalues(a, len(spectrum))
+    return f"{np.abs(np.subtract(spectrum, dense)).max():.1e}", rank
 
 
 def rows(args, clock):
@@ -58,7 +62,7 @@ def rows(args, clock):
             spectrum = pt.top_spectral
             yield (n, degree, seed, kind, round(pt.component_profile[1] * graph.num_nodes),
                    sweep.sha256(",".join(x.hex() for x in spectrum)),
-                   dense_gap(graph, spectrum), f"{seconds:.3f}")
+                   *dense_gap_and_cycle_rank(graph, spectrum), f"{seconds:.3f}")
 
 
 def main(argv=None) -> int:

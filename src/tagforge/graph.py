@@ -58,8 +58,13 @@ class NodeRecord:
 
     def to_json_obj(self) -> dict:
         """The record as graph files and prompts write it."""
-        return {"node_id": self.node_id, "label": self.label, "text": self.text,
-                "neighbors": list(self.neighbors), "mask": self.mask}
+        return _record_json(self.node_id, self.label, self.text, self.neighbors, self.mask)
+
+
+def _record_json(node_id: str, label: int, text: str, neighbors: Sequence[str],
+                 mask: str) -> dict:
+    return {"node_id": node_id, "label": label, "text": text,
+            "neighbors": list(neighbors), "mask": mask}
 
 
 @dataclass(frozen=True)
@@ -295,6 +300,11 @@ class TextAttributedGraph:
         position's CSR row, ordered by id (``node_sort_key``, then the id
         itself): one sort of those rows' entries by row, then neighbour rank.
         """
+        return tuple(map(NodeRecord, *self._record_fields(positions)))
+
+    def _record_fields(self, positions: Sequence[int]) -> tuple[Iterable, ...]:
+        """The ``NodeRecord`` fields of ``positions``, one iterable per field
+        in field order, as ``records`` describes them."""
         idx = self._positions(positions, "record positions")
         ids, at, count = self._ids, idx.tolist(), self._degrees[idx]
         ends = np.cumsum(count)
@@ -305,10 +315,10 @@ class TextAttributedGraph:
         col = col[np.argsort(row * len(ids) + self._order()[0][col])]
         nbr_ids = tuple(map(ids.__getitem__, col.tolist()))
         bounds = [0, *ends.tolist()]
-        return tuple(map(NodeRecord, map(ids.__getitem__, at), self._labels[idx].tolist(),
-                         map(self._texts.__getitem__, at),
-                         map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:])),
-                         map(MASKS.__getitem__, self._masks[idx].tolist())))
+        return (map(ids.__getitem__, at), self._labels[idx].tolist(),
+                map(self._texts.__getitem__, at),
+                map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:])),
+                map(MASKS.__getitem__, self._masks[idx].tolist()))
 
     def _positions(self, positions: Sequence[int], what: str) -> np.ndarray:
         idx, n = np.asarray(positions), self.num_nodes
@@ -334,8 +344,11 @@ class TextAttributedGraph:
             self._labels[idx], self._masks[idx], self.class_count, self._csr[idx][:, idx])
 
     def to_json_obj(self) -> dict:
+        """The graph as graph files write it: every node's record, in
+        position order, built as a dict with no ``NodeRecord``."""
         return {"class_count": self.class_count,
-                "nodes": [rec.to_json_obj() for rec in self.nodes]}
+                "nodes": list(map(_record_json,
+                                  *self._record_fields(np.arange(self.num_nodes))))}
 
 
 # serialization -----------------------------------------------------------

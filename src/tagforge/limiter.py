@@ -14,11 +14,11 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .community import Partition, indicator
 from .graph import (TextAttributedGraph, _sorted_unique, component_labels, histogram_json,
@@ -33,6 +33,14 @@ _REPLACE_CAP = 8
 _GAIN_EPS = 1e-12
 # ARPACK tolerance of the first, loose pass of the spectrum's deflation check
 _CHECK_TOL = 1e-6
+# the check's margin: a remaining eigenvalue of the Laplacian is a missed copy
+# when it lies more than this below the largest one found
+_CHECK_MARGIN = 1e-10
+# delta of the factored spectrum, which factors L + delta I (1e-2 was slower)
+_SHIFT = 1e-3
+# largest cycle rank c of a component whose spectrum is factored: the factor
+# then holds at most (2c)^2 <= 2^24 floats (128 MB)
+_CYCLE_RANK_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -96,17 +104,58 @@ def dense_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(lap)[:count], 0.0, 2.0)
 
 
-def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
-    """The ``count`` smallest eigenvalues of I - D^-1/2 A D^-1/2, ascending,
-    for a connected graph with at least two nodes.
+def _normalized(a: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """M = D^-1/2 A D^-1/2 of a connected graph with adjacency ``a``, and the
+    fixed ARPACK start vector, so repeated calls give the same bits."""
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    return (sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt),
+            np.random.default_rng(0).standard_normal(a.shape[0]))
 
-    They are 1 - mu for the largest eigenvalues mu of M = D^-1/2 A D^-1/2,
-    found by ARPACK's Lanczos iteration from a fixed start vector, so repeated
-    calls give the same bits. Lanczos can miss copies of a repeated
-    eigenvalue, so the found pairs are shifted below the spectrum and the
-    largest remaining eigenvalue is checked; one above the smallest found
-    takes its place until none is. Graphs too small for ARPACK to return
-    ``count`` pairs use ``dense_laplacian_eigenvalues``.
+
+def _fill_missed_copies(apply: Callable[[np.ndarray], np.ndarray], vals: np.ndarray,
+                        vecs: np.ndarray, bound: Callable[[float], float],
+                        v0: np.ndarray) -> np.ndarray:
+    """The found eigenvalues ``vals`` (columns of ``vecs``) of the symmetric
+    operator ``apply``, with any larger eigenvalue that the solve missed in
+    place of the smallest found one.
+
+    Lanczos can miss copies of a repeated eigenvalue. So the found pairs are
+    moved to -3, below the spectrum of either operator (M's lies in [-1, 1],
+    the inverse's is positive), and the largest remaining eigenvalue is
+    checked; one above ``bound`` of the smallest found value takes its place
+    until none is.
+
+    The check runs loose first (``tol`` = ``_CHECK_TOL``) and returns a Ritz
+    pair (theta, w) of the deflated operator R. A Ritz value is at most R's
+    largest eigenvalue, and some eigenvalue of R lies within
+    r = |Rw - theta w| / |w| of theta: the residual bound on which ARPACK
+    accepts the full-precision pair too. So theta + r at most the bound means
+    no copy was missed, and the check stops; only the matvec for r is added.
+    Otherwise the check is redone at full precision, and its test and swap are
+    the full-precision check's, so every swap and every returned bit is what
+    that check alone gives.
+    """
+    s = vecs.shape[0]
+    while True:
+        shift = vals + 3.0
+        rest = LinearOperator(
+            (s, s), dtype=np.float64,
+            matvec=lambda x: apply(x) - vecs @ (shift * (vecs.T @ x)))
+        low = int(np.argmin(vals))
+        limit = bound(vals[low])
+        theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=_CHECK_TOL)
+        r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
+        if theta[0] + r <= limit:
+            return vals
+        top, w = eigsh(rest, k=1, which="LA", v0=v0)
+        if top[0] <= limit:
+            return vals
+        vals[low], vecs[:, low] = top[0], w[:, 0]
+
+
+def _lanczos_spectrum(a: sp.csr_matrix, count: int) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of L = I - M, unordered, as 1 - mu
+    for the largest eigenvalues mu of M, by ARPACK's Lanczos iteration on M.
 
     The main solve keeps ``min(s, max(3 * count, 20))`` Lanczos vectors, not
     ARPACK's default ``max(2 * count + 1, 20)``. The top eigenvalues of M in
@@ -115,43 +164,69 @@ def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float
     basis is a few times wider than the number of pairs wanted: at 10 pairs
     the main solve takes about half the time on the benchmark's components.
     Four times as wide was no faster than three, and five times was slower.
-    The tests hold the values to 1e-12 of a dense solve.
+    """
+    m, v0 = _normalized(a)
+    s = a.shape[0]
+    # a bare matvec: eigsh would wrap the CSR in several operator layers
+    mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
+                     k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
+    mu = _fill_missed_copies(lambda x: m @ x, mu, vecs, lambda low: low + _CHECK_MARGIN, v0)
+    return 1.0 - mu
 
-    The check runs loose first (``tol`` = ``_CHECK_TOL``) and returns a Ritz
-    pair (theta, w) of the shifted operator R. A Ritz value is at most R's
-    largest eigenvalue, and some eigenvalue of R lies within
-    r = |Rw - theta w| / |w| of theta: the residual bound on which ARPACK
-    accepts the full-precision pair too. So theta + r at most the smallest
-    found value (plus 1e-10) means no copy was missed, and the check stops;
-    only the matvec for r is added. Otherwise the check is redone at full
-    precision, and its test and swap are the full-precision check's, so every
-    swap and every returned bit is what that check alone gives.
+
+def _factored_spectrum(a: sp.csr_matrix, count: int) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of L = I - M, unordered, by
+    shift-invert (Ericsson & Ruhe 1980): one sparse LU of L + delta I, with
+    delta = ``_SHIFT``, and ARPACK's Lanczos iteration on its inverse.
+
+    The eigenvalues nu = 1 / (lambda + delta) of the inverse lie in
+    [1 / (2 + delta), 1 / delta], and the smallest lambda become the largest
+    nu, pulled apart where they crowd near 0. L + delta I is symmetric
+    positive definite, so the LU keeps diagonal pivots (SuperLU's symmetric
+    mode) after a minimum degree ordering of A + A^T.
+
+    The check's margin carries over from lambda. A remaining lambda' more than
+    ``_CHECK_MARGIN`` below the largest found lambda is exactly a remaining
+    nu' > 1 / (1 / nu_low - _CHECK_MARGIN) = nu_low / (1 - _CHECK_MARGIN * nu_low)
+    for the smallest found nu_low: a margin of about _CHECK_MARGIN * nu_low^2
+    in nu, from 2.5e-11 at lambda = 2 to 1e-4 at lambda = 0. The denominator
+    stays positive, as nu <= 1 / delta.
+    """
+    m, v0 = _normalized(a)
+    s = a.shape[0]
+    lu = splu((sp.identity(s) * (1.0 + _SHIFT) - m).tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    nu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lu.solve),
+                     k=count, which="LA", v0=v0)
+    nu = _fill_missed_copies(lu.solve, nu, vecs,
+                             lambda low: low / (1.0 - _CHECK_MARGIN * low), v0)
+    return 1.0 / nu - _SHIFT
+
+
+def _smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
+    """The ``count`` smallest eigenvalues of L = I - D^-1/2 A D^-1/2,
+    ascending, for a connected graph with at least two nodes.
+
+    A component whose cycle rank c = m - s + 1 (m edges, s nodes) is at most
+    ``_CYCLE_RANK_BUDGET`` takes ``_factored_spectrum``; any other takes
+    ``_lanczos_spectrum``. The LU's fill follows c, not s: minimum degree
+    elimination takes the nodes of degree 1 and 2 first, and each leaves at
+    most one new entry in place of its own two. What remains is a kernel of
+    at most 2(c - 1) nodes, so under the budget the factor holds at most
+    (2c)^2 <= 2^24 floats, and on sparse components shift-invert is several
+    times faster than Lanczos on M, whose top eigenvalues crowd near 1 in
+    tree-like components. Well above the budget the factor costs more than
+    Lanczos' restarts. Both paths start ARPACK from the same fixed vector, so
+    repeated calls give the same bits, and both complete their pairs with
+    ``_fill_missed_copies``. Graphs too small for ARPACK to return ``count``
+    pairs use ``dense_laplacian_eigenvalues``. The tests hold both paths to
+    1e-12 of a dense solve.
     """
     s = a.shape[0]
     if s <= count + 1:
         return tuple(dense_laplacian_eigenvalues(a, count).tolist())
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
-    m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
-    v0 = np.random.default_rng(0).standard_normal(s)
-    # a bare matvec: eigsh would wrap the CSR in several operator layers
-    mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
-                     k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
-    while True:
-        # found pairs move to -3, below the spectrum of M in [-1, 1]
-        shift = mu + 3.0
-        rest = LinearOperator(
-            (s, s), dtype=np.float64,
-            matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
-        low = int(np.argmin(mu))
-        theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=_CHECK_TOL)
-        r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
-        if theta[0] + r <= mu[low] + 1e-10:
-            break
-        top, w = eigsh(rest, k=1, which="LA", v0=v0)
-        if top[0] <= mu[low] + 1e-10:
-            break
-        mu[low], vecs[:, low] = top[0], w[:, 0]
-    return tuple(np.clip(np.sort(1.0 - mu), 0.0, 2.0).tolist())
+    solve = _factored_spectrum if a.nnz // 2 - s + 1 <= _CYCLE_RANK_BUDGET else _lanczos_spectrum
+    return tuple(np.clip(np.sort(solve(a, count)), 0.0, 2.0).tolist())
 
 
 def property_tensor(g: TextAttributedGraph, eigen_count: int = 10) -> PropertyTensor:

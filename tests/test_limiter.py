@@ -132,7 +132,9 @@ def _networkx_graph(name, size):
     nx = pytest.importorskip("networkx")
     build = {"path": nx.path_graph, "cycle": nx.cycle_graph,
              "hypercube": nx.hypercube_graph,
-             "grid": lambda side: nx.grid_2d_graph(side, side)}[name]
+             "grid": lambda side: nx.grid_2d_graph(side, side),
+             "torus": lambda side: nx.grid_2d_graph(side, side, periodic=True),
+             "tree": lambda depth: nx.balanced_tree(3, depth)}[name]
     h = nx.convert_node_labels_to_integers(build(size), ordering="sorted")
     return make_graph({str(u): [str(v) for v in h[u] if v > u] for u in h})
 
@@ -201,20 +203,21 @@ def test_property_tensor_spectrum_matches_dense_eigvalsh(tree):
 
 def test_property_tensor_lanczos_is_deterministic_and_allocates_no_dense_matrix():
     import tracemalloc
-    _, g = _sparse_random_graph()
-    g.adjacency_csr()
-    first = property_tensor(g).top_spectral
-    tracemalloc.start()
-    try:
-        second = property_tensor(g).top_spectral
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == second
-    # less than one s x s float64 matrix of the largest component
-    s = round(property_tensor(g).component_profile[1] * g.num_nodes)
-    assert peak < s * s * 8
-
+    import tagforge.limiter as limiter
+    # the first component is factored, the second (cycle rank about 4,000) is not
+    for g, factored in ((_sparse_random_graph()[1], True), (_planted_graph(4000, 4, 1), False)):
+        a = _spectrum_input(g)
+        assert (_cycle_rank(a) <= limiter._CYCLE_RANK_BUDGET) == factored
+        first = property_tensor(g).top_spectral
+        tracemalloc.start()
+        try:
+            second = property_tensor(g).top_spectral
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == second
+        # less than one s x s float64 matrix of the largest component
+        assert peak < a.shape[0] ** 2 * 8
 
 
 # The spectrum with a full-precision deflation check on every call, kept word
@@ -255,10 +258,43 @@ def reference_smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tu
     return tuple(float(x) for x in np.clip(vals, 0.0, 2.0))
 
 
+# The spectrum before the factored path, kept as it was written with its
+# constants spelled out, as the oracle of the Lanczos path, which components
+# over the cycle rank budget still take.
+def lanczos_smallest_laplacian_eigenvalues(a: sp.csr_matrix, count: int) -> tuple[float, ...]:
+    s = a.shape[0]
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    m = sp.diags(inv_sqrt) @ a @ sp.diags(inv_sqrt)
+    v0 = np.random.default_rng(0).standard_normal(s)
+    # a bare matvec: eigsh would wrap the CSR in several operator layers
+    mu, vecs = eigsh(LinearOperator((s, s), dtype=np.float64, matvec=lambda x: m @ x),
+                     k=count, which="LA", v0=v0, ncv=min(s, max(3 * count, 20)))
+    while True:
+        # found pairs move to -3, below the spectrum of M in [-1, 1]
+        shift = mu + 3.0
+        rest = LinearOperator(
+            (s, s), dtype=np.float64,
+            matvec=lambda x: m @ x - vecs @ (shift * (vecs.T @ x)))
+        low = int(np.argmin(mu))
+        theta, w = eigsh(rest, k=1, which="LA", v0=v0, tol=1e-6)
+        r = np.linalg.norm(rest.matvec(w[:, 0]) - theta[0] * w[:, 0]) / np.linalg.norm(w)
+        if theta[0] + r <= mu[low] + 1e-10:
+            break
+        top, w = eigsh(rest, k=1, which="LA", v0=v0)
+        if top[0] <= mu[low] + 1e-10:
+            break
+        mu[low], vecs[:, low] = top[0], w[:, 0]
+    return tuple(np.clip(np.sort(1.0 - mu), 0.0, 2.0).tolist())
+
+
 def _spectrum_input(g):
     """The largest component's adjacency, as ``property_tensor`` passes it."""
     members, _ = largest_component(g)
     return g.adjacency_csr()[members][:, members]
+
+
+def _cycle_rank(a):
+    return a.nnz // 2 - a.shape[0] + 1
 
 
 def _dense_spectrum(a, count):
@@ -281,11 +317,15 @@ def _planted_graph(n, avg_degree, seed):
     return graph_from_json_obj(gen.planted_graph(n, avg_degree, seed))
 
 
-@pytest.mark.parametrize("n", [600, 1500, 4000])
+# at degree 1.6, limit-sparse's inputs, every component is factored; at
+# degree 4 the 4,000-node originals (cycle rank about 4,000) are not
+@pytest.mark.parametrize("n,degree", [
+    pytest.param(n, degree, id=f"{n}" if degree == 1.6 else f"{n}-4")
+    for degree in (1.6, 4) for n in (600, 1500, 4000)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_spectrum_matches_reference_on_generator_graphs_and_samples(n, seed):
-    # limit-sparse's inputs: the original graph and its alpha=0.3 sample
-    g = _planted_graph(n, 1.6, seed)
+def test_spectrum_matches_reference_on_generator_graphs_and_samples(n, degree, seed):
+    # the original graph and its alpha=0.3 sample, as in ``tagforge limit``
+    g = _planted_graph(n, degree, seed)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), seed)
     sample = sample_limited(g, part, LimiterParams(alpha=0.3))
     for graph in (g, sample):
@@ -323,9 +363,10 @@ def test_spectrum_matches_reference_on_repeated_eigenvalues(monkeypatch, name, c
     assert _max_gap(got, want) <= 1e-12
 
 
-# the main solve's basis is capped at the component size: P3 at 1 is the
-# smallest input that reaches Lanczos, P12 at 10 and Q7 at 50 take the whole
-# space, and Q7 at 30 cuts its 35-fold eigenvalue 6/7
+# the Lanczos path's main solve keeps a basis capped at the component size:
+# P3 at 1 is the smallest input that reaches ARPACK, P12 at 10 and Q7 at 50
+# take the whole space, and Q7 at 30 cuts its 35-fold eigenvalue 6/7. These
+# components are factored by ``property_tensor``, which must agree.
 @pytest.mark.parametrize("name,size,count", [
     ("path", 3, 1), ("path", 12, 10), ("hypercube", 7, 30), ("hypercube", 7, 50)])
 def test_spectrum_basis_is_capped_at_the_component_size(monkeypatch, name, size, count):
@@ -338,13 +379,36 @@ def test_spectrum_basis_is_capped_at_the_component_size(monkeypatch, name, size,
 
     monkeypatch.setattr(limiter, "eigsh", recording_eigsh)
     g = _networkx_graph(name, size)
-    got = property_tensor(g, count).top_spectral
+    a = _spectrum_input(g)
+    lanczos = np.clip(np.sort(limiter._lanczos_spectrum(a, count)), 0.0, 2.0)
     assert count < calls[0]["ncv"] <= g.num_nodes
-    assert len(got) == count
-    assert _max_gap(got, _analytic_spectrum(name, size)[:count]) <= 1e-12
-    assert _max_gap(got, _dense_spectrum(_spectrum_input(g), count)) <= 1e-12
+    for got in (lanczos, property_tensor(g, count).top_spectral):
+        assert len(got) == count
+        assert _max_gap(got, _analytic_spectrum(name, size)[:count]) <= 1e-12
+        assert _max_gap(got, _dense_spectrum(a, count)) <= 1e-12
 
 
+def _check_calls(monkeypatch, solve, a, count, found=None):
+    """The eigsh calls ``solve`` makes on ``a`` as a string: M for the main
+    solve, L for a loose check and F for a full-precision one. With
+    ``found``, a function of the operator's shape, the main solve returns
+    ``found(shape)`` in place of its own pairs."""
+    import tagforge.limiter as limiter
+    eigsh, calls = limiter.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        calls.append("M" if kwargs["k"] == count else "L" if "tol" in kwargs else "F")
+        if calls[-1] == "M" and found is not None:
+            return found(args[0].shape)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(limiter, "eigsh", recording_eigsh)
+    got = np.clip(np.sort(solve(a, count)), 0.0, 2.0)
+    return "".join(calls), got
+
+
+# every loose check but the last ends in a swap, each after a full check. The
+# Lanczos cases pin the Lanczos path: property_tensor factors these graphs.
 @pytest.mark.parametrize("name,size,count,pattern", [
     # one swap, after a full-precision check
     ("hypercube", 7, 5, r"M(LF)+LF?"),
@@ -356,17 +420,83 @@ def test_spectrum_basis_is_capped_at_the_component_size(monkeypatch, name, size,
 def test_spectrum_check_runs_at_full_precision_before_every_swap(
         monkeypatch, name, size, count, pattern):
     import tagforge.limiter as limiter
-    eigsh, calls = limiter.eigsh, []
+    a = _spectrum_input(_networkx_graph(name, size))
+    calls, _ = _check_calls(monkeypatch, limiter._lanczos_spectrum, a, count)
+    assert re.fullmatch(pattern, calls)
 
-    def recording_eigsh(*args, **kwargs):
-        # M: the main solve, F: a full-precision check, L: a loose check
-        calls.append("M" if kwargs["k"] == count else "L" if "tol" in kwargs else "F")
+
+# the same three shapes on the factored path: the balanced ternary tree of
+# depth 5 at 9 makes one swap, P60 at 10 separates on the loose bound, and
+# the 10 x 10 torus at 30 cuts a repeated eigenvalue, so its full check
+# finds a copy equal to the smallest found one and swaps nothing
+@pytest.mark.parametrize("name,size,count,pattern", [
+    ("tree", 5, 9, r"M(LF)+LF?"), ("path", 60, 10, r"ML"), ("torus", 10, 30, r"MLF")])
+def test_factored_check_runs_at_full_precision_before_every_swap(
+        monkeypatch, name, size, count, pattern):
+    import tagforge.limiter as limiter
+    a = _spectrum_input(_networkx_graph(name, size))
+    assert _cycle_rank(a) <= limiter._CYCLE_RANK_BUDGET
+    calls, got = _check_calls(monkeypatch, limiter._factored_spectrum, a, count)
+    assert re.fullmatch(pattern, calls)
+    assert _max_gap(got, _dense_spectrum(a, count)) <= 1e-12
+
+
+@pytest.mark.parametrize("path", ["lanczos", "factored"])
+def test_check_swaps_in_a_left_out_copy_after_a_full_check(monkeypatch, path):
+    # Q7: 0 once, 2/7 seven times, 4/7 21 times. The main solve is made to
+    # return 0, six copies of 2/7 and one of 4/7, as exact pairs of the
+    # operator the path checks: mu = 1 - lambda of M, or nu = 1 / (lambda +
+    # delta) of the factor's inverse.
+    import tagforge.limiter as limiter
+    a = _spectrum_input(_networkx_graph("hypercube", 7))
+    lam, vecs = np.linalg.eigh(np.eye(128) - a.toarray() / 7.0)
+    pick = [0, 1, 2, 3, 4, 5, 6, 8]
+    assert np.allclose(lam[pick], [0.0] + [2 / 7] * 6 + [4 / 7], atol=1e-12)
+    vals = {"lanczos": 1.0 - lam[pick], "factored": 1.0 / (lam[pick] + limiter._SHIFT)}[path]
+    solve = {"lanczos": limiter._lanczos_spectrum, "factored": limiter._factored_spectrum}[path]
+
+    def found(shape):
+        assert shape == (128, 128)
+        return vals.copy(), vecs[:, pick].copy()
+
+    calls, got = _check_calls(monkeypatch, solve, a, 8, found)
+    assert re.fullmatch(r"MLFLF?", calls)
+    assert _max_gap(got, [0.0] + [2 / 7] * 7) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparse_component_is_factored_once(monkeypatch, seed):
+    import tagforge.limiter as limiter
+    splu, eigsh, calls = limiter.splu, limiter.eigsh, []
+
+    def counting_splu(*args, **kwargs):
+        calls.append("splu")
+        return splu(*args, **kwargs)
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(limiter, "eigsh", recording_eigsh)
-    property_tensor(_networkx_graph(name, size), count)
-    # every loose check but the last ends in a swap, each after a full check
-    assert re.fullmatch(pattern, "".join(calls))
+    monkeypatch.setattr(limiter, "splu", counting_splu)
+    monkeypatch.setattr(limiter, "eigsh", counting_eigsh)
+    a = _spectrum_input(_planted_graph(4000, 1.6, seed))
+    assert 0 < _cycle_rank(a) <= limiter._CYCLE_RANK_BUDGET
+    got = _smallest_laplacian_eigenvalues(a, 10)
+    assert calls[:2] == ["splu", 10] and set(calls[2:]) == {1}
+    assert _max_gap(got, _dense_spectrum(a, 10)) <= 1e-12
+
+
+def test_component_over_the_budget_keeps_the_lanczos_bits(monkeypatch):
+    import tagforge.limiter as limiter
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("a component over the budget was factored")
+
+    monkeypatch.setattr(limiter, "splu", no_splu)
+    a = _spectrum_input(_planted_graph(4000, 4, 2))
+    assert _cycle_rank(a) > limiter._CYCLE_RANK_BUDGET
+    assert _smallest_laplacian_eigenvalues(a, 10) == lanczos_smallest_laplacian_eigenvalues(a, 10)
+
 
 # sampling ---------------------------------------------------------------------------
 

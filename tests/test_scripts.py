@@ -75,13 +75,15 @@ def test_spectrum_digests_prints_one_deterministic_row_per_graph():
     first, second = (run_script("spectrum_digests.py", *args) for _ in range(2))
     rows = [line.split("\t") for line in first.splitlines()]
     # nodes, degree, seed, graph, largest component, digest, gap from the
-    # dense solve, seconds
+    # dense solve, cycle rank, seconds
     assert [row[:4] for row in rows] == [
         ["300", degree, "1", kind] for degree in ("1.6", "4.0") for kind in ("original", "sample")]
-    assert all(len(row) == 8 and len(row[5]) == 64 and int(row[4]) > 11 for row in rows)
+    assert all(len(row) == 9 and len(row[5]) == 64 and int(row[4]) > 11 for row in rows)
     assert all(re.fullmatch(r"\d\.\de[+-]\d\d", row[6]) and float(row[6]) <= 1e-12
                for row in rows)
-    assert [row[:7] for row in rows] == [line.split("\t")[:7] for line in second.splitlines()]
+    # a connected component has at least as many edges as a tree on its nodes
+    assert all(int(row[7]) >= 0 for row in rows)
+    assert [row[:8] for row in rows] == [line.split("\t")[:8] for line in second.splitlines()]
     # above 4,000 nodes the dense solve is skipped
     rows = [line.split("\t") for line in run_script(
         "spectrum_digests.py", "--sizes", "5000", "--degrees", "4", "--seeds", "1").splitlines()]
