@@ -1,4 +1,4 @@
-"""What the digest scripts share (partition_, repair_, spectrum_ and
+"""What the digest scripts share (io_, partition_, repair_, spectrum_ and
 synthesis_digests.py): the import path, comma-list flags, the loop over flag
 combinations, sha256, timing, and the printing of rows and of the timed total.
 

@@ -37,6 +37,7 @@ from .graph import (
     graph_stats,
     load_graph,
     graph_from_json_obj,
+    read_json,
     save_graph,
 )
 from .limiter import LimiterParams, property_tensor, sample_limited_detailed
@@ -243,9 +244,9 @@ def cmd_analyze(args) -> int:
 
 def _load_id_list(path: str) -> list[str]:
     """Accept either a full graph file, checked as ``load_graph`` checks it,
-    or a bare JSON array of distinct node ids."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    or a bare JSON array of distinct node ids. A file that is not UTF-8 or
+    not JSON is refused as ``load_graph`` refuses it."""
+    obj = read_json(path)
     if isinstance(obj, dict) and "nodes" in obj:
         return list(graph_from_json_obj(obj).ids())
     if isinstance(obj, list):

@@ -277,19 +277,23 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     from row ``v`` of ``level.sem`` on coarse levels and from ``x_unit`` on
     the first, and sums them per community.
 
-    A sweep visits only dirty nodes, in index order. Every node starts dirty.
-    A visit that ends with ``v`` staying put, with or without a candidate
-    community, clears ``dirty[v]`` and registers ``v`` in ``watch`` under its
-    own community and under each candidate. A move of ``v`` from ``a`` to
-    ``b`` marks every node registered under ``a`` or ``b`` dirty and empties
-    both lists; ``v`` itself stays dirty. A node marked ahead of the sweep's
-    position is visited in this sweep, one marked behind it in the next. A
-    clean node would stay put again: a neighbour that moved left a community
-    ``v`` is registered under, so no neighbour moved and ``links`` is the
-    same, and community strengths, semantic sums, ``min_member`` and
-    member-set order change only with membership, which marks. The visit
-    would compute the same floats. A node that stayed twice is listed twice
-    under a community, which only marks it twice.
+    A sweep visits only dirty nodes, in index order. Every node with an edge
+    to another node starts dirty. One whose row holds at most itself, such as
+    an isolated node or a finished component on a coarse level, has no
+    candidate community, and its community is no other node's candidate, so
+    it never moves and starts clean. A visit that ends with ``v`` staying
+    put, with or without a candidate community, clears ``dirty[v]`` and
+    registers ``v`` in ``watch`` under its own community and under each
+    candidate. A move of ``v`` from ``a`` to ``b`` marks every node
+    registered under ``a`` or ``b`` dirty and empties both lists; ``v``
+    itself stays dirty. A node marked ahead of the sweep's position is
+    visited in this sweep, one marked behind it in the next. A clean node
+    would stay put again: a neighbour that moved left a community ``v`` is
+    registered under, so no neighbour moved and ``links`` is the same, and
+    community strengths, semantic sums, ``min_member`` and member-set order
+    change only with membership, which marks. The visit would compute the
+    same floats. A node that stayed twice is listed twice under a community,
+    which only marks it twice.
 
     Before it sorts the candidates and gathers, a visit bounds every
     candidate's gain by topology alone and keeps ``v`` when no bound exceeds
@@ -333,7 +337,10 @@ def _local_moving(level: _Level, two_m: float, gamma: float, sem_coeff: float,
     # canonical tie-breaking
     first = [ms[0] for ms in level.members]
     min_member = list(first)
-    dirty = bytearray(b"\x01") * n
+    row = np.repeat(np.arange(n), np.diff(level.adj.indptr))
+    linked = np.zeros(n, dtype=np.uint8)
+    linked[row[level.adj.indices != row]] = 1
+    dirty = bytearray(linked.tobytes())
     watch: list[list[int]] = [[] for _ in range(n)]
     lo, hi = (0.0, 1.0) if semantic_term == "similarity" else (-1.0, 2.0)
     lo_total = lo * sum(size)

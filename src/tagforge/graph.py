@@ -5,6 +5,14 @@ masks) and a CSR adjacency matrix. Node records with neighbor lists are only
 its input and output, built on demand. Graphs are undirected and simple:
 construction symmetrizes neighbor lists, drops self-loops, and deduplicates
 repeated mentions, counting every such fix.
+
+TAG-JSON files are read and written column by column. ``load_graph`` pulls
+each node field out of the decoded file in one pass and checks it in bulk;
+records are walked one by one only to name a fault, so a fault raises the
+same error, in the same order, as a record-by-record check would: schema
+faults, then validation faults, then mentions of unknown ids, each stage in
+record order. ``graph_text`` writes ``json.dumps(indent=2)``'s layout byte
+for byte, with ``json``'s own string encoder, and builds no per-node dict.
 """
 from __future__ import annotations
 
@@ -14,6 +22,8 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,13 +68,8 @@ class NodeRecord:
 
     def to_json_obj(self) -> dict:
         """The record as graph files and prompts write it."""
-        return _record_json(self.node_id, self.label, self.text, self.neighbors, self.mask)
-
-
-def _record_json(node_id: str, label: int, text: str, neighbors: Sequence[str],
-                 mask: str) -> dict:
-    return {"node_id": node_id, "label": label, "text": text,
-            "neighbors": list(neighbors), "mask": mask}
+        return {"node_id": self.node_id, "label": self.label, "text": self.text,
+                "neighbors": list(self.neighbors), "mask": self.mask}
 
 
 @dataclass(frozen=True)
@@ -132,36 +137,45 @@ def _key_order(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nbr_rank), _read_only(key_rank)
 
 
-def _checked_positions(ids: Sequence[str], labels: Sequence, masks: Sequence,
-                       neighbors: Sequence[Sequence[str]],
-                       class_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the fields of records given column by column, and map each
-    neighbour mention to a node position.
+def _all_instances(values: Iterable, cls: type) -> bool:
+    return all(map(isinstance, values, repeat(cls)))
 
-    In record order, raises on a duplicate id, then on the record's label and
-    mask (``_check_record``); then on mentions of unknown ids, listing the
-    first ten. Returns, for every mention in record order, the positions of
-    its owner and of the node it names.
+
+def _checked_positions(ids: Sequence[str], labels: Sequence, masks: Sequence,
+                       mentions: Sequence[str], counts: Sequence[int],
+                       class_count: int) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Validate the fields of records given column by column, and map each
+    neighbour mention to a node position. ``mentions`` holds every record's
+    mentions in record order, ``counts`` how many each record has.
+
+    Ids, labels and masks are checked in bulk. If any check fails, the
+    records are checked one by one, in record order, for a duplicate id, then
+    for the record's label and mask (``_check_record``), and the first fault
+    is raised. Then mentions of unknown ids raise, listing the first ten.
+    Returns each id's position, and for every mention the positions of its
+    owner and of the node it names.
     """
-    pos: dict[str, int] = {}
-    for i, (nid, label, mask) in enumerate(zip(ids, labels, masks)):
-        if nid in pos:
-            raise GraphValidationError(
-                f"duplicate node_id {nid!r} at positions {pos[nid]} and {i}")
-        pos[nid] = i
-        # a valid record passes at once; _check_record names the fault
-        if type(label) is not int or not 0 <= label < class_count or mask not in MASKS:
+    n = len(ids)
+    pos = dict(zip(ids, range(n)))
+    if not (len(pos) == n and _all_instances(labels, int)
+            and not any(map(isinstance, labels, repeat(bool)))
+            and (n == 0 or 0 <= min(labels) and max(labels) < class_count)
+            and all(map(MASKS.__contains__, masks))):
+        seen: dict[str, int] = {}
+        for i, (nid, label, mask) in enumerate(zip(ids, labels, masks)):
+            if nid in seen:
+                raise GraphValidationError(
+                    f"duplicate node_id {nid!r} at positions {seen[nid]} and {i}")
+            seen[nid] = i
             _check_record(nid, label, mask, class_count)
-    get = pos.get
-    dst = np.array([get(nb, -1) for nbs in neighbors for nb in nbs], dtype=np.int64)
-    src = np.repeat(np.arange(len(ids)), [len(nbs) for nbs in neighbors])
+    dst = np.fromiter(map(pos.get, mentions, repeat(-1)), np.int64, len(mentions))
+    src = np.repeat(np.arange(n), counts)
     dangling = np.flatnonzero(dst < 0)
     if dangling.size:
-        flat = [nb for nbs in neighbors for nb in nbs]
-        shown = ", ".join(f"{ids[src[k]]}->{flat[k]}" for k in dangling[:10].tolist())
+        shown = ", ".join(f"{ids[src[k]]}->{mentions[k]}" for k in dangling[:10].tolist())
         raise GraphValidationError(
             f"{dangling.size} neighbor reference(s) to unknown nodes: {shown}")
-    return src, dst
+    return pos, src, dst
 
 
 class TextAttributedGraph:
@@ -182,16 +196,17 @@ class TextAttributedGraph:
         "_ids", "_texts", "_labels", "_masks", "_pos", "_degrees", "_csr", "_key_order",
     )
 
-    def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[int],
+    def __init__(self, ids: Iterable[str], texts: Iterable[str], labels: Sequence[int],
                  masks: Sequence[int], class_count: int, csr: sp.csr_matrix,
-                 normalization_fixes: int = 0):
+                 normalization_fixes: int = 0, pos: dict[str, int] | None = None):
+        """``pos``, when given, maps each id to its position."""
         self.class_count = class_count
         self.normalization_fixes = normalization_fixes
         self._ids = tuple(ids)
         self._texts = tuple(texts)
         self._labels = _read_only(np.asarray(labels, dtype=np.int64))
         self._masks = _read_only(np.asarray(masks, dtype=np.int8))
-        self._pos = {node_id: i for i, node_id in enumerate(self._ids)}
+        self._pos = dict(zip(self._ids, range(len(self._ids)))) if pos is None else pos
         self._csr = csr
         # scipy keeps indptr as int32 while the entries fit
         self._degrees = _read_only(np.diff(csr.indptr).astype(np.int64))
@@ -203,21 +218,23 @@ class TextAttributedGraph:
             raise GraphValidationError("class_count must be nonnegative")
         return cls._normalized(
             class_count, [rec.node_id for rec in records], [rec.label for rec in records],
-            [rec.text for rec in records], [rec.neighbors for rec in records],
-            [rec.mask for rec in records])
+            [rec.text for rec in records],
+            [nb for rec in records for nb in rec.neighbors],
+            [len(rec.neighbors) for rec in records], [rec.mask for rec in records])
 
     @classmethod
     def _normalized(cls, class_count: int, ids: Sequence[str], labels: Sequence,
-                    texts: Sequence, neighbors: Sequence[Sequence[str]],
+                    texts: Sequence, mentions: Sequence[str], counts: Sequence[int],
                     masks: Sequence) -> "TextAttributedGraph":
-        """The graph of records given column by column, validated by
+        """The graph of records given column by column, with their neighbour
+        mentions flattened (``mentions``, ``counts``), validated by
         ``_checked_positions``.
 
         Adjacency is normalized on position arrays: self-loops, repeated
         mentions and one-sided mentions each count one fix, and the union of
         both directions is kept as ``adjacency_csr()``.
         """
-        src, dst = _checked_positions(ids, labels, masks, neighbors, class_count)
+        pos, src, dst = _checked_positions(ids, labels, masks, mentions, counts, class_count)
         n = len(ids)
         loop = src == dst
         mentioned = src[~loop] * n + dst[~loop]
@@ -227,7 +244,7 @@ class TextAttributedGraph:
         if fixes:
             log.info("graph normalization applied %d fixes", fixes)
         return cls(ids, texts, labels, np.fromiter(map(MASKS.index, masks), np.int8, n),
-                   class_count, _adjacency(both // n, both % n, n), fixes)
+                   class_count, _adjacency(both // n, both % n, n), fixes, pos)
 
     # basic accessors -----------------------------------------------------
 
@@ -302,17 +319,20 @@ class TextAttributedGraph:
         """
         return tuple(map(NodeRecord, *self._record_fields(positions)))
 
-    def _record_fields(self, positions: Sequence[int]) -> tuple[Iterable, ...]:
+    def _record_fields(self, positions: Sequence[int],
+                       names: Sequence[str] | None = None) -> tuple[Iterable, ...]:
         """The ``NodeRecord`` fields of ``positions``, one iterable per field
-        in field order, as ``records`` describes them."""
+        in field order, as ``records`` describes them. With ``names``, each
+        id, the node's own and its neighbours', is given as the name of its
+        position."""
         idx = self._positions(positions, "record positions")
-        ids, at, count = self._ids, idx.tolist(), self._degrees[idx]
+        ids, at, count = self._ids if names is None else names, idx.tolist(), self._degrees[idx]
         ends = np.cumsum(count)
         row = np.repeat(np.arange(idx.size), count)
         # the CSR entry behind each place of the gathered rows
         entry = np.arange(row.size) + np.repeat(self._csr.indptr[idx] - ends + count, count)
         col = self._csr.indices[entry]
-        col = col[np.argsort(row * len(ids) + self._order()[0][col])]
+        col = col[np.argsort(row * self.num_nodes + self._order()[0][col])]
         nbr_ids = tuple(map(ids.__getitem__, col.tolist()))
         bounds = [0, *ends.tolist()]
         return (map(ids.__getitem__, at), self._labels[idx].tolist(),
@@ -343,13 +363,6 @@ class TextAttributedGraph:
             map(self._ids.__getitem__, keep), map(self._texts.__getitem__, keep),
             self._labels[idx], self._masks[idx], self.class_count, self._csr[idx][:, idx])
 
-    def to_json_obj(self) -> dict:
-        """The graph as graph files write it: every node's record, in
-        position order, built as a dict with no ``NodeRecord``."""
-        return {"class_count": self.class_count,
-                "nodes": list(map(_record_json,
-                                  *self._record_fields(np.arange(self.num_nodes))))}
-
 
 # serialization -----------------------------------------------------------
 
@@ -363,21 +376,27 @@ def _coerce_id(raw) -> str:
     raise GraphSchemaError(f"node id must be a nonempty string or integer, got {raw!r}")
 
 
-def _json_columns(obj) -> tuple[int, Sequence, Sequence, Sequence, Sequence, Sequence]:
-    """The class count and the node fields of a TAG-JSON object, column by
-    column, with ids coerced to strings. Raises ``GraphSchemaError`` on the
-    first record, in record order, whose fields have the wrong shape."""
-    if not isinstance(obj, dict):
-        raise GraphSchemaError("top level must be a JSON object")
-    if "class_count" not in obj or "nodes" not in obj:
-        raise GraphSchemaError("top level requires 'class_count' and 'nodes'")
-    class_count = obj["class_count"]
-    if not isinstance(class_count, int) or isinstance(class_count, bool) or class_count < 0:
-        raise GraphSchemaError("'class_count' must be a nonnegative integer")
-    raw_nodes = obj["nodes"]
-    if not isinstance(raw_nodes, list):
-        raise GraphSchemaError("'nodes' must be a list")
-    rows = []
+def _coerced_ids(raw: list) -> list[str]:
+    """``_coerce_id`` of each item; a list of nonempty strings as it is."""
+    if _all_instances(raw, str) and all(raw):
+        return raw
+    return list(map(_coerce_id, raw))
+
+
+def _encodable(strings: Iterable[str]) -> bool:
+    """Whether UTF-8 can encode every string: a lone surrogate, which a JSON
+    escape can carry, would load and then stop the graph being written."""
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _raise_schema_fault(raw_nodes: list) -> None:
+    """Raise ``GraphSchemaError`` for the first record, in record order,
+    whose fields have the wrong shape or hold a string UTF-8 cannot encode.
+    Called when a bulk check of ``_json_columns`` failed, so one does."""
     for i, item in enumerate(raw_nodes):
         if not isinstance(item, dict):
             raise GraphSchemaError(f"nodes[{i}] must be an object")
@@ -397,26 +416,89 @@ def _json_columns(obj) -> tuple[int, Sequence, Sequence, Sequence, Sequence, Seq
             raise GraphSchemaError(f"nodes[{i}].label must be an integer")
         if not isinstance(mask, str):
             raise GraphSchemaError(f"nodes[{i}].mask must be a string")
-        # _coerce_id returns a nonempty str as it is; the test skips the call
-        rows.append((node_id, label, text,
-                     [nb if nb.__class__ is str and nb else _coerce_id(nb) for nb in neighbors],
-                     mask))
-    return (class_count, *(zip(*rows) if rows else ((),) * 5))
+        mentions = list(map(_coerce_id, neighbors))
+        for field, strings in (("node_id", [node_id]), ("text", [text]),
+                               ("neighbors", mentions)):
+            if not _encodable(strings):
+                raise GraphSchemaError(f"nodes[{i}].{field} holds a lone surrogate")
+    raise AssertionError("a bulk schema check failed on records that pass one by one")
+
+
+def _json_columns(obj) -> tuple[int, list, list, list, list, list, list]:
+    """The class count and the node fields of a TAG-JSON object, column by
+    column as ``TextAttributedGraph._normalized`` takes them: ids, labels,
+    texts, every record's neighbour mentions in record order with each
+    record's count, and masks. Ids and mentions are coerced to strings.
+
+    Each field is pulled out in one comprehension and checked in bulk. If
+    any check fails, ``_raise_schema_fault`` names the first record at
+    fault."""
+    if not isinstance(obj, dict):
+        raise GraphSchemaError("top level must be a JSON object")
+    if "class_count" not in obj or "nodes" not in obj:
+        raise GraphSchemaError("top level requires 'class_count' and 'nodes'")
+    class_count = obj["class_count"]
+    if not isinstance(class_count, int) or isinstance(class_count, bool) or class_count < 0:
+        raise GraphSchemaError("'class_count' must be a nonnegative integer")
+    raw_nodes = obj["nodes"]
+    if not isinstance(raw_nodes, list):
+        raise GraphSchemaError("'nodes' must be a list")
+    if not _all_instances(raw_nodes, dict):
+        _raise_schema_fault(raw_nodes)
+    try:
+        ids = _coerced_ids([item["node_id"] for item in raw_nodes])
+        labels = [item["label"] for item in raw_nodes]
+        texts = [item["text"] for item in raw_nodes]
+        neighbors = [item["neighbors"] for item in raw_nodes]
+        masks = [item.get("mask", "Train") for item in raw_nodes]
+        ok = (_all_instances(texts, str) and _all_instances(neighbors, list)
+              and _all_instances(labels, int) and not any(map(isinstance, labels, repeat(bool)))
+              and _all_instances(masks, str))
+        if ok:
+            mentions = _coerced_ids([nb for nbs in neighbors for nb in nbs])
+            ok = _encodable(ids) and _encodable(texts) and _encodable(mentions)
+    except (KeyError, ValueError):  # a missing field, an id that is not one
+        ok = False
+    if not ok:
+        _raise_schema_fault(raw_nodes)
+    return class_count, ids, labels, texts, mentions, list(map(len, neighbors)), masks
 
 
 def graph_from_json_obj(obj) -> TextAttributedGraph:
+    """The graph of a decoded TAG-JSON object, as ``load_graph`` builds it."""
     return TextAttributedGraph._normalized(*_json_columns(obj))
 
 
-def load_graph(path: str) -> TextAttributedGraph:
-    """Load a graph from a JSON file, normalizing and validating it."""
+def read_json(path: str):
+    """The JSON value in a UTF-8 file. A file that is not UTF-8 or not JSON
+    raises ``GraphSchemaError`` naming the path and the place."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphSchemaError(
+            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise GraphSchemaError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return graph_from_json_obj(obj)
+
+
+def load_graph(path: str) -> TextAttributedGraph:
+    """Load a graph from a TAG-JSON file, normalizing and validating it.
+
+    Each node field is gathered into one column and checked in bulk; only
+    when a check fails are the records walked one by one, to name the first
+    record at fault. Faults raise in this order, each stage in record order:
+    a file that is not UTF-8 or not JSON, then schema faults
+    (``GraphSchemaError``: a field missing or of the wrong type, an id that
+    is neither a nonempty string nor an integer, an id, text or mention
+    holding a lone surrogate), then validation faults
+    (``GraphValidationError``: a duplicate id, a label outside
+    ``[0, class_count)``, a mask not in ``MASKS``), then mentions of unknown
+    ids.
+    """
+    return graph_from_json_obj(read_json(path))
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -433,9 +515,52 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
+# the text around a node's five fields in a graph file, as json.dumps(indent=2)
+# lays out one item of "nodes"
+_NODE_FRAME = ('    {\n      "node_id": ', ',\n      "label": ', ',\n      "text": ',
+               ',\n      "neighbors": ', ',\n      "mask": ', '\n    },\n')
+
+
+def _list_text(items: Sequence[str]) -> str:
+    """A node's encoded neighbour ids, laid out as json.dumps(indent=2) lays
+    out its "neighbors"."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
+
+
 def graph_text(g: TextAttributedGraph) -> str:
-    """The text of a graph file, as ``save_graph`` writes it."""
-    return json.dumps(g.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
+    """The text of a graph file, as ``save_graph`` writes it: byte for byte
+    what ``json.dumps(obj, ensure_ascii=False, indent=2) + "\\n"`` gives for
+    ``obj = {"class_count": g.class_count, "nodes": [rec.to_json_obj() for
+    rec in g.nodes]}``.
+
+    The layout is written directly, because ``indent`` makes ``json`` fall
+    back to its pure-Python encoder. Every string goes through
+    ``json.encoder.encode_basestring``, the function ``json.dumps`` calls
+    with ``ensure_ascii=False``: each id once, each text and mask once per
+    node. Nodes come in position order, each with its five fields in
+    ``NodeRecord`` order and its neighbours in ``records`` order, one per
+    line; an empty list is written ``[]``. The pieces of every node are
+    placed into one list, column by column, and joined once.
+    """
+    n = g.num_nodes
+    head = f'{{\n  "class_count": {json.dumps(g.class_count)},\n  "nodes": '
+    if n == 0:
+        return head + "[]\n}\n"
+    names = list(map(encode_basestring, g.ids()))
+    ids, labels, texts, neighbors, masks = g._record_fields(np.arange(n), names)
+    # node i's pieces are parts[11 * i: 11 * (i + 1)]: its frame's six pieces
+    # with its five fields between them
+    parts = [None] * (11 * n)
+    for k, piece in enumerate(_NODE_FRAME):
+        parts[2 * k::11] = [piece] * n
+    parts[1::11] = ids
+    parts[3::11] = map(str, labels)
+    parts[5::11] = map(encode_basestring, texts)
+    parts[7::11] = map(_list_text, neighbors)
+    parts[9::11] = map(encode_basestring, masks)
+    parts[0] = head + "[\n" + parts[0]
+    parts[-1] = "\n    }\n  ]\n}\n"
+    return "".join(parts)
 
 
 def save_graph(g: TextAttributedGraph, path: str) -> None:

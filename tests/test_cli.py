@@ -108,6 +108,33 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["stats"], ["limit", "OUT", "--alpha", "1.0"], ["synthesize", "OUT", "--dry-run"]])
+def test_lone_surrogate_in_a_graph_file_exits_2_naming_the_record(tmp_path, capsys, command):
+    # UTF-8 cannot encode it, so the graph could be loaded but not saved
+    bad = tmp_path / "surrogate.json"
+    bad.write_text(json.dumps({"class_count": 1, "nodes": [
+        {"node_id": "a", "label": 0, "text": "fine", "neighbors": ["b\udc00"]},
+        {"node_id": "b\udc00", "label": 0, "text": "bad \ud800 text", "neighbors": []}]}),
+        encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [command[0], str(bad), *[str(out) if a == "OUT" else a for a in command[1:]]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: nodes[0].neighbors holds a lone surrogate\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_coherence_id_file_that_is_not_utf8_exits_2_naming_it(graph_file, tmp_path, capsys):
+    cands = tmp_path / "cands.json"
+    cands.write_bytes(b'["caf\xe9"]')
+    emb = _embeddings_file(tmp_path, ["1"])
+    assert main(["coherence", "--background", graph_file, "--candidates", str(cands),
+                 "--embeddings", emb]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cands}: not UTF-8 at byte 5: invalid continuation byte\n")
+
+
 def test_bad_log_level_exits_2(capsys, graph_file):
     assert main(["--log-level", "noisy", "stats", graph_file]) == 2
 

@@ -606,6 +606,46 @@ def test_local_moving_matches_full_sweep_reference(gamma, term, monkeypatch):
     assert len(coarse) >= 8
     if gamma < 1.0:
         assert all(lv.sem is not None for lv in coarse)  # dense semantic blocks
+    # super-nodes with no edge to another start clean: isolated nodes on
+    # first levels, finished components (a self-loop only) on coarse ones
+    assert any(isolated_super_nodes(lv)[0] for lv in levels if lv not in coarse)
+    assert any(isolated_super_nodes(lv)[1] for lv in coarse)
+
+
+def isolated_super_nodes(level: _Level) -> tuple[int, int]:
+    """How many super-nodes of ``level`` have no edge to another: with no
+    entry in their row, and with a self-loop only."""
+    adj = level.adj.tocoo()
+    linked = np.zeros(adj.shape[0], dtype=bool)
+    linked[adj.row[adj.row != adj.col]] = True
+    loop = np.zeros(adj.shape[0], dtype=bool)
+    loop[adj.row[adj.row == adj.col]] = True
+    return int((~linked & ~loop).sum()), int((~linked & loop).sum())
+
+
+def test_local_moving_matches_reference_with_isolated_super_nodes():
+    """A coarse level where super-node 1 is a finished component (a
+    self-loop only) and 4 an isolated node (no entry): they start clean, and
+    the moves of the others match the full-sweep reference."""
+    adj = np.zeros((6, 6))
+    for p, q, weight in [(0, 2, 1.0), (2, 3, 2.0), (3, 5, 1.0), (0, 5, 0.5)]:
+        adj[p, q] = adj[q, p] = weight
+    adj[1, 1], adj[2, 2] = 4.0, 2.0
+    members = [[0], [1, 6, 7], [2, 8], [3], [4], [5]]
+    rng = np.random.default_rng(3)
+    t = np.triu(rng.choice([0.0, 0.25, 0.5, 1.0], size=(9, 9)))
+    p = np.zeros((9, 6))
+    for c, ms in enumerate(members):
+        p[ms, c] = 1.0
+    level = _Level(sp.csr_matrix(adj), adj.sum(axis=1), p.T @ (t + np.triu(t, 1).T) @ p,
+                   members)
+    assert isolated_super_nodes(level) == (1, 1)
+    for gamma, sem_coeff in [(1.0, 0.0), (0.5, 0.05), (0.0, 0.3)]:
+        args = (level, float(adj.sum()), gamma, sem_coeff, None, "similarity")
+        comm, improved = community._local_moving(*args)
+        ref_comm, ref_improved = reference_local_moving(*args)
+        assert comm.tolist() == ref_comm.tolist() and improved == ref_improved
+        assert comm[1] == 1 and comm[4] == 4
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])

@@ -2,15 +2,19 @@
 
 ``reference_graph_from_json_obj`` and ``reference_from_records`` are the
 loader that validated every record, built it, and built it again while
-normalizing, kept word for word (``from_records`` as a function), except that
-its ``cls`` is ``ReferenceGraph``: the graph as it was when it stored its
-records. ``reference_adjacency_csr`` and ``reference_key_rank`` are the lazy
-caches that walked every neighbour list through an id map and sorted every
-key, and ``reference_json_obj`` the ``to_json_obj`` that wrote the stored
-records.
+normalizing, kept word for word (``from_records`` as a function), with two
+exceptions. Its ``cls`` is ``ReferenceGraph``: the graph as it was when it
+stored its records. And a record whose id, text or neighbour mention holds a
+lone surrogate is a schema fault, checked after the record's other fields:
+UTF-8 cannot encode such a string, so the graph could not be saved.
+``reference_adjacency_csr`` and ``reference_key_rank`` are the lazy caches
+that walked every neighbour list through an id map and sorted every key, and
+``reference_json_obj`` the graph's ``to_json_obj`` that gave the stored
+records to the graph file writer.
 """
 import json
 import logging
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,8 +31,11 @@ from tagforge.graph import (
     SynthesizedDelta,
     TextAttributedGraph,
     graph_from_json_obj,
+    graph_text,
+    load_graph,
     merge_synthesis,
     node_sort_key,
+    save_graph,
 )
 from conftest import _neighbor_key
 from test_graph import _copy_id, reference_merge_synthesis
@@ -123,6 +130,9 @@ def reference_from_records(records: Sequence[NodeRecord], class_count: int) -> R
     return cls(normalized, class_count, fixes)
 
 
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _coerce_id(raw) -> str:
     if isinstance(raw, bool):
         raise GraphSchemaError("node ids may not be booleans")
@@ -166,11 +176,16 @@ def reference_records(obj):
             raise GraphSchemaError(f"nodes[{i}].label must be an integer")
         if not isinstance(mask, str):
             raise GraphSchemaError(f"nodes[{i}].mask must be a string")
+        neighbors = tuple(_coerce_id(nb) for nb in neighbors)
+        for field, strings in (("node_id", [node_id]), ("text", [text]),
+                               ("neighbors", neighbors)):
+            if any(LONE_SURROGATE.search(value) for value in strings):
+                raise GraphSchemaError(f"nodes[{i}].{field} holds a lone surrogate")
         records.append(NodeRecord(
             node_id=node_id,
             label=label,
             text=text,
-            neighbors=tuple(_coerce_id(nb) for nb in neighbors),
+            neighbors=neighbors,
             mask=mask,
         ))
     return class_count, records
@@ -241,6 +256,9 @@ MUTATIONS = {
     "class count": "'class_count' must",
     "top level": "top level",
     "nodes type": "'nodes' must",
+    "surrogate id": ".node_id holds a lone surrogate",
+    "surrogate text": ".text holds a lone surrogate",
+    "surrogate mention": ".neighbors holds a lone surrogate",
     "no mask": None,
 }
 
@@ -318,6 +336,13 @@ def _mutate(draw, obj, kind):
         item["text"] = draw(st.sampled_from([3, None, ["a"]]))
     elif kind == "missing field":
         item.pop(draw(st.sampled_from(["node_id", "label", "text", "neighbors"])), None)
+    elif kind == "surrogate id":
+        item["node_id"] = draw(st.sampled_from(["b\udc00", "\ud800"]))
+    elif kind == "surrogate text":
+        item["text"] = draw(st.sampled_from(["bad \ud800 text", "\udfff"]))
+    elif kind == "surrogate mention" and isinstance(mentions, list):
+        # also a mention of no node: the schema fault comes first
+        item["neighbors"] = mentions + ["b\udc00"]
     elif kind == "no mask":
         item.pop("mask", None)
     elif kind == "item type":
@@ -348,7 +373,7 @@ def _assert_same_graph(got: TextAttributedGraph, want: ReferenceGraph,
     if picks is None:
         picks = [*reversed(range(got.num_nodes)), *range(got.num_nodes)]
     assert got.records(picks) == tuple(want.nodes[p] for p in picks)
-    assert got.to_json_obj() == reference_json_obj(want)
+    assert json.loads(graph_text(got)) == reference_json_obj(want)
     labels, masks = got.labels(), got.masks()
     assert labels.dtype == np.int64 and not labels.flags.writeable
     assert masks.dtype == np.int8 and not masks.flags.writeable
@@ -525,3 +550,106 @@ def test_every_constructor_case_is_drawn(kind):
     find(grown_graphs(), DRAWN_CASES[kind], settings=settings(
         max_examples=1000, deadline=None, database=None, derandomize=True,
         phases=[Phase.generate]))
+
+
+# writing ---------------------------------------------------------------------------
+
+# ids whose JSON form needs escapes, non-ASCII ids, and ids with equal
+# node_sort_key ("1", "01", "001"; 3 and "03")
+WRITER_IDS = ("1", "01", "001", 3, "03", "10", "a", "é", 'q"uote', "back\\slash",
+              "line\u2028sep", "tab\there", "✓")
+# characters json escapes (quote, backslash, control characters), ones it
+# writes as they are with ensure_ascii=False (DEL, U+2028, U+2029, non-ASCII,
+# an astral character)
+TEXT_PIECES = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\r", "\b", "\x7f", "\u2028",
+               "\u2029", "é", "✓", "\U0001f600", "a b")
+
+
+@st.composite
+def writable_tag_json(draw):
+    """A TAG-JSON object that loads: every text draws from ``TEXT_PIECES``
+    and from the characters UTF-8 can encode (any but a surrogate), ids from ``WRITER_IDS``, and
+    mentions name nodes, with repeats and self-mentions."""
+    class_count = draw(st.integers(0, 3))
+    ids = draw(st.lists(st.sampled_from(WRITER_IDS), unique_by=str,
+                        max_size=8)) if class_count else []
+    text = st.lists(st.one_of(st.sampled_from(TEXT_PIECES), st.characters(codec="utf-8")),
+                    max_size=6).map("".join)
+    return {"class_count": class_count, "nodes": [{
+        "node_id": nid,
+        "label": draw(st.integers(0, class_count - 1)),
+        "text": draw(text),
+        "neighbors": draw(st.lists(st.sampled_from(ids), max_size=4)),
+        "mask": draw(st.sampled_from(MASKS)),
+    } for nid in ids]}
+
+
+def _json_dumps_text(want: ReferenceGraph) -> str:
+    return json.dumps(reference_json_obj(want), ensure_ascii=False, indent=2) + "\n"
+
+
+# ``--hypothesis-profile deep`` raises the budget (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(obj=writable_tag_json())
+def test_graph_text_is_json_dumps_byte_for_byte(tmp_path_factory, obj):
+    """``graph_text`` is the text ``json.dumps(..., ensure_ascii=False,
+    indent=2)`` gives for the reference's records, in file order and in
+    reversed record order; ``save_graph`` writes its UTF-8 bytes, and
+    ``load_graph`` reads them back to the same records and text."""
+    class_count, records = reference_records(obj)
+    for got, want in ((graph_from_json_obj(obj), reference_graph_from_json_obj(obj)),
+                      (TextAttributedGraph.from_records(records[::-1], class_count),
+                       reference_from_records(records[::-1], class_count))):
+        text = graph_text(got)
+        assert text == _json_dumps_text(want)
+        path = tmp_path_factory.getbasetemp() / "writer-example.json"
+        save_graph(got, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
+        back = load_graph(str(path))
+        assert back.nodes == got.nodes and back.class_count == got.class_count
+        assert back.normalization_fixes == 0 and graph_text(back) == text
+
+
+WRITER_CASES = {
+    "zero nodes": lambda obj: not obj["nodes"] and obj["class_count"] > 0,
+    "class count 0": lambda obj: obj["class_count"] == 0,
+    "empty neighbour list": lambda obj: any(not item["neighbors"] for item in obj["nodes"]),
+    "equal keys": lambda obj: len({node_sort_key(str(item["node_id"])) for item in obj["nodes"]})
+    < len(obj["nodes"]),
+    **{f"text piece {piece!r}": lambda obj, piece=piece: any(
+        piece in item["text"] for item in obj["nodes"]) for piece in TEXT_PIECES},
+}
+
+
+@pytest.mark.parametrize("kind", WRITER_CASES)
+def test_every_writer_case_is_drawn(kind):
+    find(writable_tag_json(), WRITER_CASES[kind], settings=settings(
+        max_examples=1000, deadline=None, database=None, derandomize=True,
+        phases=[Phase.generate]))
+
+
+def test_graph_file_that_is_not_utf8_is_refused_naming_the_path(tmp_path):
+    path = tmp_path / "latin-1.json"
+    path.write_bytes(b'{"class_count": 1, "nodes": [{"node_id": "caf\xe9", "label": 0, '
+                     b'"text": "", "neighbors": []}]}')
+    message = f"{path}: not UTF-8 at byte 45: invalid continuation byte"
+    for read in (load_graph, _load_id_list):
+        with pytest.raises(GraphSchemaError) as info:
+            read(str(path))
+        assert str(info.value) == message
+
+
+def test_lone_surrogates_are_refused_naming_the_record():
+    """A text, an id or a mention that UTF-8 cannot encode would load and
+    then fail in ``save_graph``; the loader refuses it as the reference does."""
+    nodes = [{"node_id": "a", "label": 0, "text": "", "neighbors": []},
+             {"node_id": "b", "label": 0, "text": "", "neighbors": ["a"]}]
+    for i, field, value, message in [
+            (1, "text", "bad \ud800 text", "nodes[1].text holds a lone surrogate"),
+            (0, "node_id", "b\udc00", "nodes[0].node_id holds a lone surrogate"),
+            (1, "neighbors", ["a", "\udfff"], "nodes[1].neighbors holds a lone surrogate")]:
+        obj = {"class_count": 1, "nodes": [dict(item) for item in nodes]}
+        obj["nodes"][i][field] = value
+        want = _outcome(reference_graph_from_json_obj, obj)
+        assert want == (None, (GraphSchemaError, message))
+        assert _outcome(graph_from_json_obj, obj) == want

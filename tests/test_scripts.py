@@ -1,7 +1,11 @@
+import hashlib
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from test_limiter import _planted_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,3 +92,17 @@ def test_spectrum_digests_prints_one_deterministic_row_per_graph():
     rows = [line.split("\t") for line in run_script(
         "spectrum_digests.py", "--sizes", "5000", "--degrees", "4", "--seeds", "1").splitlines()]
     assert [(int(row[4]) > 4000, row[6] == "-") for row in rows] == [(True, True), (False, False)]
+
+
+def test_io_digests_prints_the_json_dumps_digest_of_each_loaded_graph():
+    args = ("--sizes", "200,300", "--degrees", "1.6", "--seeds", "1")
+    first, second = (run_script("io_digests.py", *args) for _ in range(2))
+    rows = [line.split("\t") for line in first.splitlines()]
+    # nodes, degree, seed, digest, load seconds, save seconds
+    assert [row[:3] for row in rows] == [[n, "1.6", "1"] for n in ("200", "300")]
+    assert all(len(row) == 6 and float(row[4]) >= 0.0 and float(row[5]) >= 0.0 for row in rows)
+    assert [row[:4] for row in rows] == [line.split("\t")[:4] for line in second.splitlines()]
+    graphs = [_planted_graph(n, 1.6, 1) for n in (200, 300)]
+    assert [row[3] for row in rows] == [hashlib.sha256((json.dumps(
+        {"class_count": g.class_count, "nodes": [rec.to_json_obj() for rec in g.nodes]},
+        ensure_ascii=False, indent=2) + "\n").encode("utf-8")).hexdigest() for g in graphs]
