@@ -399,6 +399,24 @@ def test_report_json_matches_recorded_digest(seed, n, p, gamma, empty_classes, d
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_report_and_summary_keep_their_mixed_orders():
+    """Twelve labels and thirteen communities, five of size 6 and eight of
+    size 5, and no embeddings, so nothing depends on the BLAS kernel.
+    ``indices`` run by (-size, integer community): 2 before 10, where string
+    order would put "10" first. The summary lists labels in integer order."""
+    from tagforge.synthesis import summarize_report
+    g = random_graph(70, 0.05, seed=29, class_count=12)
+    report = build_report(g, Partition(g, [i % 13 for i in range(g.num_nodes)]), None)
+    text = report_to_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fa210d596ea30642ead8a93852e82dda810dbaf45ebc2a55cc61c500cd900cfe")
+    assert json.loads(text)["Graph"]["indices"] == [
+        "0", "1", "6", "7", "8", "2", "3", "4", "5", "9", "10", "11", "12"]
+    assert summarize_report(report) == (
+        "nodes=70, edges=123, avg_degree=3.514, components=3, communities=13, "
+        "labels={0: 4, 1: 11, 2: 5, 3: 8, 4: 1, 5: 5, 6: 3, 7: 8, 8: 7, 9: 6, 10: 5, 11: 7}")
+
+
 # string-keyed copies -----------------------------------------------------------------
 
 def members_by_community(partition):
