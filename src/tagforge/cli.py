@@ -61,11 +61,7 @@ def _build_dataclass(cls, section: dict, label: str):
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(obj) - set(_CONFIG_SECTIONS))
@@ -264,8 +260,7 @@ def _load_id_list(path: str) -> list[str]:
 
 
 def cmd_coherence(args) -> int:
-    with open(args.embeddings, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
+    table = read_json(args.embeddings)
     if not isinstance(table, dict):
         raise ValueError(f"{args.embeddings}: expected an id-to-vector JSON object")
     background = _load_id_list(args.background)
@@ -307,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--alpha", type=float, default=None,
                    help="fraction of nodes to keep")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="recorded in the sidecar's config; the sample does not "
+                        "depend on it, since detection at gamma 1 reads no seed")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--sidecar", default=None,
                    help="property report path (default OUTPUT.limits.json)")
@@ -367,8 +364,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphSchemaError, GraphValidationError, ValueError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (GraphSchemaError, GraphValidationError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .community import embedding_row
-from .graph import atomic_write_text
+from .graph import atomic_write_text, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -288,8 +288,7 @@ class MockProvider:
 
     @classmethod
     def from_file(cls, path: str, seed: int = 0, audit: AuditLog | None = None) -> "MockProvider":
-        with open(path, "r", encoding="utf-8") as fh:
-            script = json.load(fh)
+        script = read_json(path)
         if not isinstance(script, dict) or not all(
                 isinstance(v, str) for v in script.values()):
             raise ValueError(f"{path}: mock script must map string keys to string replies")

@@ -110,6 +110,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.append(True, a[1:] != a[:-1])] if a.size else a
 
 
+def _gather(indptr: np.ndarray, indices: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries of ``rows`` in a CSR layout, row by row, and the
+    index into ``rows`` each one belongs to."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+    return np.repeat(np.arange(rows.size), counts), indices[at]
+
+
 def _adjacency(row: np.ndarray, col: np.ndarray, n: int) -> sp.csr_matrix:
     """The n x n 0/1 matrix with an entry at each distinct position pair
     (row, col), given sorted by row, then col."""
@@ -326,15 +337,11 @@ class TextAttributedGraph:
         id, the node's own and its neighbours', is given as the name of its
         position."""
         idx = self._positions(positions, "record positions")
-        ids, at, count = self._ids if names is None else names, idx.tolist(), self._degrees[idx]
-        ends = np.cumsum(count)
-        row = np.repeat(np.arange(idx.size), count)
-        # the CSR entry behind each place of the gathered rows
-        entry = np.arange(row.size) + np.repeat(self._csr.indptr[idx] - ends + count, count)
-        col = self._csr.indices[entry]
+        ids, at = self._ids if names is None else names, idx.tolist()
+        row, col = _gather(self._csr.indptr, self._csr.indices, idx)
         col = col[np.argsort(row * self.num_nodes + self._order()[0][col])]
         nbr_ids = tuple(map(ids.__getitem__, col.tolist()))
-        bounds = [0, *ends.tolist()]
+        bounds = [0, *np.cumsum(self._degrees[idx]).tolist()]
         return (map(ids.__getitem__, at), self._labels[idx].tolist(),
                 map(self._texts.__getitem__, at),
                 map(nbr_ids.__getitem__, map(slice, bounds, bounds[1:])),

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .community import Partition, indicator
-from .graph import (TextAttributedGraph, _sorted_unique, component_labels, histogram_json,
-                    histograms, largest_component)
+from .graph import (TextAttributedGraph, _gather, _sorted_unique, component_labels,
+                    histogram_json, histograms, largest_component)
 
 log = logging.getLogger("tagforge.limiter")
 
@@ -318,17 +318,6 @@ def _first_per_cell(items: np.ndarray, cells: np.ndarray, cap: int,
     rank = np.arange(cells.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
     keep = rank < cap
     return items[keep], rank[keep]
-
-
-def _gather(indptr: np.ndarray, indices: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stored entries of ``rows`` in a CSR layout, row by row, and the
-    index into ``rows`` each one belongs to."""
-    lo = indptr[rows]
-    counts = indptr[rows + 1] - lo
-    ends = np.cumsum(counts)
-    at = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
-    return np.repeat(np.arange(rows.size), counts), indices[at]
 
 
 def _splice(table: np.ndarray, cells: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Covers mode-conditional seed selection, personalized PageRank smoothing,
 stochastic knowledge-capsule sampling, and the environment report that
-summarizes graph state for the coordinating agents.
+summarizes graph state for the coordinating agents. The report is its JSON
+object: ``build_report`` returns the dict that ``report_to_json`` writes.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .community import EmbeddingTable, Partition, block_totals, indicator
-from .graph import MASKS, GraphStats, TextAttributedGraph, NodeRecord, graph_stats, histogram_json
+from .graph import MASKS, TextAttributedGraph, NodeRecord, graph_stats
 
 log = logging.getLogger("tagforge.perception")
 
@@ -258,84 +259,32 @@ def sample_knowledge(
 
 # environment report -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassStat:
-    count: int
-    fraction: float
-    internal_edges: int
-    avg_degree: float
-    community_distribution: dict
-
-
-@dataclass(frozen=True)
-class CommunityStat:
-    size: int
-    internal_edges: int
-    fraction_of_graph: float
-    modularity_contribution: float
-
-
-@dataclass(frozen=True)
-class EnvironmentReport:
-    global_stats: GraphStats
-    class_stats: dict
-    community_stats: dict
-    semantic_distribution: dict
-
-    def to_json_obj(self) -> dict:
-        comm_order = sorted(
-            self.community_stats,
-            key=lambda c: (-self.community_stats[c].size, c))
-        graph_block = dict(self.global_stats.to_dict())
-        graph_block.pop("degree_histogram", None)
-        graph_block.pop("label_distribution", None)
-        graph_block["indices"] = [str(c) for c in comm_order]
-        graph_block["sizes"] = [self.community_stats[c].size for c in comm_order]
-        graph_block["distribution"] = {
-            str(c): self.community_stats[c].size for c in comm_order}
-        graph_block["statistics"] = {
-            str(c): {
-                "size": cs.size,
-                "internal_edges": cs.internal_edges,
-                "fraction_of_graph": cs.fraction_of_graph,
-                "modularity_contribution": cs.modularity_contribution,
-            }
-            for c, cs in self.community_stats.items()
-        }
-        return {
-            "Graph": graph_block,
-            "StructuralDistribution": {
-                "degree_distribution": histogram_json(self.global_stats.degree_histogram),
-            },
-            "SemanticDistribution": self.semantic_distribution,
-            "LabelDistribution": histogram_json(self.global_stats.label_distribution),
-            "ClassStatistics": {
-                str(lbl): {
-                    "count": cs.count,
-                    "fraction": cs.fraction,
-                    "internal_edges": cs.internal_edges,
-                    "avg_degree": cs.avg_degree,
-                    "community_distribution": cs.community_distribution,
-                }
-                for lbl, cs in self.class_stats.items()
-            },
-        }
-
-
-def report_to_json(report: EnvironmentReport) -> str:
-    return json.dumps(report.to_json_obj(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+def report_to_json(report: dict) -> str:
+    """The environment report as the Manager, Evaluation and Goal roles read it."""
+    return json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 def build_report(
     g: TextAttributedGraph,
     partition: Partition,
     emb: EmbeddingTable | None = None,
-) -> EnvironmentReport:
-    """Assemble the structured state summary consumed by the agent roles."""
+) -> dict:
+    """The environment report, the state summary the agent roles read, as
+    the JSON object that ``report_to_json`` writes.
+
+    ``Graph`` holds ``graph_stats`` less its histograms (those go to
+    ``StructuralDistribution`` and ``LabelDistribution``) plus the
+    communities: ``indices``, ``sizes`` and ``distribution`` by descending
+    size, then integer community. ``ClassStatistics`` holds each label some
+    node carries, in integer order, with its ``community_distribution`` by
+    descending count, then community as a string.
+    """
     if g.num_nodes == 0:
         raise ValueError("cannot report on an empty graph")
     partition.check(g)
-    stats = graph_stats(g)
+    graph_block = graph_stats(g).to_dict()
+    degree_histogram = graph_block.pop("degree_histogram")
+    label_histogram = graph_block.pop("label_distribution")
     n = g.num_nodes
     m = g.num_edges
     k, comm = partition.community_count, partition.comm
@@ -343,56 +292,56 @@ def build_report(
     class_internal = block_totals(g, g.labels(), g.class_count)[0].tolist()
     # node count per (label, community)
     spread = (indicator(g.labels(), g.class_count).T @ indicator(comm, k)).toarray()
-    class_stats: dict[int, ClassStat] = {}
+    class_stats: dict[str, dict] = {}
     for lbl, row in enumerate(spread.astype(np.int64).tolist()):
         count = sum(row)
         if count == 0:
             continue
         internal = class_internal[lbl]
         comm_dist = {str(c): x for c, x in enumerate(row) if x}
-        class_stats[lbl] = ClassStat(
-            count=count,
-            fraction=count / n,
-            internal_edges=internal,
-            avg_degree=2.0 * internal / count,
-            community_distribution=dict(sorted(
+        class_stats[str(lbl)] = {
+            "count": count,
+            "fraction": count / n,
+            "internal_edges": internal,
+            "avg_degree": 2.0 * internal / count,
+            "community_distribution": dict(sorted(
                 comm_dist.items(), key=lambda kv: (-kv[1], kv[0]))),
-        )
+        }
 
-    comm_stats: dict[int, CommunityStat] = {}
     comm_internal, deg_sum = (arr.tolist() for arr in block_totals(g, comm, k))
     sizes = np.bincount(comm, minlength=k).tolist()
-    for c in range(k):
-        internal = comm_internal[c]
-        if m > 0:
-            contribution = internal / m - (deg_sum[c] / (2.0 * m)) ** 2
-        else:
-            contribution = 0.0
-        comm_stats[c] = CommunityStat(
-            size=sizes[c],
-            internal_edges=internal,
-            fraction_of_graph=sizes[c] / n,
-            modularity_contribution=contribution,
-        )
+    comm_order = sorted(range(k), key=lambda c: (-sizes[c], c))
+    graph_block["indices"] = [str(c) for c in comm_order]
+    graph_block["sizes"] = [sizes[c] for c in comm_order]
+    graph_block["distribution"] = {str(c): sizes[c] for c in comm_order}
+    graph_block["statistics"] = {
+        str(c): {
+            "size": sizes[c],
+            "internal_edges": comm_internal[c],
+            "fraction_of_graph": sizes[c] / n,
+            "modularity_contribution": (
+                comm_internal[c] / m - (deg_sum[c] / (2.0 * m)) ** 2 if m > 0 else 0.0),
+        }
+        for c in range(k)
+    }
 
     if emb is not None:
         emb.check(g)
-        centroids: dict[int, np.ndarray] = {}
+        centroids: dict[str, np.ndarray] = {}
         for lbl in class_stats:
-            centroid = emb.unit[g.labels() == lbl].mean(axis=0)
+            centroid = emb.unit[g.labels() == int(lbl)].mean(axis=0)
             norm = float(np.linalg.norm(centroid))
             centroids[lbl] = centroid / norm if norm > 0 else centroid
-        labels = sorted(centroids)
         sem_dist: dict = {"label_centroid_similarity": {
-            str(a): {
-                str(b): float(np.dot(centroids[a], centroids[b])) for b in labels}
-            for a in labels}}
+            a: {b: float(np.dot(ca, cb)) for b, cb in centroids.items()}
+            for a, ca in centroids.items()}}
     else:
         sem_dist = {"placeholder": "semantic distribution not computed (embeddings unavailable)"}
 
-    return EnvironmentReport(
-        global_stats=stats,
-        class_stats=class_stats,
-        community_stats=comm_stats,
-        semantic_distribution=sem_dist,
-    )
+    return {
+        "Graph": graph_block,
+        "StructuralDistribution": {"degree_distribution": degree_histogram},
+        "SemanticDistribution": sem_dist,
+        "LabelDistribution": label_histogram,
+        "ClassStatistics": class_stats,
+    }

@@ -33,7 +33,6 @@ from .gateway import (
 from .graph import MASKS, NodeRecord, SynthesizedDelta, TextAttributedGraph, merge_synthesis
 from .perception import (
     EnhancementMode,
-    EnvironmentReport,
     PerceptionParams,
     KnowledgeCapsule,
     SeedSelection,
@@ -478,22 +477,22 @@ def _progress_vector(
     return np.array([quality, structure, balance], dtype=np.float64)
 
 
-def summarize_report(report: EnvironmentReport) -> str:
-    stats = report.global_stats
+def summarize_report(report: dict) -> str:
+    stats = report["Graph"]
     label_part = ", ".join(
-        f"{lbl}: {cs.count}" for lbl, cs in sorted(report.class_stats.items()))
+        f"{lbl}: {cs['count']}" for lbl, cs in report["ClassStatistics"].items())
     return (
-        f"nodes={stats.num_nodes}, edges={stats.num_edges}, "
-        f"avg_degree={stats.avg_degree:.3f}, components={stats.connected_components}, "
-        f"communities={len(report.community_stats)}, labels={{{label_part}}}")
+        f"nodes={stats['num_nodes']}, edges={stats['num_edges']}, "
+        f"avg_degree={stats['avg_degree']:.3f}, components={stats['connected_components']}, "
+        f"communities={len(stats['statistics'])}, labels={{{label_part}}}")
 
 
 # perception stages -------------------------------------------------------------
 
 def perceive(g: TextAttributedGraph, emb: EmbeddingTable | None, mparams: ModularityParams,
-             seed: int) -> tuple[Partition, EnvironmentReport, str]:
-    """The partition detected with ``seed``, its environment report and the
-    report's JSON."""
+             seed: int) -> tuple[Partition, dict, str]:
+    """The partition detected with ``seed``, its environment report (the JSON
+    object) and the report's JSON text."""
     partition = detect_communities(g, emb, mparams, seed)
     report = build_report(g, partition, emb)
     return partition, report, report_to_json(report)

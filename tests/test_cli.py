@@ -135,6 +135,27 @@ def test_coherence_id_file_that_is_not_utf8_exits_2_naming_it(graph_file, tmp_pa
         f"error: {cands}: not UTF-8 at byte 5: invalid continuation byte\n")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'"\xe9"', "not UTF-8 at byte 1: invalid continuation byte"),
+    (b"{nope",
+     "invalid JSON at line 1 column 2: Expecting property name enclosed in double quotes"),
+], ids=["not utf8", "invalid json"])
+@pytest.mark.parametrize("command", [
+    ["coherence", "--background", "GRAPH", "--candidates", "GRAPH", "--embeddings", "BAD"],
+    ["synthesize", "GRAPH", "OUT", "--provider", "mock:BAD"],
+    ["limit", "GRAPH", "OUT", "--config", "BAD"],
+], ids=["embeddings", "mock script", "config"])
+def test_bad_json_input_exits_2_naming_its_file(graph_file, tmp_path, capsys, command,
+                                                 content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    names = {"GRAPH": graph_file, "OUT": str(out), "BAD": str(bad), "mock:BAD": f"mock:{bad}"}
+    assert main([names.get(a, a) for a in command]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_log_level_exits_2(capsys, graph_file):
     assert main(["--log-level", "noisy", "stats", graph_file]) == 2
 

@@ -322,16 +322,16 @@ def test_report_single_class_single_community():
     g = make_graph({"a": ["b"], "b": ["c"], "c": []})
     part = Partition(g, [0] * g.num_nodes)
     report = build_report(g, part, None)
-    assert report.class_stats[0].fraction == pytest.approx(1.0)
-    assert report.community_stats[0].fraction_of_graph == pytest.approx(1.0)
+    assert report["ClassStatistics"]["0"]["fraction"] == pytest.approx(1.0)
+    assert report["Graph"]["statistics"]["0"]["fraction_of_graph"] == pytest.approx(1.0)
 
 
 def test_report_fractions_and_sizes_are_consistent():
     g = random_graph(40, 0.1, seed=21)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     report = build_report(g, part, None)
-    assert sum(cs.fraction for cs in report.class_stats.values()) == pytest.approx(1.0)
-    assert sum(cs.size for cs in report.community_stats.values()) == g.num_nodes
+    assert sum(cs["fraction"] for cs in report["ClassStatistics"].values()) == pytest.approx(1.0)
+    assert sum(cs["size"] for cs in report["Graph"]["statistics"].values()) == g.num_nodes
 
 
 def test_report_modularity_contributions_sum_to_newman():
@@ -339,7 +339,7 @@ def test_report_modularity_contributions_sum_to_newman():
     g = random_graph(30, 0.15, seed=33)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
     report = build_report(g, part, None)
-    total = sum(cs.modularity_contribution for cs in report.community_stats.values())
+    total = sum(cs["modularity_contribution"] for cs in report["Graph"]["statistics"].values())
     q = semantic_modularity(g, part, None, ModularityParams(gamma=1.0))
     assert total == pytest.approx(q, abs=1e-12)
 
@@ -356,7 +356,7 @@ def test_report_json_round_trips_byte_stably():
 def test_report_has_case_study_field_names():
     g = random_graph(20, 0.2, seed=6)
     part = detect_communities(g, None, ModularityParams(gamma=1.0), 0)
-    obj = build_report(g, part, None).to_json_obj()
+    obj = build_report(g, part, None)
     assert set(obj) >= {"Graph", "StructuralDistribution", "SemanticDistribution",
                         "LabelDistribution", "ClassStatistics"}
     assert "degree_distribution" in obj["StructuralDistribution"]
@@ -368,7 +368,7 @@ def test_report_has_case_study_field_names():
 def test_report_semantic_placeholder_without_embeddings():
     g = make_graph({"a": ["b"], "b": []})
     part = Partition(g, [0, 0])
-    obj = build_report(g, part, None).to_json_obj()
+    obj = build_report(g, part, None)
     assert "placeholder" in obj["SemanticDistribution"]
 
 
@@ -377,7 +377,7 @@ def test_report_label_centroid_matrix_with_embeddings():
                    labels={"a": 0, "b": 0, "c": 1}, class_count=2)
     part = Partition(g, [0] * g.num_nodes)
     emb = EmbeddingTable({"a": [1.0, 0.0], "b": [1.0, 0.1], "c": [0.0, 1.0]})
-    obj = build_report(g, part, emb).to_json_obj()
+    obj = build_report(g, part, emb)
     sem = obj["SemanticDistribution"]["label_centroid_similarity"]
     assert sem["0"]["0"] == pytest.approx(1.0)
     assert sem["0"]["1"] == sem["1"]["0"]
@@ -415,6 +415,20 @@ def test_report_and_summary_keep_their_mixed_orders():
     assert summarize_report(report) == (
         "nodes=70, edges=123, avg_degree=3.514, components=3, communities=13, "
         "labels={0: 4, 1: 11, 2: 5, 3: 8, 4: 1, 5: 5, 6: 3, 7: 8, 8: 7, 9: 6, 10: 5, 11: 7}")
+
+
+def test_report_object_keeps_its_insertion_orders():
+    """The same report as an object. Its dump without ``sort_keys`` pins the
+    order of every dict: ``community_distribution`` runs by (-count,
+    community as a string), so "10" comes before "2" at equal counts."""
+    g = random_graph(70, 0.05, seed=29, class_count=12)
+    report = build_report(g, Partition(g, [i % 13 for i in range(g.num_nodes)]), None)
+    assert list(report["ClassStatistics"]) == [str(lbl) for lbl in range(12)]
+    assert list(report["ClassStatistics"]["1"]["community_distribution"]) == [
+        "1", "0", "10", "12", "2", "5", "7", "8", "9"]
+    text = json.dumps(report, ensure_ascii=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c64d22b2b65cb0dbe2f8c563230be135a9bdd8711356ace0d05e957f2ade595a")
 
 
 # string-keyed copies -----------------------------------------------------------------
